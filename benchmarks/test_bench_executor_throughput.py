@@ -1,12 +1,12 @@
-"""Bench — Tier-1 trace JIT vs the Tier-0 interpreter.
+"""Bench — Tier-1 whole-function compilation vs the Tier-0 interpreter.
 
 Measures simulated invocations/second for both execution tiers on the
 hot SPEC-style loop workloads the rating methods spend their time in:
 three synthetic loop kernels (reduction, daxpy, 3-point stencil) plus the
 four Fig. 7 SPEC analogs, on both paper machines.  The performance gate —
 Tier 1 at least 3× Tier 0 — is asserted on the SPARC-II hot-loop kernels,
-where traces run windowed (the direct-mapped 16 KB cache holds the whole
-working set); the SPEC rows and the Pentium 4 are reported for the
+where compiled code runs windowed (the direct-mapped 16 KB cache holds
+the whole working set); the SPEC rows and the Pentium 4 are reported for the
 record.  A second bench re-runs the parallel-scaling tune end-to-end on
 both tiers: identical tuning outcome, lower wall time.
 
@@ -177,7 +177,7 @@ def _measure_spec(name: str, machine) -> dict:
 
 
 def test_bench_hot_kernels_sparc2_gate(benchmark):
-    """The ≥3× gate: windowed traces on the direct-mapped paper machine."""
+    """The ≥3× gate: windowed compiled code on the direct-mapped paper machine."""
     rows = benchmark.pedantic(
         lambda: [_measure_kernel(k, SPARC2) for k in GATE_KERNELS],
         rounds=1,

@@ -97,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the compiled-version cache (--jobs only)")
     p.add_argument("--no-prefix-cache", action="store_true",
                    help="disable incremental compilation (pass-prefix IR "
-                        "snapshot reuse across configurations; --jobs only)")
+                        "snapshot reuse across configurations)")
     p.add_argument("--exec-tier", type=int, choices=EXEC_TIERS, default=0,
                    help="simulated-execution tier: 0 = paper-faithful "
-                        "interpreter, 1 = trace JIT (bit-identical results, "
-                        "faster hot loops)")
+                        "interpreter, 1 = whole-function compilation "
+                        "(bit-identical results, faster)")
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="record a span tree of the tuning run and write it "
                         "as JSON-lines (one span per line, header first)")

@@ -95,7 +95,7 @@ class EngineSpec:
     base_seed: int
     use_cache: bool
     #: execution tier for every simulated invocation (0 = interpreter,
-    #: 1 = trace JIT; results are bit-identical either way)
+    #: 1 = whole-function compilation; results are bit-identical either way)
     exec_tier: int = 0
     #: share pass-prefix IR snapshots across compiles, so configurations
     #: with overlapping pass chains resume mid-pipeline instead of starting

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..compiler.options import OptConfig
 from ..compiler.pipeline import compile_version
+from ..compiler.prefix import PassPrefixCache, PrefixStats
 from ..compiler.version import Version
 from ..machine.config import MachineConfig
 from ..machine.jit import create_executor
@@ -101,6 +102,10 @@ class _RatingEngine:
         self.methods_tried = [method]
         self.n_rated = 0
         self._version_cache: dict[tuple, Version] = {}
+        #: pass-prefix IR snapshots shared by this run's compiles, and their
+        #: traffic (recorded into the ledger when the search ends)
+        self.prefix_cache = PassPrefixCache() if tuner.use_prefix_cache else None
+        self.prefix_stats = PrefixStats()
         self._rating_cache: dict[tuple, RatingResult] = {}
         self._save_plan: SaveRestorePlan | None = None
 
@@ -119,6 +124,8 @@ class _RatingEngine:
                 self.tuner.machine,
                 program=self.workload.program,
                 checked=self.tuner.checked,
+                prefix_cache=self.prefix_cache,
+                prefix_stats=self.prefix_stats,
                 obs=self.tuner.obs,
             )
             self._version_cache[key] = v
@@ -240,11 +247,12 @@ class PeakTuner:
         self.jobs = jobs
         self.parallel_backend = parallel_backend
         self.use_version_cache = use_version_cache
-        #: resume compiles from shared pass-prefix IR snapshots (parallel
-        #: engine only; versions are bit-identical either way)
+        #: resume compiles from shared pass-prefix IR snapshots (versions
+        #: are bit-identical either way)
         self.use_prefix_cache = use_prefix_cache
         #: execution tier for every simulated invocation (0 = paper-faithful
-        #: interpreter, 1 = trace JIT; ratings are bit-identical either way)
+        #: interpreter, 1 = whole-function compilation; ratings are
+        #: bit-identical either way)
         self.exec_tier = exec_tier
         #: observability context (spans + metrics); the default NULL_OBS
         #: makes every instrumentation site a near-free no-op
@@ -386,6 +394,10 @@ class PeakTuner:
         )
         engine = _RatingEngine(self, workload, plan, feed, timed, chosen)
         result = self.search.search(engine.rate, flag_names, OptConfig.o3())
+        stats = engine.prefix_stats
+        ledger.record_prefix(
+            stats.compiles, stats.full_hits, stats.steps_saved, stats.steps_run
+        )
         return (
             result, ledger, engine.method, engine.methods_tried,
             engine.n_rated, None,

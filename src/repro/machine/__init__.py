@@ -21,7 +21,6 @@ from .executor import (
 from .jit import (
     EXEC_TIERS,
     ExecutableCache,
-    JitConfig,
     TieredExecutor,
     create_executor,
     executable_digest,
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionError",
     "Executor",
     "InvocationResult",
-    "JitConfig",
     "MACHINES",
     "MachineConfig",
     "NoiseModel",

@@ -230,13 +230,26 @@ class AddressMap:
     ELEM_SIZE = 8
 
     def __init__(self, sizes: dict[str, int], line: int = 64, base: int = 0x10000) -> None:
+        self.line = line
         self.bases: dict[str, int] = {}
         addr = base
+        lo = hi = base
         for name in sorted(sizes):
             self.bases[name] = addr
             nbytes = sizes[name] * self.ELEM_SIZE
+            # reachable bytes, including the negative-index wrap range
+            # Python permits
+            lo = min(lo, addr - nbytes)
+            hi = max(hi, addr + nbytes)
             addr += ((nbytes + line - 1) // line) * line + line
         self.total_span = addr - base
+        #: first address past the laid-out arrays
+        self.end = addr
+        #: cache lines spanned by every reachable address of the arrays;
+        #: when this is below the cache's set count, no access can evict a
+        #: line another access touched (Tier 1's windowed code relies on
+        #: it).  ``None`` for callee frames, which are never windowed.
+        self.window_lines: int | None = hi // line - lo // line if sizes else 0
 
     def address(self, array: str, index: int) -> int:
         """Byte address of ``array[index]``."""
@@ -267,3 +280,37 @@ class AddressMap:
         for alias, target in aliases.items():
             amap.bases[alias] = amap.bases[target]
         return amap
+
+    def for_call(
+        self, args: dict[str, object], caller_env: dict[str, object]
+    ) -> "AddressMap":
+        """The address map of a callee frame whose array parameters are *args*.
+
+        Each parameter takes the base of a caller name bound to the same
+        array object (or of an earlier parameter sharing it), so the callee
+        touches the caller's lines.  An array no caller name holds is laid
+        out after this map's arrays.  This map is left unchanged.
+        """
+        frame = AddressMap({}, line=self.line, base=self.end)
+        frame.window_lines = None
+        line = self.line
+        for pname, value in args.items():
+            base = next(
+                (
+                    self.bases[cname]
+                    for cname, cval in caller_env.items()
+                    if cval is value and cname in self.bases
+                ),
+                None,
+            )
+            if base is None:
+                base = next(
+                    (frame.bases[q] for q in frame.bases if args[q] is value), None
+                )
+            if base is None:
+                base = frame.end
+                nbytes = len(value) * self.ELEM_SIZE
+                frame.end += ((nbytes + line - 1) // line) * line + line
+            frame.bases[pname] = base
+        return frame
+

@@ -53,7 +53,7 @@ _INTRINSIC_IMPLS: dict[str, Callable] = {
 class ExprEmitter:
     """Emits flattened Python source for IR expressions and assignments.
 
-    Subclasses (the trace JIT) override :meth:`expr`'s ``Var``/``ArrayRef``
+    Subclasses (the Tier-1 compiler) override :meth:`expr`'s ``Var``/``ArrayRef``
     handling to bind promoted locals and inline address arithmetic; the
     recursive cases dispatch through ``self.expr`` so overrides compose.
     """
@@ -172,7 +172,7 @@ def exec_namespace(**extra: object) -> dict:
     """The globals dict generated machine code executes under.
 
     Restricted builtins plus the intrinsic implementations; *extra* entries
-    (e.g. the trace JIT's ``ExecutionError``) are merged in.
+    (e.g. Tier 1's ``ExecutionError``) are merged in.
     """
     namespace: dict = {
         "__builtins__": {

@@ -386,6 +386,8 @@ class Executor:
         #: 1-bit branch predictor: (fn_name, label) -> last direction
         self.branch_state: dict[tuple[str, str], bool] = {}
         self._amap_cache: dict[tuple, AddressMap] = {}
+        #: blocks completed by the dispatch loop (:meth:`_interpret`)
+        self.interpreted_blocks = 0
 
     # ------------------------------------------------------------------ #
 
@@ -396,11 +398,17 @@ class Executor:
         self._amap_cache.clear()
 
     def _address_map(self, env: dict[str, object]) -> AddressMap:
-        key = tuple(
-            (name, id(value), len(value))
-            for name, value in sorted(env.items())
-            if hasattr(value, "__len__")
-        )
+        # AddressMap.for_env depends only on the arrays' sorted names, their
+        # lengths and which names share one object, so that shape is the
+        # key: a dataset whose invocations all bind same-shaped arrays
+        # builds one map
+        canonical: dict[int, str] = {}
+        shape = []
+        for name in sorted(env):
+            value = env[name]
+            if hasattr(value, "__len__"):
+                shape.append((name, len(value), canonical.setdefault(id(value), name)))
+        key = tuple(shape)
         amap = self._amap_cache.get(key)
         if amap is None:
             amap = AddressMap.for_env(env, line=self.machine.cache_line)
@@ -449,6 +457,33 @@ class Executor:
     ) -> None:
         if depth > 32:
             raise ExecutionError("call depth limit exceeded (recursive IR?)")
+        self._interpret(
+            exe, env, amap, factors, counts, result, depth,
+            exe.entry, self.MAX_STEPS, 0.0, 0.0, 0.0,
+        )
+
+    def _interpret(
+        self,
+        exe: ExecutableFunction,
+        env: dict[str, object],
+        amap: AddressMap,
+        factors: CostFactors,
+        counts: dict[str, int] | None,
+        result: InvocationResult,
+        depth: int,
+        label: str,
+        steps_budget: int,
+        cycles: float,
+        mem_cycles: float,
+        miss_cycles: float,
+    ) -> None:
+        """The dispatch loop, from *label* with *steps_budget* steps left.
+
+        *cycles*, *mem_cycles* and *miss_cycles* are the frame's local
+        accumulators so far (folded into *result* when the frame returns;
+        _do_call writes callee contributions into *result* directly).
+        Tier 1 resumes here when its step-budget guard fails.
+        """
         blocks = exe.blocks
         cache_access = self.cache.access
         elem = AddressMap.ELEM_SIZE
@@ -457,64 +492,64 @@ class Executor:
         miss_cost = self.machine.branch_miss_cycles * factors.branch
         mem_factor = factors.mem
 
-        label = exe.entry
         mem: list = []
-        steps_budget = self.MAX_STEPS
-        # Local accumulators (folded into *result* at the end); _do_call
-        # writes callee contributions into *result* directly.
-        cycles = 0.0
-        mem_cycles = 0.0
-        miss_cycles = 0.0
+        budget0 = steps_budget
+        try:
+            while label != _RETURN:
+                blk = blocks[label]
+                if counts is not None:
+                    counts[blk.label if depth == 0 else blk.qual_key] += 1
+                cycles += blk.compute_cycles + blk.spill_cycles
 
-        while label != _RETURN:
-            blk = blocks[label]
-            if counts is not None:
-                counts[blk.label if depth == 0 else blk.qual_key] += 1
-            cycles += blk.compute_cycles + blk.spill_cycles
-
-            try:
-                fast = blk.fastrun
-                if fast is not None:
-                    label_next, taken = fast(env, mem)
-                elif blk.has_calls:
-                    for step in blk.steps:
-                        if type(step) is _CallStep:
-                            self._do_call(step, exe, env, amap, factors, counts, result, depth)
-                        else:
+                try:
+                    fast = blk.fastrun
+                    if fast is not None:
+                        label_next, taken = fast(env, mem)
+                    elif blk.has_calls:
+                        for step in blk.steps:
+                            if type(step) is _CallStep:
+                                self._do_call(
+                                    step, exe, env, amap, factors, counts, result, depth
+                                )
+                            else:
+                                step(env, mem)
+                        label_next, taken = blk.term(env, mem)
+                    else:
+                        # call-free block without generated code (codegen
+                        # disabled or stripped): plain closure dispatch
+                        for step in blk.steps:
                             step(env, mem)
-                    label_next, taken = blk.term(env, mem)
-                else:
-                    # call-free block without generated code (codegen
-                    # disabled or stripped): plain closure dispatch
-                    for step in blk.steps:
-                        step(env, mem)
-                    label_next, taken = blk.term(env, mem)
-            except (KeyError, IndexError, ZeroDivisionError, OverflowError) as e:
-                raise ExecutionError(
-                    f"{exe.name}/{label}: runtime error {type(e).__name__}: {e}"
-                ) from e
+                        label_next, taken = blk.term(env, mem)
+                except (KeyError, IndexError, ZeroDivisionError, OverflowError) as e:
+                    raise ExecutionError(
+                        f"{exe.name}/{label}: runtime error {type(e).__name__}: {e}"
+                    ) from e
 
-            if mem:
-                mc = 0.0
-                for name, i in mem:
-                    mc += cache_access(bases[name] + i * elem)
-                mc *= mem_factor
-                mem_cycles += mc
-                cycles += mc
-                mem.clear()
+                if mem:
+                    mc = 0.0
+                    for name, i in mem:
+                        mc += cache_access(bases[name] + i * elem)
+                    mc *= mem_factor
+                    mem_cycles += mc
+                    cycles += mc
+                    mem.clear()
 
-            if blk.is_branch:
-                key = blk.branch_key
-                predicted = branch_state.get(key)
-                if predicted is not None and predicted != taken:
-                    miss_cycles += miss_cost
-                    cycles += miss_cost
-                branch_state[key] = taken
+                if blk.is_branch:
+                    key = blk.branch_key
+                    predicted = branch_state.get(key)
+                    if predicted is not None and predicted != taken:
+                        miss_cycles += miss_cost
+                        cycles += miss_cost
+                    branch_state[key] = taken
 
-            steps_budget -= 1
-            if steps_budget <= 0:
-                raise ExecutionError(f"{exe.name}: step budget exhausted (infinite loop?)")
-            label = label_next
+                steps_budget -= 1
+                if steps_budget <= 0:
+                    raise ExecutionError(
+                        f"{exe.name}: step budget exhausted (infinite loop?)"
+                    )
+                label = label_next
+        finally:
+            self.interpreted_blocks += budget0 - steps_budget
 
         result.cycles += cycles
         result.mem_cycles += mem_cycles
@@ -545,19 +580,18 @@ class Executor:
             result.mem_cycles += mc
         callee_env = dict(zip(callee.param_names, args))
         callee_env.update(callee.local_defaults)
-        # Aliased arrays: share the caller's address map by identity (works
-        # because AddressMap.for_env dedups on id); indices computed relative
-        # to the callee's names need the callee bases, so extend the map.
-        for pname, value in zip(callee.param_names, args):
-            if hasattr(value, "__len__") and pname not in amap.bases:
-                for cname, cval in env.items():
-                    if cval is value and cname in amap.bases:
-                        amap.bases[pname] = amap.bases[cname]
-                        break
-                else:
-                    amap.bases[pname] = 0x8000000 + id(value) % 0x100000
+        # the callee's arrays live at the addresses of the argument objects,
+        # bound afresh at every call site
+        frame = amap.for_call(
+            {
+                name: value
+                for name, value in zip(callee.param_names, args)
+                if hasattr(value, "__len__")
+            },
+            env,
+        )
         sub = InvocationResult(0.0)
-        self._run_cfg(callee, callee_env, amap, factors, counts, sub, depth + 1)
+        self._run_cfg(callee, callee_env, frame, factors, counts, sub, depth + 1)
         result.cycles += sub.cycles
         result.mem_cycles += sub.mem_cycles
         result.branch_miss_cycles += sub.branch_miss_cycles

@@ -1,79 +1,77 @@
-"""Tier-1 execution: trace-JIT code generation for the rating hot path.
+"""Tier-1 execution: whole-function compilation for the rating hot path.
 
-Every rating method bottoms out in :meth:`Executor._run_cfg`, which
-dispatches one generated block function per basic block and one cache
-access per touched array element.  For the loop-dominated tuning sections
-that is still a lot of per-block overhead: a ``blocks[label]`` lookup, a
-Python call into the block function, ``(name, index)`` tuple traffic on
-the memory trace, a per-access ``bases[name] + i*8`` translation plus a
-``CacheSim.access`` call, and a ``(fn, label)`` predictor key per branch.
+Every rating method bottoms out in :meth:`Executor._run_cfg`.  At Tier 0
+that is a dispatch loop: per basic block a ``blocks[label]`` lookup, a
+Python call into the block's generated function, ``(name, index)`` tuple
+traffic on the memory trace, a per-access ``bases[name] + i*8``
+translation plus a ``CacheSim.access`` call, and a ``(fn, label)``
+predictor key per branch.
 
-This module removes that overhead with a classic trace JIT:
+Tier 1 compiles each :class:`ExecutableFunction`, on first use, into
+**one** Python function (``compile()``/``exec``) with every block body
+inline:
 
-* **Warmup** — the first :data:`JitConfig.warmup_invocations` invocations
-  of a compiled function run through the Tier-0 interpreter with block
-  counting forced on, accumulating block execution counts (the per-version
-  profile that decides what is hot).
-* **Trace formation** — hot, call-free blocks are stitched into superblock
-  traces: starting from the hottest unassigned block, the builder follows
-  the most-frequent successor until it meets a call, a cold or already
-  assigned block, or the trace head again (which closes the trace into a
-  loop).  Each trace has one entry and side exits at every branch that
-  leaves it.
-* **Code generation** — each trace is emitted as one real Python function
-  (``compile()``/``exec``) with scalars promoted to locals, inline address
-  arithmetic (``base + i*8`` appended straight to a batch that is drained
-  once per block through :meth:`CacheSim.access_many`), branch-predictor
-  keys folded to constant tuples, and block cycle costs folded to float
-  literals.  Hot loops whose trace closes on its head run inside a
-  ``while True:`` without ever returning to the dispatch loop.
-* **Caching** — generated trace sets land in a content-addressed
+* **Layout** — blocks are grouped into *chains*.  A chain starts at a
+  *head*: the entry, the target of every retreating CFG edge (the header
+  of every natural loop), and any block the layout cuts off to bound code
+  duplication (:func:`_chain_heads`).  From its head a chain inlines every
+  path forward until the path reaches a head or returns; a block reached
+  by several paths is duplicated on each.  A chain whose paths lead back
+  to its own head is a loop and runs inside a ``while True:`` that jumps
+  back with ``continue``.  Every other edge to a head sets an integer
+  label and returns to the dispatch loop
+  (``while _L >= 0: if _L == 0: ... elif _L == 1: ...``).
+* **Code generation** — scalars are promoted to locals, branch-predictor
+  entries are held in locals, block cycle costs are folded to float
+  literals, and the cache line check is emitted at each access site (see
+  :class:`_InlineCache`).  When the frame's arrays fit the cache window
+  (:attr:`AddressMap.window_lines`), a variant with a last-line memo per
+  array and elided repeated accesses runs instead.  A block with a call
+  writes the promoted scalars back to ``env`` and goes through
+  :meth:`Executor._do_call`, which runs the callee's own compiled
+  function.
+* **Caching** — compiled functions land in a content-addressed
   :class:`ExecutableCache` keyed by a digest of the function's rendered
   IR, its per-block cycle costs, and the machine (the same scheme as the
   compiler pipeline's ``VersionCache``), so re-rating a version across
   consistency windows, search rounds, and worker tasks never regenerates
-  or re-warms code.
+  code.
 
-**Exactness.**  Cycle accounting is bit-identical to Tier 0: per block the
+**Exactness.**  Results are bit-identical to Tier 0.  Per block the
 generated code performs the same float operations in the same order —
-``cycles += compute+spill`` (one pre-folded literal), a per-block memory
-drain whose sum accumulates access costs left-to-right exactly like the
-interpreter's loop, and the branch-miss charge.  Runtime cost factors
-(``CostFactors``) and the machine's branch-miss cost are passed in at call
-time, never baked into code, so one trace serves every version sharing the
-same IR and static costs.  Block counts, ``ExecutionError`` messages, the
-step budget, and memory state evolve identically; the differential fuzz
-suite (``tests/machine/test_executor_differential.py``) enforces this over
-random IR programs.
+``cycles += compute+spill`` (one pre-folded literal), the block's memory
+drain, then the branch-miss charge — and runtime cost factors and the
+branch-miss cost are call arguments, never baked into code.  Tier 0 only
+simulates a block's accesses after the block completes, so every inline
+cache mutation logs an undo entry that is rolled back if the block
+raises; the log is emptied at the end of every block.  The step budget is
+checked once per chain pass: when it cannot cover the longest path of
+the chain, the function writes its state back and returns the chain
+head, and the Tier-0 interpreter finishes the frame block by block, so
+exhaustion happens at Tier 0's block with Tier 0's error.  The
+differential fuzz suite (``tests/machine/test_executor_differential.py``)
+enforces this over random IR programs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..ir.block import BasicBlock
+from ..ir.cfg import CFG
 from ..ir.expr import ArrayRef, BinOp, Call, Const, UnOp, Var, walk
-from ..ir.stmt import Assign, CondBranch, Jump, Return
+from ..ir.stmt import CallStmt, CondBranch, Jump, Return
 from ..ir.types import Type
 from .cache import AddressMap
 from .codegen import ExprEmitter, exec_namespace
 from .config import MachineConfig
 from .cost import infer_type
-from .executor import (
-    ExecutableFunction,
-    ExecutionError,
-    Executor,
-    InvocationResult,
-    _CallStep,
-)
+from .executor import ExecutableFunction, ExecutionError, Executor, InvocationResult
 
 __all__ = [
-    "JitConfig",
-    "Trace",
-    "TraceSet",
+    "WholeFunction",
     "ExecutableCache",
     "TieredExecutor",
     "create_executor",
@@ -82,22 +80,15 @@ __all__ = [
     "EXEC_TIERS",
 ]
 
-_RETURN = "<return>"
 _ELEM = AddressMap.ELEM_SIZE
 
 EXEC_TIERS = (0, 1)
 
-
-@dataclass(frozen=True)
-class JitConfig:
-    """Tier-1 tuning knobs (defaults are deliberately conservative)."""
-
-    #: Tier-0 invocations per compiled function before traces are formed
-    warmup_invocations: int = 2
-    #: total warmup entries a block needs to seed or extend a trace
-    hot_block_count: int = 16
-    #: superblock length cap (bounds side-exit code duplication)
-    max_trace_blocks: int = 16
+#: a block reached by more paths than this heads its own chain
+_MAX_COPIES = 4
+#: longest path (in blocks) a chain inlines; bounds the nesting depth of
+#: the generated code well below the parser's indentation limit
+_MAX_PATH = 24
 
 
 # --------------------------------------------------------------------------- #
@@ -127,7 +118,7 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
 
 
 class ExecutableCache:
-    """Thread-safe content-addressed cache of compiled :class:`TraceSet`\\ s.
+    """Thread-safe content-addressed cache of :class:`WholeFunction`\\ s.
 
     Keyed by :func:`executable_digest`; shared process-wide by default so
     every rating task, consistency window, and search round that touches a
@@ -142,7 +133,7 @@ class ExecutableCache:
         self.misses = 0
         self.evictions = 0
         self._lock = threading.Lock()
-        self._entries: dict[str, TraceSet] = {}
+        self._entries: dict[str, WholeFunction] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -159,14 +150,14 @@ class ExecutableCache:
             self.misses = 0
             self.evictions = 0
 
-    def get(self, key: str) -> "TraceSet | None":
+    def get(self, key: str) -> "WholeFunction | None":
         with self._lock:
-            ts = self._entries.get(key)
-            if ts is not None:
+            wf = self._entries.get(key)
+            if wf is not None:
                 self.hits += 1
-            return ts
+            return wf
 
-    def put(self, key: str, traceset: "TraceSet") -> None:
+    def put(self, key: str, wf: "WholeFunction") -> None:
         with self._lock:
             self.misses += 1
             if (
@@ -176,84 +167,19 @@ class ExecutableCache:
             ):
                 self._entries.pop(next(iter(self._entries)))
                 self.evictions += 1
-            self._entries[key] = traceset
+            self._entries[key] = wf
 
 
 _GLOBAL_CACHE = ExecutableCache()
 
 
 def global_executable_cache() -> ExecutableCache:
-    """The process-wide default trace-code cache."""
+    """The process-wide default compiled-code cache."""
     return _GLOBAL_CACHE
 
 
 # --------------------------------------------------------------------------- #
-# trace formation
-
-
-def _successors(blk: BasicBlock) -> tuple[str, ...]:
-    term = blk.terminator
-    if isinstance(term, Jump):
-        return (term.target,)
-    if isinstance(term, CondBranch):
-        return (term.then, term.orelse)
-    return ()
-
-
-def _grow_trace(
-    head: str,
-    exe: ExecutableFunction,
-    counts: dict[str, int],
-    hot: set[str],
-    assigned: set[str],
-    cfg: JitConfig,
-) -> tuple[list[str], bool]:
-    """Grow one superblock from *head* along the most-frequent successors."""
-    labels = [head]
-    loop = False
-    src_blocks = exe.source.cfg.blocks
-    while len(labels) < cfg.max_trace_blocks:
-        succs = _successors(src_blocks[labels[-1]])
-        if not succs:
-            break
-        # max() keeps the first (syntactic) successor on count ties
-        pref = max(succs, key=lambda s: counts.get(s, 0))
-        if pref == head:
-            loop = True
-            break
-        if pref in labels or pref in assigned or pref not in hot:
-            break
-        labels.append(pref)
-    return labels, loop
-
-
-def build_traces(
-    exe: ExecutableFunction,
-    counts: dict[str, int],
-    cfg: JitConfig,
-    machine: MachineConfig,
-) -> "TraceSet":
-    """Form superblock traces for *exe* from warmup block counts."""
-    hot = {
-        label
-        for label, blk in exe.blocks.items()
-        if counts.get(label, 0) >= cfg.hot_block_count and not blk.has_calls
-    }
-    assigned: set[str] = set()
-    traces: list[Trace] = []
-    for head in sorted(hot, key=lambda lbl: (-counts.get(lbl, 0), lbl)):
-        if head in assigned:
-            continue
-        labels, loop = _grow_trace(head, exe, counts, hot, assigned, cfg)
-        if len(labels) == 1 and not loop:
-            continue  # a lone straight-line block gains nothing over fastrun
-        assigned.update(labels)
-        traces.append(Trace(exe, tuple(labels), loop, machine))
-    return TraceSet(exe.name, traces)
-
-
-# --------------------------------------------------------------------------- #
-# trace code generation
+# inline cache simulation
 
 
 class _InlineCache:
@@ -308,34 +234,53 @@ def _assoc_slow(ways: list, x: int, assoc: int) -> bool:
     return True
 
 
-class _TraceEmitter(ExprEmitter):
-    """Expression emitter with promoted locals and inline addresses."""
+class _FunctionEmitter(ExprEmitter):
+    """Expression emitter with promoted locals and inline cache checks.
+
+    Compile-time knowledge (CSE'd line offsets, accesses that cannot miss)
+    is valid along one path of a chain; :meth:`save`/:meth:`restore`
+    bracket each branch and :meth:`forget` drops it at chain heads.
+    """
 
     def __init__(
         self,
         types: dict[str, Type],
         scalar_sym: dict[str, str],
         array_sym: dict[str, tuple[str, str]],
-        inline: _InlineCache | None = None,
-        memo_sym: dict[str, str] | None = None,
+        inline: _InlineCache | None,
+        memo_sym: dict[str, str],
     ) -> None:
         super().__init__(types)
         self.scalar_sym = scalar_sym
         self.array_sym = array_sym
         self.inline = inline
-        self.memo_sym = memo_sym if memo_sym is not None else {}
+        self.memo_sym = memo_sym
         # per-block state (see begin_block)
         self.block_static: int | None = None
+        self.deferred = inline is None
         self.base_indent = self.indent
         self._cse: dict[str, str] = {}
         self._elide: set[tuple[str, str]] = set()
 
-    def begin_block(self, static_accesses: int | None) -> None:
-        """Start a block; *static_accesses* is its unconditional access
+    def begin_block(self, static_accesses: int | None, deferred: bool) -> None:
+        """Start a block.  *static_accesses* is its unconditional access
         count, or ``None`` when some access executes conditionally (which
-        forces dynamic hit counting)."""
+        forces dynamic hit counting).  A *deferred* block appends byte
+        addresses to ``_mem`` for one ``access_many`` drain, Tier 0's own
+        order (blocks with calls, and functions without inline checks)."""
         self.block_static = static_accesses
+        self.deferred = deferred
         self.base_indent = self.indent
+
+    def save(self) -> tuple[dict, set]:
+        return dict(self._cse), set(self._elide)
+
+    def restore(self, state: tuple[dict, set]) -> None:
+        self._cse, self._elide = state
+
+    def forget(self) -> None:
+        self._cse.clear()
+        self._elide.clear()
 
     def _invalidate(self, sym: str) -> None:
         # a scalar was reassigned: syntactic index reuse is no longer the
@@ -360,11 +305,9 @@ class _TraceEmitter(ExprEmitter):
             self.emit(f"{tmp} = {idx}")
         return tmp
 
-    def _array(self, name: str) -> tuple[str, str]:
+    def _array(self, name: str) -> str:
         sym = self.array_sym.get(name)
-        if sym is not None:
-            return sym
-        return f"env[{name!r}]", f"_bases[{name!r}]"  # unpromoted fallback
+        return sym[0] if sym is not None else f"env[{name!r}]"
 
     def _shifted(self, idx: str) -> str:
         """Line offset ``idx >> idx_shift``, CSE'd while *idx* is unchanged."""
@@ -382,21 +325,19 @@ class _TraceEmitter(ExprEmitter):
                 shifted = f"({idx} >> {p.idx_shift})"
         return shifted
 
-    def _emit_access(self, name: str, base: str, idx: str) -> None:
+    def _emit_access(self, name: str, idx: str) -> None:
         """Record one element access for the cache simulation.
 
-        Default mode appends the address for the per-block
-        ``access_many`` drain; inline mode performs the cache check on
-        the spot (state mutations log an undo entry to ``_u`` so an
-        exception later in the block can restore the exact Tier-0 cache
-        state).  With a per-array memo (windowed
-        traces — see ``Trace.generate_source``) the common case is one
-        compare, and a repeated ``(array, index)`` access cannot miss
+        Deferred blocks append the address for the per-block
+        ``access_many`` drain; otherwise the cache check happens on the
+        spot (state mutations log an undo entry to ``_u`` so an exception
+        later in the block can restore the exact Tier-0 cache state).
+        With a per-array memo (the windowed variant) the common case is
+        one compare, and a repeated ``(array, index)`` access cannot miss
         while the window precondition holds, so it is elided entirely.
         """
-        p = self.inline
-        if p is None:
-            self.emit(f"_ap({base} + {idx}*{_ELEM})")
+        if self.deferred:
+            self.emit(f"_ap(_bases[{name!r}] + {idx}*{_ELEM})")
             return
         static = self.block_static is not None
         memo = self.memo_sym.get(name)
@@ -410,7 +351,7 @@ class _TraceEmitter(ExprEmitter):
                 self._elide.add(key)
         shifted = self._shifted(idx)
         x = self.fresh()
-        self.emit(f"{x} = {base} + {shifted}")
+        self.emit(f"{x} = {self.array_sym[name][1]} + {shifted}")
         if memo is None:
             self._emit_check(x, static)
             return
@@ -467,18 +408,16 @@ class _TraceEmitter(ExprEmitter):
             return sym if sym is not None else f"env[{e.name!r}]"
         if isinstance(e, ArrayRef):
             tmp = self._index_tmp(e.index)
-            arr, base = self._array(e.array)
-            self._emit_access(e.array, base, tmp)
-            return f"{arr}[{tmp}]"
+            self._emit_access(e.array, tmp)
+            return f"{self._array(e.array)}[{tmp}]"
         return super().expr(e)
 
-    def stmt(self, s: Assign) -> None:
+    def stmt(self, s) -> None:
         if isinstance(s.target, ArrayRef):
             tmp = self._index_tmp(s.target.index)
-            arr, base = self._array(s.target.array)
-            self._emit_access(s.target.array, base, tmp)
+            self._emit_access(s.target.array, tmp)
             value = self.expr(s.expr)
-            self.emit(f"{arr}[{tmp}] = {value}")
+            self.emit(f"{self._array(s.target.array)}[{tmp}] = {value}")
             return
         value = self.expr(s.expr)
         sym = self.scalar_sym.get(s.target.name)
@@ -489,7 +428,7 @@ class _TraceEmitter(ExprEmitter):
             self.emit(f"env[{s.target.name!r}] = {value}")
 
 
-def _scan_names(blocks: Iterable[BasicBlock]) -> tuple[set, set, set]:
+def _scan_names(blocks) -> tuple[set, set, set]:
     """Scalar reads+writes, assigned scalars, and arrays used in *blocks*."""
     scalars: set[str] = set()
     assigned: set[str] = set()
@@ -504,11 +443,16 @@ def _scan_names(blocks: Iterable[BasicBlock]) -> tuple[set, set, set]:
 
     for blk in blocks:
         for s in blk.stmts:
-            scan_expr(s.expr)
-            if isinstance(s.target, ArrayRef):
-                arrays.add(s.target.array)
-                scan_expr(s.target.index)
+            if isinstance(s, CallStmt):
+                for a in s.args:
+                    scan_expr(a)
             else:
+                scan_expr(s.expr)
+                if isinstance(s.target, ArrayRef):
+                    arrays.add(s.target.array)
+                    scan_expr(s.target.index)
+                    continue
+            if s.target is not None:
                 scalars.add(s.target.name)
                 assigned.add(s.target.name)
         term = blk.terminator
@@ -520,10 +464,12 @@ def _scan_names(blocks: Iterable[BasicBlock]) -> tuple[set, set, set]:
 
 
 def _scan_accesses(blk: BasicBlock) -> tuple[int, bool]:
-    """Total array accesses in *blk* and whether any runs conditionally.
+    """Array accesses on *blk*'s memory trace and whether any runs
+    conditionally.
 
     An access inside the right operand of ``&&``/``||`` executes only when
     the left side demands it, so its block cannot use a static hit count.
+    Call arguments are simulated by the call itself, not the block drain.
     """
     total = 0
     conditional = False
@@ -549,6 +495,8 @@ def _scan_accesses(blk: BasicBlock) -> tuple[int, bool]:
                 scan(a, in_cond)
 
     for s in blk.stmts:
+        if isinstance(s, CallStmt):
+            continue
         if isinstance(s.target, ArrayRef):
             total += 1
             scan(s.target.index, False)
@@ -561,391 +509,80 @@ def _scan_accesses(blk: BasicBlock) -> tuple[int, bool]:
     return total, conditional
 
 
-def _window_fits(
-    bases: dict[str, int],
-    env: dict[str, object],
-    n_sets: int,
-    line: int,
-) -> bool:
-    """True when every reachable address of *env*'s arrays maps to a
-    distinct cache line **set** — i.e. the whole working set (including the
-    negative-index wrap range Python permits) spans fewer lines than the
-    cache has sets, so no access can ever evict another's line during a
-    trace run.  Under that precondition a trace may trust per-array
-    line memos and elide repeated accesses (windowed codegen)."""
-    lo = hi = None
-    for name, value in env.items():
-        if not hasattr(value, "__len__"):
-            continue
-        base = bases.get(name)
-        if base is None:  # pragma: no cover - arrays always have bases
-            return False
-        nbytes = len(value) * _ELEM
-        alo = base - nbytes
-        ahi = base + nbytes
-        if lo is None:
-            lo, hi = alo, ahi
-        else:
-            if alo < lo:
-                lo = alo
-            if ahi > hi:
-                hi = ahi
-    if lo is None:
-        return True
-    return hi // line - lo // line < n_sets
+# --------------------------------------------------------------------------- #
+# layout
 
 
-class Trace:
-    """One superblock: an entry label, its member blocks, and their code.
+def _chain_heads(cfg: CFG) -> list[str]:
+    """Chain heads of *cfg* in reverse postorder.
 
-    Source is generated twice (with and without block counting); the
-    counting source takes its count keys from the frame depth, so variants
-    are bound lazily per ``(counting, depth0)`` by :class:`TraceSet`.
+    The entry and every target of a retreating edge (for reducible CFGs
+    exactly the natural-loop headers) head chains, so every path inside a
+    chain follows forward edges and ends.  A block reached by more than
+    :data:`_MAX_COPIES` chain paths, or lying more than :data:`_MAX_PATH`
+    blocks from its head, is cut off into a chain of its own.
+    """
+    order = cfg.rpo()
+    pos = {label: i for i, label in enumerate(order)}
+    heads = {cfg.entry}
+    preds: dict[str, set[str]] = {label: set() for label in order}
+    for u in order:
+        for v in set(cfg.successors(u)):
+            if pos[v] <= pos[u]:
+                heads.add(v)
+            else:
+                preds[v].add(u)
+    copies: dict[str, int] = {}
+    depth: dict[str, int] = {}
+    for v in order:
+        if v not in heads:
+            c = sum(copies[u] for u in preds[v])
+            d = 1 + max(depth[u] for u in preds[v])
+            if c <= _MAX_COPIES and d <= _MAX_PATH:
+                copies[v], depth[v] = c, d
+                continue
+            heads.add(v)
+        copies[v], depth[v] = 1, 1
+    return [label for label in order if label in heads]
+
+
+# --------------------------------------------------------------------------- #
+# code generation
+
+
+class WholeFunction:
+    """One function's chain layout plus its lazily compiled variants.
+
+    A variant is selected per frame by ``(counting, depth0, windowed)``:
+    whether block counts are collected (and under which keys), and whether
+    the frame's arrays fit the cache window.  Generated source is not
+    kept; :meth:`source` regenerates it.
     """
 
-    __slots__ = ("entry", "labels", "loop", "_exe", "_machine")
-
-    def __init__(
-        self,
-        exe: ExecutableFunction,
-        labels: tuple[str, ...],
-        loop: bool,
-        machine: MachineConfig,
-    ) -> None:
-        self.entry = labels[0]
-        self.labels = labels
-        self.loop = loop
+    def __init__(self, exe: ExecutableFunction, machine: MachineConfig) -> None:
         self._exe = exe
-        self._machine = machine
+        self.machine = machine
+        cfg = exe.source.cfg
+        self.heads = tuple(_chain_heads(cfg))
+        self.labels = tuple(cfg.rpo())
+        self.has_calls = any(exe.blocks[label].has_calls for label in self.labels)
+        self._lock = threading.Lock()
+        self._fns: dict[tuple[bool, bool, bool], Callable] = {}
 
-    # -- source generation ---------------------------------------------- #
+    def fn_for(self, counting: bool, depth0: bool, windowed: bool) -> Callable:
+        """The compiled variant for one calling context."""
+        key = (counting, depth0 or not counting, windowed)
+        fn = self._fns.get(key)
+        if fn is None:
+            with self._lock:
+                fn = self._fns.get(key)
+                if fn is None:
+                    fn = self._compile(*key)
+                    self._fns[key] = fn
+        return fn
 
-    def generate_source(
-        self, *, counting: bool, depth0: bool, windowed: bool = False
-    ) -> str:
-        exe = self._exe
-        fn = exe.source
-        types = fn.all_vars()
-        src_blocks = [fn.cfg.blocks[label] for label in self.labels]
-        scalars, assigned, arrays = _scan_names(src_blocks)
-        # a name used both as a scalar and as an array is left in env
-        clash = scalars & arrays
-        scalar_sym = {
-            name: f"_v{i}"
-            for i, name in enumerate(sorted(scalars - clash))
-        }
-        array_sym = {
-            name: (f"_a{i}", f"_b{i}")
-            for i, name in enumerate(sorted(arrays - clash))
-        }
-        writebacks = [
-            f"env[{name!r}] = {scalar_sym[name]}"
-            for name in sorted(assigned - clash)
-        ]
-        count_key = {
-            label: (label if depth0 else exe.blocks[label].qual_key)
-            for label in self.labels
-        }
-        flushes = (
-            [
-                f"_counts[{count_key[label]!r}] += _n{i}"
-                for i, label in enumerate(self.labels)
-            ]
-            if counting
-            else []
-        )
-        # Machines with power-of-two cache geometry and integral access
-        # costs get the line check inlined at every access site (geometry
-        # and costs folded to literals — the machine is part of the
-        # code-cache digest, so this is sound).  Per-block hit/miss
-        # counters make the drain two multiplies; with integral costs the
-        # count-based total equals Tier 0's sequential per-access sum
-        # exactly.  Blocks whose accesses all execute unconditionally get
-        # a *static* hit count: sites only track misses and the drain
-        # recovers hits as ``K - misses``.  Everything else drains through
-        # ``access_many``, whose own loop preserves Tier 0's summation
-        # order.  Unpromoted (name clash) arrays would interleave with the
-        # site-inlined checks out of order, so any clash falls back to the
-        # drain path too.
-        #
-        # The *windowed* variant is selected per invocation by the
-        # dispatcher when ``_window_fits`` holds (every reachable address
-        # of the frame's arrays maps to a distinct set, so nothing the
-        # trace does can evict a line it already touched).  It keeps a
-        # last-line memo per array — the steady-state check is one int
-        # compare — and elides repeated (array, index) accesses outright.
-        machine = self._machine
-        inline = (
-            _InlineCache(machine)
-            if _InlineCache.supports(machine) and not (clash & arrays)
-            else None
-        )
-        windowed = windowed and inline is not None
-        memo_sym = (
-            {name: f"_m{i}" for i, name in enumerate(sorted(arrays))}
-            if windowed
-            else {}
-        )
-        access_info = [_scan_accesses(src) for src in src_blocks]
-
-        def drain_for(i: int) -> list[str]:
-            n_acc, has_cond = access_info[i]
-            if n_acc == 0:
-                return []
-            if inline is None:
-                return [
-                    "if _mem:",
-                    "    _d = _am(_mem) * _mf",
-                    "    _memc += _d",
-                    "    _cyc += _d",
-                    "    del _mem[:]",
-                ]
-            if has_cond:
-                return [
-                    "if _bh or _bm:",
-                    f"    _d = _bh * {inline.hit!r} + _bm * {inline.miss!r}",
-                    "    _d *= _mf",
-                    "    _memc += _d",
-                    "    _cyc += _d",
-                    "    _nh += _bh",
-                    "    _nm += _bm",
-                    "    _bh = 0",
-                    "    _bm = 0",
-                    "    del _u[:]",
-                ]
-            return [
-                "if _bm:",
-                f"    _d = ({n_acc} - _bm) * {inline.hit!r}"
-                f" + _bm * {inline.miss!r}",
-                "    _d *= _mf",
-                "    _memc += _d",
-                "    _cyc += _d",
-                f"    _nh += {n_acc} - _bm",
-                "    _nm += _bm",
-                "    _bm = 0",
-                "    del _u[:]",
-                "else:",
-                f"    _d = {n_acc * inline.hit!r}",
-                "    _d *= _mf",
-                "    _memc += _d",
-                "    _cyc += _d",
-                f"    _nh += {n_acc}",
-            ]
-
-        stat_flush = (
-            ["_ch.hits += _nh", "_ch.misses += _nm"]
-            if inline is not None
-            else []
-        )
-
-        # Branch-predictor entries are promoted to locals for the duration of
-        # one trace call (no other code touches these keys while the trace
-        # runs) and written back at every exit, error paths included.
-        branch_sym = {
-            label: f"_pb{i}"
-            for i, label in enumerate(self.labels)
-            if exe.blocks[label].is_branch
-        }
-        branch_init = [
-            f"{sym} = _bs.get({exe.blocks[label].branch_key!r})"
-            for label, sym in branch_sym.items()
-        ]
-        stat_flush += [
-            f"if {sym} is not None: _bs[{exe.blocks[label].branch_key!r}] = {sym}"
-            for label, sym in branch_sym.items()
-        ]
-
-        em = _TraceEmitter(types, scalar_sym, array_sym, inline, memo_sym)
-        em.indent = 2  # inside def + try
-
-        for name in sorted(scalars - clash):
-            em.emit(f"{scalar_sym[name]} = env[{name!r}]")
-        for name in sorted(arrays - clash):
-            arr, base = array_sym[name]
-            em.emit(f"{arr} = env[{name!r}]")
-            if inline is not None:
-                # promoted line-index base: (base + i*8) >> shift splits
-                em.emit(f"{base} = _bases[{name!r}] >> {inline.line_shift}")
-            else:
-                em.emit(f"{base} = _bases[{name!r}]")
-        if inline is not None:
-            em.emit("_bh = 0")
-            em.emit("_bm = 0")
-        for name in sorted(memo_sym):
-            em.emit(f"{memo_sym[name]} = None")
-        if counting:
-            for i in range(len(self.labels)):
-                em.emit(f"_n{i} = 0")
-
-        def emit_exit(target_expr: str, done: int) -> None:
-            if done:
-                em.emit(f"_bgt -= {done}")
-            for line in writebacks:
-                em.emit(line)
-            for line in flushes:
-                em.emit(line)
-            for line in stat_flush:
-                em.emit(line)
-            em.emit(f"return ({target_expr}, _cyc, _memc, _missc, _bgt)")
-
-        # Step-budget accounting is hoisted out of the block bodies: one
-        # guard per pass ensures the budget covers the whole trace, and
-        # each exit path subtracts the blocks it actually ran.  When the
-        # guard fails it returns without progress (same label, same
-        # budget); the dispatcher detects that and interprets block by
-        # block, reproducing Tier 0's exact exhaustion point and error.
-        n = len(self.labels)
-        guard = [
-            f"if _bgt <= {n}:",
-        ]
-        if not self.loop:
-            for line in guard:
-                em.emit(line)
-            em.indent += 1
-            emit_exit(f"{self.entry!r}", 0)
-            em.indent -= 1
-        else:
-            em.emit("while True:")
-            em.indent += 1
-            for line in guard:
-                em.emit(line)
-            em.indent += 1
-            emit_exit(f"{self.entry!r}", 0)
-            em.indent -= 1
-
-        for i, label in enumerate(self.labels):
-            blk = exe.blocks[label]
-            src = src_blocks[i]
-            em.emit(f"# -- {label}")
-            em.emit(f"_lbl = {label!r}")
-            em.begin_block(None if access_info[i][1] else access_info[i][0])
-            if counting:
-                em.emit(f"_n{i} += 1")
-            em.emit(f"_cyc += {blk.compute_cycles + blk.spill_cycles!r}")
-            for s in src.stmts:
-                em.stmt(s)
-            term = src.terminator
-            cond_sym = None
-            ret_emitted = False
-            if isinstance(term, CondBranch):
-                cond = em.expr(term.cond)
-                em.emit(f"_t = bool({cond})")
-                cond_sym = "_t"
-            elif isinstance(term, Return):
-                if term.value is not None:
-                    value = em.expr(term.value)
-                    em.emit(f"env['<ret>'] = {value}")
-                ret_emitted = True
-            # memory drain: exactly Tier 0's `if mem:` per-block flush
-            for line in drain_for(i):
-                em.emit(line)
-            if cond_sym is not None:
-                sym = branch_sym[label]
-                em.emit(f"if {sym} is not None and {sym} != {cond_sym}:")
-                em.indent += 1
-                em.emit("_missc += _bmc")
-                em.emit("_cyc += _bmc")
-                em.indent -= 1
-                em.emit(f"{sym} = {cond_sym}")
-
-            # dispatch
-            next_in = (
-                self.labels[i + 1]
-                if i + 1 < n
-                else (self.entry if self.loop else None)
-            )
-            if ret_emitted:
-                emit_exit(f"{_RETURN!r}", i + 1)
-            elif isinstance(term, Jump):
-                if term.target == next_in:
-                    if next_in == self.entry and i == n - 1:
-                        em.emit(f"_bgt -= {n}")
-                        em.emit("continue")
-                    # else: fall through to the next block's code
-                else:
-                    emit_exit(f"{term.target!r}", i + 1)
-            else:  # CondBranch
-                then, orelse = term.then, term.orelse
-                if then == orelse:
-                    if then == next_in:
-                        if next_in == self.entry and i == n - 1:
-                            em.emit(f"_bgt -= {n}")
-                            em.emit("continue")
-                    else:
-                        emit_exit(f"{then!r}", i + 1)
-                elif next_in == then:
-                    em.emit("if not _t:")
-                    em.indent += 1
-                    emit_exit(f"{orelse!r}", i + 1)
-                    em.indent -= 1
-                    if next_in == self.entry and i == n - 1:
-                        em.emit(f"_bgt -= {n}")
-                        em.emit("continue")
-                elif next_in == orelse:
-                    em.emit("if _t:")
-                    em.indent += 1
-                    emit_exit(f"{then!r}", i + 1)
-                    em.indent -= 1
-                    if next_in == self.entry and i == n - 1:
-                        em.emit(f"_bgt -= {n}")
-                        em.emit("continue")
-                else:  # both directions leave the trace
-                    em.emit("if _t:")
-                    em.indent += 1
-                    emit_exit(f"{then!r}", i + 1)
-                    em.indent -= 1
-                    emit_exit(f"{orelse!r}", i + 1)
-
-        # The current (partial) block's cache writes are rolled back on an
-        # exception — Tier 0 only simulates a block's accesses after the
-        # block completes, so a failing block must leave no cache
-        # footprint.  Direct-mapped undo entries are (slot, old line);
-        # associative entries are (way list, pre-image snapshot), restored
-        # in reverse so repeated mutations of one set end at the oldest
-        # snapshot.
-        if inline is None:
-            rollback = []
-        elif inline.assoc == 1:
-            rollback = [
-                "while _u:",
-                "    _rs, _rt = _u.pop()",
-                "    _dt[_rs] = _rt",
-            ]
-        else:
-            rollback = [
-                "while _u:",
-                "    _rw, _rc = _u.pop()",
-                "    _rw[:] = _rc",
-            ]
-        header = [
-            "def _trace(env, _bases, _am, _bs, _counts, _mf, _bmc,"
-            " _cyc, _memc, _missc, _bgt, _ch, _dt):",
-            "    _mem = []",
-            "    _ap = _mem.append",
-            f"    _lbl = {self.entry!r}",
-            "    _nh = 0",
-            "    _nm = 0",
-            "    _u = []",
-            *[f"    {line}" for line in branch_init],
-            "    try:",
-        ]
-        footer = [
-            "    except (KeyError, IndexError, ZeroDivisionError,"
-            " OverflowError) as _e:",
-            *[f"        {line}" for line in rollback],
-            *[f"        {line}" for line in stat_flush],
-            f"        raise _EE({exe.name!r} + '/' + _lbl"
-            " + ': runtime error ' + type(_e).__name__ + ': ' + str(_e))"
-            " from _e",
-        ]
-        return "\n".join(header + em.lines + footer) + "\n"
-
-    def compile(
-        self, *, counting: bool, depth0: bool, windowed: bool = False
-    ) -> Callable:
-        src = self.generate_source(
-            counting=counting, depth0=depth0, windowed=windowed
-        )
+    def _compile(self, counting: bool, depth0: bool, windowed: bool) -> Callable:
+        src = self.source(counting=counting, depth0=depth0, windowed=windowed)
         namespace = exec_namespace(
             _EE=ExecutionError,
             _aslow=_assoc_slow,
@@ -956,117 +593,400 @@ class Trace:
             ZeroDivisionError=ZeroDivisionError,
             OverflowError=OverflowError,
         )
-        code = compile(src, f"<trace {self._exe.name}:{self.entry}>", "exec")
-        exec(code, namespace)
-        fn = namespace["_trace"]
-        fn.__source__ = src  # for debugging
-        return fn
+        exec(compile(src, f"<tier1 {self._exe.name}>", "exec"), namespace)
+        return namespace["_fn"]
+
+    # -- source generation ---------------------------------------------- #
+
+    def source(self, *, counting: bool, depth0: bool, windowed: bool) -> str:
+        return _Generator(self, counting, depth0, windowed).source()
 
 
-class TraceSet:
-    """All traces of one function plus lazily bound call variants."""
+class _Generator:
+    """Emits the Python source of one :class:`WholeFunction` variant."""
 
-    def __init__(self, fn_name: str, traces: list[Trace]) -> None:
-        self.fn_name = fn_name
-        self.traces = {t.entry: t for t in traces}
-        self._lock = threading.Lock()
-        self._fns: dict[tuple[bool, bool, bool], dict[str, Callable]] = {}
+    def __init__(
+        self, wf: WholeFunction, counting: bool, depth0: bool, windowed: bool
+    ) -> None:
+        exe = wf._exe
+        self.exe = exe
+        self.wf = wf
+        self.counting = counting
+        cfg = exe.source.cfg
+        self.src_blocks = {label: cfg.blocks[label] for label in wf.labels}
+        self.succs = {
+            label: set(blk.successors()) for label, blk in self.src_blocks.items()
+        }
+        self.heads = {label: i for i, label in enumerate(wf.heads)}
+        scalars, assigned, arrays = _scan_names(self.src_blocks.values())
+        # Only names every frame binds are promoted (parameters and
+        # locals); a name used both as a scalar and as an array is left in
+        # env.  Inline cache checks need every array promoted with its
+        # line-index base, otherwise all blocks drain through access_many.
+        declared = set(exe.param_names) | set(exe.local_defaults)
+        clash = scalars & arrays
+        promoted_scalars = sorted((scalars - clash) & declared)
+        promoted_arrays = sorted((arrays - clash) & set(exe.param_names))
+        self.scalar_sym = {n: f"_v{i}" for i, n in enumerate(promoted_scalars)}
+        self.array_sym = {
+            n: (f"_a{i}", f"_b{i}") for i, n in enumerate(promoted_arrays)
+        }
+        machine = wf.machine
+        self.inline = (
+            _InlineCache(machine)
+            if _InlineCache.supports(machine) and len(promoted_arrays) == len(arrays)
+            else None
+        )
+        windowed = windowed and self.inline is not None
+        memo_sym = (
+            {n: f"_m{i}" for i, n in enumerate(promoted_arrays)} if windowed else {}
+        )
+        self.writebacks = [
+            f"env[{n!r}] = {self.scalar_sym[n]}"
+            for n in sorted(assigned)
+            if n in self.scalar_sym
+        ]
+        self.index = {label: i for i, label in enumerate(exe.blocks)}
+        self.count_key = {
+            label: label if depth0 else exe.blocks[label].qual_key
+            for label in wf.labels
+        }
+        self.branch_sym = {
+            label: f"_pb{i}"
+            for i, label in enumerate(wf.labels)
+            if exe.blocks[label].is_branch
+        }
+        self.em = _FunctionEmitter(
+            exe.source.all_vars(), self.scalar_sym, self.array_sym, self.inline,
+            memo_sym,
+        )
+        self.any_deferred = self.inline is None or wf.has_calls
+        # per-chain state (see _emit_chain)
+        self.head = ""
+        self.loop = False
 
-    def __len__(self) -> int:
-        return len(self.traces)
+    # -- per-exit snippets ---------------------------------------------- #
 
-    @property
-    def heads(self) -> tuple[str, ...]:
-        return tuple(self.traces)
+    def _predictor_writeback(self) -> list[str]:
+        return [
+            f"if {sym} is not None: _bs[{self.exe.blocks[label].branch_key!r}] = {sym}"
+            for label, sym in self.branch_sym.items()
+        ]
 
-    def fns_for(
-        self, counting: bool, depth0: bool, windowed: bool = False
-    ) -> dict[str, Callable]:
-        """Trace entry -> generated function for one calling context."""
-        key = (counting, depth0 if counting else True, windowed)
-        fns = self._fns.get(key)
-        if fns is None:
-            with self._lock:
-                fns = self._fns.get(key)
-                if fns is None:
-                    fns = {
-                        entry: t.compile(
-                            counting=counting, depth0=key[1], windowed=windowed
-                        )
-                        for entry, t in self.traces.items()
-                    }
-                    self._fns[key] = fns
-        return fns
+    def _predictor_reload(self) -> list[str]:
+        return [
+            f"{sym} = _bs.get({self.exe.blocks[label].branch_key!r})"
+            for label, sym in self.branch_sym.items()
+        ]
+
+    def _state_flush(self) -> list[str]:
+        """Cache statistics and predictor entries back to the machine."""
+        stats = ["_ch.hits += _nh", "_ch.misses += _nm"] if self.inline is not None else []
+        return stats + self._predictor_writeback()
+
+    def _drain(self, n_acc: int, has_cond: bool, deferred: bool) -> list[str]:
+        """The block's memory drain: exactly Tier 0's ``if mem:`` flush."""
+        if n_acc == 0:
+            return []
+        if deferred:
+            return [
+                "if _mem:",
+                "    _d = _am(_mem) * _mf",
+                "    _memc += _d",
+                "    _cyc += _d",
+                "    del _mem[:]",
+            ]
+        p = self.inline
+        # Per-block hit/miss counters make the drain two multiplies; with
+        # integral costs the count-based total equals Tier 0's sequential
+        # per-access sum exactly.  Blocks whose accesses all execute get a
+        # static hit count: sites only track misses, hits are K - misses.
+        if has_cond:
+            return [
+                "if _bh or _bm:",
+                f"    _d = (_bh * {p.hit!r} + _bm * {p.miss!r}) * _mf",
+                "    _memc += _d",
+                "    _cyc += _d",
+                "    _nh += _bh",
+                "    _nm += _bm",
+                "    _bh = 0",
+                "    _bm = 0",
+                "    del _u[:]",
+            ]
+        lines = [
+            "if _bm:",
+            f"    _d = (({n_acc} - _bm) * {p.hit!r} + _bm * {p.miss!r}) * _mf",
+            "    _memc += _d",
+            "    _cyc += _d",
+            f"    _nh += {n_acc} - _bm",
+            "    _nm += _bm",
+            "    _bm = 0",
+            "    del _u[:]",
+            "else:",
+            f"    _d = {n_acc * p.hit!r} * _mf",
+            "    _memc += _d",
+            "    _cyc += _d",
+            f"    _nh += {n_acc}",
+        ]
+        if p.assoc > 1:
+            # a non-MRU hit logged its set's pre-image without a miss
+            lines += ["    if _u:", "        del _u[:]"]
+        return lines
+
+    # -- chains --------------------------------------------------------- #
+
+    def _paths(self, head: str) -> tuple[bool, int]:
+        """Whether *head*'s chain loops back to it, and its longest path."""
+        succs = self.succs
+        longest: dict[str, int] = {}
+        loop = False
+
+        def walk_from(label: str) -> int:
+            nonlocal loop
+            best = 0
+            for v in succs[label]:
+                if v == head:
+                    loop = True
+                elif v not in self.heads:
+                    if v not in longest:
+                        longest[v] = walk_from(v)
+                    best = max(best, longest[v])
+            return 1 + best
+
+        n = walk_from(head)
+        return loop, n
+
+    def _exit(self, code: str) -> None:
+        """Leave the chain to the dispatch loop with ``_L`` = *code*."""
+        em = self.em
+        em.emit(f"_L = {code}")
+        em.emit("break" if self.loop else "continue")
+
+    def _emit_edge(self, target: str, done: int) -> None:
+        em = self.em
+        if target == self.head and self.loop:
+            em.emit(f"_bgt -= {done}")
+            em.emit("continue")
+        elif target in self.heads:
+            em.emit(f"_bgt -= {done}")
+            self._exit(str(self.heads[target]))
+        else:
+            self._emit_block(target, done)
+
+    def _emit_call(self, label: str, j: int, s: CallStmt) -> None:
+        # the call evaluates its arguments from env and may re-enter this
+        # function (recursion shares predictor keys): write locals back,
+        # then reload what the call can change
+        em = self.em
+        for line in self.writebacks + self._predictor_writeback():
+            em.emit(line)
+        em.emit(f"_call({label!r}, {j}, env)")
+        for line in self._predictor_reload():
+            em.emit(line)
+        for memo in em.memo_sym.values():
+            em.emit(f"{memo} = None")
+        em.forget()
+        if s.target is not None:
+            sym = self.scalar_sym.get(s.target.name)
+            if sym is not None:
+                em.emit(f"{sym} = env[{s.target.name!r}]")
+
+    def _emit_block(self, label: str, done: int) -> None:
+        em = self.em
+        exe = self.exe
+        blk = exe.blocks[label]
+        src = self.src_blocks[label]
+        deferred = self.inline is None or blk.has_calls
+        n_acc, has_cond = _scan_accesses(src)
+        em.emit(f"_lbl = {label!r}")
+        em.begin_block(None if has_cond or deferred else n_acc, deferred)
+        if self.counting:
+            em.emit(f"_n{self.index[label]} += 1")
+        em.emit(f"_cyc += {blk.compute_cycles + blk.spill_cycles!r}")
+        for j, s in enumerate(src.stmts):
+            if isinstance(s, CallStmt):
+                self._emit_call(label, j, s)
+            else:
+                em.stmt(s)
+        term = src.terminator
+        if isinstance(term, CondBranch):
+            em.emit(f"_t = bool({em.expr(term.cond)})")
+        elif isinstance(term, Return) and term.value is not None:
+            em.emit(f"env['<ret>'] = {em.expr(term.value)}")
+        for line in self._drain(n_acc, has_cond, deferred):
+            em.emit(line)
+        if blk.is_branch:
+            sym = self.branch_sym[label]
+            em.emit(f"if {sym} is not None and {sym} != _t:")
+            em.emit("    _missc += _bmc")
+            em.emit("    _cyc += _bmc")
+            em.emit(f"{sym} = _t")
+
+        done += 1
+        if isinstance(term, Return):
+            self._exit("-1")
+        elif isinstance(term, Jump) or term.then == term.orelse:
+            self._emit_edge(term.targets()[0], done)
+        else:
+            # nest the side that leaves the chain (or the shorter one) so
+            # the generated code stays shallow
+            then, orelse = term.then, term.orelse
+            if orelse in self.heads and then not in self.heads:
+                em.emit("if not _t:")
+                first, second = orelse, then
+            else:
+                em.emit("if _t:")
+                first, second = then, orelse
+            state = em.save()
+            em.indent += 1
+            self._emit_edge(first, done)
+            em.indent -= 1
+            em.restore(state)
+            self._emit_edge(second, done)
+
+    def _emit_chain(self, head: str) -> None:
+        em = self.em
+        self.head = head
+        self.loop, longest = self._paths(head)
+        em.forget()
+        # Step-budget accounting is hoisted out of the block bodies: one
+        # guard per pass ensures the budget covers the chain's longest
+        # path, and each exit subtracts the blocks it ran.  When the guard
+        # fails, the function returns the head and Tier 0 interprets from
+        # there, reproducing its exact exhaustion point and error.
+        bail = str(-2 - self.heads[head])
+        if self.loop:
+            em.emit("while True:")
+            em.indent += 1
+        em.emit(f"if _bgt <= {longest}:")
+        em.indent += 1
+        self._exit(bail)
+        em.indent -= 1
+        self._emit_block(head, 0)
+        if self.loop:
+            em.indent -= 1
+
+    def source(self) -> str:
+        exe, em, inline = self.exe, self.em, self.inline
+        prologue = []
+        for name, sym in self.scalar_sym.items():
+            prologue.append(f"{sym} = env[{name!r}]")
+        for name, (arr, base) in self.array_sym.items():
+            prologue.append(f"{arr} = env[{name!r}]")
+            if inline is not None:
+                # promoted line-index base: (base + i*8) >> shift splits
+                prologue.append(f"{base} = _bases[{name!r}] >> {inline.line_shift}")
+        prologue += self._predictor_reload()
+        prologue += ["_cyc = 0.0", "_memc = 0.0", "_missc = 0.0"]
+        if inline is not None:
+            prologue += ["_nh = 0", "_nm = 0", "_bh = 0", "_bm = 0", "_u = []"]
+        if self.any_deferred:
+            prologue += ["_mem = []", "_ap = _mem.append"]
+        prologue += [f"{memo} = None" for memo in em.memo_sym.values()]
+        if self.counting:
+            prologue += [f"_n{self.index[label]} = 0" for label in self.wf.labels]
+        prologue += [f"_lbl = {exe.entry!r}", "_L = 0"]
+
+        em.indent = 3  # def / try / while
+        for i, head in enumerate(self.wf.heads):
+            em.emit(f"{'if' if i == 0 else 'elif'} _L == {i}:")
+            em.indent += 1
+            self._emit_chain(head)
+            em.indent -= 1
+
+        # The current block's cache writes are rolled back on an exception
+        # — Tier 0 simulates a block's accesses only after it completes.
+        # Direct-mapped undo entries are (slot, old line); associative
+        # entries are (way list, pre-image), restored in reverse so repeated
+        # mutations of one set end at the oldest snapshot.
+        if inline is None:
+            rollback = []
+        elif inline.assoc == 1:
+            rollback = ["while _u:", "    _rs, _rt = _u.pop()", "    _dt[_rs] = _rt"]
+        else:
+            rollback = ["while _u:", "    _rw, _rc = _u.pop()", "    _rw[:] = _rc"]
+        flush = self._state_flush()
+        counts = (
+            [
+                f"_counts[{self.count_key[label]!r}] += _n{self.index[label]}"
+                for label in self.wf.labels
+            ]
+            if self.counting
+            else []
+        )
+        lines = [
+            "def _fn(env, _bases, _bs, _counts, _mf, _bmc, _bgt, _ch, _dt, _am,"
+            " _res, _call):",
+            *[f"    {line}" for line in prologue],
+            "    try:",
+            "        while _L >= 0:",
+            *em.lines,
+            "    except (KeyError, IndexError, ZeroDivisionError,"
+            " OverflowError) as _e:",
+            *[f"        {line}" for line in rollback + flush],
+            f"        raise _EE({exe.name!r} + '/' + _lbl"
+            " + ': runtime error ' + type(_e).__name__ + ': ' + str(_e))"
+            " from _e",
+        ]
+        if self.wf.has_calls:
+            lines += [
+                "    except _EE:",
+                *[f"        {line}" for line in flush],
+                "        raise",
+            ]
+        lines += [f"    {line}" for line in flush + counts]
+        lines += [
+            "    if _L == -1:",
+            "        _res.cycles += _cyc",
+            "        _res.mem_cycles += _memc",
+            "        _res.branch_miss_cycles += _missc",
+            "        return None",
+            *[f"    {line}" for line in self.writebacks],
+            f"    return ({self.wf.heads!r}[-2 - _L], _bgt, _cyc, _memc, _missc)",
+        ]
+        return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------- #
 # the tiered executor
 
 
-class _JitState:
-    """Per-compiled-function JIT bookkeeping (attached to the executable)."""
-
-    __slots__ = ("invocations", "prof_counts", "traceset", "digest", "lock")
-
-    def __init__(self, exe: ExecutableFunction, digest: str) -> None:
-        self.invocations = 0
-        self.prof_counts: dict[str, int] = dict.fromkeys(exe.blocks, 0)
-        self.traceset: TraceSet | None = None
-        self.digest = digest
-        self.lock = threading.Lock()
-
-
-_STATE_LOCK = threading.Lock()
-
-
-class _CountDict(dict):
-    """Self-seeding counts dict for warmup runs that did not ask to count."""
-
-    def __missing__(self, key: str) -> int:
-        return 0
+_ATTACH_LOCK = threading.Lock()
 
 
 class TieredExecutor(Executor):
-    """Tier-1 executor: Tier-0 semantics, trace-JIT speed.
+    """Tier-1 executor: Tier-0 semantics, compiled-function speed.
 
     Drop-in subclass of :class:`Executor`; identical machine state
     (cache, predictor) and bit-identical :class:`InvocationResult`\\ s.
-    Functions warm up under the Tier-0 interpreter, then hot paths run
-    through generated superblock code served from a shared
-    :class:`ExecutableCache`.
+    Every function runs through its :class:`WholeFunction`, served from a
+    shared :class:`ExecutableCache`, from its first invocation on.
     """
 
     def __init__(
-        self,
-        machine: MachineConfig,
-        *,
-        jit: JitConfig | None = None,
-        code_cache: ExecutableCache | None = None,
+        self, machine: MachineConfig, *, code_cache: ExecutableCache | None = None
     ) -> None:
         super().__init__(machine)
-        self.jit = jit if jit is not None else JitConfig()
-        self.code_cache = (
-            code_cache if code_cache is not None else _GLOBAL_CACHE
-        )
+        self.code_cache = code_cache if code_cache is not None else _GLOBAL_CACHE
         self._inline_ok = _InlineCache.supports(machine)
-        self._win_line = machine.cache_line
         self._win_sets = machine.cache_size // (
             machine.cache_line * machine.cache_assoc
         )
+        #: frames run through compiled code (with ``interpreted_blocks``,
+        #: this says whether Tier 1 engaged)
+        self.compiled_frames = 0
 
-    # ------------------------------------------------------------------ #
-
-    def _state_for(self, exe: ExecutableFunction) -> _JitState:
-        state = getattr(exe, "_jit_state", None)
-        if state is None:
-            with _STATE_LOCK:
-                state = getattr(exe, "_jit_state", None)
-                if state is None:
-                    digest = executable_digest(exe, self.machine)
-                    state = _JitState(exe, digest)
-                    state.traceset = self.code_cache.get(digest)
-                    exe._jit_state = state
-        return state
+    def _whole_function(self, exe: ExecutableFunction) -> WholeFunction:
+        with _ATTACH_LOCK:
+            wf = getattr(exe, "_jit_fn", None)
+            if wf is None or wf.machine != self.machine:
+                digest = executable_digest(exe, self.machine)
+                wf = self.code_cache.get(digest)
+                if wf is None:
+                    wf = WholeFunction(exe, self.machine)
+                    self.code_cache.put(digest, wf)
+                exe._jit_fn = wf
+        return wf
 
     def _run_cfg(
         self,
@@ -1078,163 +998,44 @@ class TieredExecutor(Executor):
         result: InvocationResult,
         depth: int,
     ) -> None:
-        state = self._state_for(exe)
-        ts = state.traceset
-        if ts is None:
-            self._warmup_run(exe, state, env, amap, factors, counts, result, depth)
-            return
-        if ts.traces:
-            self._run_cfg_traced(
-                exe, ts, env, amap, factors, counts, result, depth
-            )
-        else:
-            super()._run_cfg(exe, env, amap, factors, counts, result, depth)
-
-    # -- warmup --------------------------------------------------------- #
-
-    def _warmup_run(
-        self, exe, state, env, amap, factors, counts, result, depth
-    ) -> None:
-        """One Tier-0 invocation with block counting forced on."""
-        keyed = [
-            (blk.label, blk.label if depth == 0 else blk.qual_key)
-            for blk in exe.blocks.values()
-        ]
-        if counts is None:
-            prof: dict[str, int] = _CountDict()
-            before = dict.fromkeys((k for _, k in keyed), 0)
-        else:
-            prof = counts
-            before = {k: counts.get(k, 0) for _, k in keyed}
-        super()._run_cfg(exe, env, amap, factors, prof, result, depth)
-        own = state.prof_counts
-        for label, key in keyed:
-            own[label] += prof[key] - before[key]
-        state.invocations += 1
-        if state.invocations >= self.jit.warmup_invocations:
-            self._build_traces(exe, state)
-
-    def _build_traces(self, exe: ExecutableFunction, state: _JitState) -> None:
-        with state.lock:
-            if state.traceset is not None:
-                return
-            ts = build_traces(exe, state.prof_counts, self.jit, self.machine)
-            self.code_cache.put(state.digest, ts)
-            state.traceset = ts
-
-    # -- traced dispatch ------------------------------------------------ #
-
-    def _run_cfg_traced(
-        self, exe, ts, env, amap, factors, counts, result, depth
-    ) -> None:
-        # Mirrors Executor._run_cfg exactly, with a trace-entry hook at the
-        # top of the dispatch loop.  Accounting order per block is
-        # identical whether a block runs here or inside generated code.
         if depth > 32:
             raise ExecutionError("call depth limit exceeded (recursive IR?)")
-        blocks = exe.blocks
-        cache = self.cache
-        cache_access = cache.access
-        access_many = cache.access_many
-        # the generated code's `_dt`: the direct-mapped slot array, or the
-        # per-set way lists for associative machines
-        cache_direct = cache._direct if cache._direct is not None else cache._sets
-        elem = AddressMap.ELEM_SIZE
-        bases = amap.bases
-        branch_state = self.branch_state
-        miss_cost = self.machine.branch_miss_cycles * factors.branch
-        mem_factor = factors.mem
-        windowed = self._inline_ok and _window_fits(
-            bases, env, self._win_sets, self._win_line
+        wf = getattr(exe, "_jit_fn", None)
+        if wf is None or wf.machine is not self.machine:
+            wf = self._whole_function(exe)
+        window = amap.window_lines
+        fn = wf.fn_for(
+            counts is not None,
+            depth == 0,
+            self._inline_ok and window is not None and window < self._win_sets,
         )
-        traces = ts.fns_for(counts is not None, depth == 0, windowed)
-        trace_get = traces.get
-
-        label = exe.entry
-        mem: list = []
-        steps_budget = self.MAX_STEPS
-        cycles = 0.0
-        mem_cycles = 0.0
-        miss_cycles = 0.0
-
-        while label != _RETURN:
-            tfn = trace_get(label)
-            if tfn is not None:
-                res = tfn(
-                    env,
-                    bases,
-                    access_many,
-                    branch_state,
-                    counts,
-                    mem_factor,
-                    miss_cost,
-                    cycles,
-                    mem_cycles,
-                    miss_cycles,
-                    steps_budget,
-                    cache,
-                    cache_direct,
+        call = None
+        if wf.has_calls:
+            def call(label: str, j: int, frame_env: dict) -> None:
+                self._do_call(
+                    exe.blocks[label].steps[j], exe, frame_env, amap, factors,
+                    counts, result, depth,
                 )
-                if res[4] != steps_budget:
-                    label, cycles, mem_cycles, miss_cycles, steps_budget = res
-                    continue
-                # no progress: the remaining step budget cannot cover a
-                # full trace pass — interpret block by block below so the
-                # budget exhausts at exactly Tier 0's block and error
-            blk = blocks[label]
-            if counts is not None:
-                counts[blk.label if depth == 0 else blk.qual_key] += 1
-            cycles += blk.compute_cycles + blk.spill_cycles
-
-            try:
-                fast = blk.fastrun
-                if fast is not None:
-                    label_next, taken = fast(env, mem)
-                elif blk.has_calls:
-                    for step in blk.steps:
-                        if type(step) is _CallStep:
-                            self._do_call(
-                                step, exe, env, amap, factors, counts, result, depth
-                            )
-                        else:
-                            step(env, mem)
-                    label_next, taken = blk.term(env, mem)
-                else:
-                    for step in blk.steps:
-                        step(env, mem)
-                    label_next, taken = blk.term(env, mem)
-            except (KeyError, IndexError, ZeroDivisionError, OverflowError) as e:
-                raise ExecutionError(
-                    f"{exe.name}/{label}: runtime error {type(e).__name__}: {e}"
-                ) from e
-
-            if mem:
-                mc = 0.0
-                for name, i in mem:
-                    mc += cache_access(bases[name] + i * elem)
-                mc *= mem_factor
-                mem_cycles += mc
-                cycles += mc
-                mem.clear()
-
-            if blk.is_branch:
-                key = blk.branch_key
-                predicted = branch_state.get(key)
-                if predicted is not None and predicted != taken:
-                    miss_cycles += miss_cost
-                    cycles += miss_cost
-                branch_state[key] = taken
-
-            steps_budget -= 1
-            if steps_budget <= 0:
-                raise ExecutionError(
-                    f"{exe.name}: step budget exhausted (infinite loop?)"
-                )
-            label = label_next
-
-        result.cycles += cycles
-        result.mem_cycles += mem_cycles
-        result.branch_miss_cycles += miss_cycles
+        cache = self.cache
+        bail = fn(
+            env,
+            amap.bases,
+            self.branch_state,
+            counts,
+            factors.mem,
+            self.machine.branch_miss_cycles * factors.branch,
+            self.MAX_STEPS,
+            cache,
+            # the generated code's `_dt`: the direct-mapped slot array, or
+            # the per-set way lists for associative machines
+            cache._direct if cache._direct is not None else cache._sets,
+            cache.access_many,
+            result,
+            call,
+        )
+        self.compiled_frames += 1
+        if bail is not None:
+            self._interpret(exe, env, amap, factors, counts, result, depth, *bail)
 
 
 # --------------------------------------------------------------------------- #
@@ -1245,16 +1046,16 @@ def create_executor(
     machine: MachineConfig,
     tier: int = 0,
     *,
-    jit: JitConfig | None = None,
     code_cache: ExecutableCache | None = None,
 ) -> Executor:
     """Build the executor for one execution tier.
 
-    Tier 0 is the paper-faithful interpreter; Tier 1 adds the trace JIT
-    (bit-identical results, substantially faster hot loops).
+    Tier 0 is the paper-faithful interpreter; Tier 1 runs each function
+    as one compiled Python function (bit-identical results, substantially
+    faster).
     """
     if tier == 0:
         return Executor(machine)
     if tier == 1:
-        return TieredExecutor(machine, jit=jit, code_cache=code_cache)
+        return TieredExecutor(machine, code_cache=code_cache)
     raise ValueError(f"unknown execution tier {tier!r} (expected one of {EXEC_TIERS})")

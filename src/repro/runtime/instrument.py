@@ -53,7 +53,7 @@ class TimedExecutor:
         obs: Obs | None = None,
     ) -> None:
         self.machine = machine
-        # Tier 0 = closure interpreter, Tier 1 = trace JIT (bit-identical
+        # Tier 0 = closure interpreter, Tier 1 = compiled functions (bit-identical
         # results — see repro.machine.jit — so ratings are unaffected)
         self.executor = create_executor(machine, exec_tier)
         self.noise = noise if noise is not None else NoiseModel.for_machine(machine)

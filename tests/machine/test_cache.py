@@ -113,6 +113,25 @@ class TestAddressMap:
         m2 = AddressMap({"y": 7, "x": 5}, line=32)
         assert m1.bases == m2.bases
 
+    def test_for_call_binds_each_argument(self):
+        a, b = np.zeros(16), np.zeros(16)
+        env = {"a": a, "b": b, "n": 3}
+        amap = AddressMap.for_env(env, line=32)
+        before = dict(amap.bases)
+        assert amap.for_call({"v": a}, env).bases == {"v": before["a"]}
+        assert amap.for_call({"v": b}, env).bases == {"v": before["b"]}
+        assert amap.bases == before  # the caller's map is never extended
+
+    def test_for_call_lays_out_temporaries_after_the_map(self):
+        env = {"a": np.zeros(16)}
+        amap = AddressMap.for_env(env, line=32)
+        tmp = np.zeros(4)
+        frame = amap.for_call({"v": tmp, "w": tmp, "x": np.zeros(4)}, env)
+        # deterministic: independent of where the objects live in memory
+        assert frame.bases["v"] == frame.bases["w"] == amap.end
+        assert frame.bases["x"] == amap.end + 2 * 32
+        assert frame.window_lines is None
+
 
 class TestVectorizedBatch:
     """The direct-mapped batch path must be access-for-access identical to

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ir import ArrayRef, FunctionBuilder, Type, Var, eq
 from repro.machine import (
+    AddressMap,
     CostFactors,
     ExecutionError,
     Executor,
@@ -261,6 +262,36 @@ class TestCalls:
         buf = np.zeros(5)
         Executor(SPARC2).run(caller, {"n": 5, "buf": buf})
         np.testing.assert_array_equal(buf, np.full(5, 7.0))
+
+    def test_each_call_simulates_its_own_argument(self):
+        """``g(n, a); g(n, b)`` touches both arrays' lines: 16 cold misses,
+        not 8 with the second call replaying the first one's addresses."""
+        cal = FunctionBuilder(
+            "g", [("n", Type.INT), ("v", Type.FLOAT_ARRAY)], return_type=Type.FLOAT
+        )
+        cal.local("acc", Type.FLOAT)
+        with cal.for_("i", 0, cal.var("n")) as i:
+            cal.assign("acc", cal.var("acc") + ArrayRef("v", i))
+        cal.ret(cal.var("acc"))
+
+        b = FunctionBuilder(
+            "f", [("n", Type.INT), ("a", Type.FLOAT_ARRAY), ("b", Type.FLOAT_ARRAY)]
+        )
+        b.local("s", Type.FLOAT)
+        b.call("g", [b.var("n"), b.var("a")], target="s")
+        b.call("g", [b.var("n"), b.var("b")], target="s")
+        b.ret()
+        callee = compile_function(cal.build(), SPARC2)
+        caller = compile_function(b.build(), SPARC2, callees={"g": callee})
+        ex = Executor(SPARC2)
+        # 32 floats = 8 SPARC-II lines per array
+        env = {"n": 32, "a": np.zeros(32), "b": np.zeros(32)}
+        ex.run(caller, env)
+        assert ex.cache.misses == 16
+        bases = AddressMap.for_env(env, line=SPARC2.cache_line).bases
+        for name in ("a", "b"):
+            first = bases[name] // SPARC2.cache_line
+            assert ex.cache._direct[first % ex.cache.n_sets] == first
 
     def test_unresolved_call_raises(self):
         b = FunctionBuilder("f", [("x", Type.INT)], return_type=Type.INT)

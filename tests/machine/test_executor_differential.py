@@ -1,4 +1,5 @@
-"""Differential fuzzing: Tier 1 (trace JIT) vs Tier 0 (interpreter).
+"""Differential fuzzing: Tier 1 (whole-function compilation) vs Tier 0
+(interpreter).
 
 The tiered executor's contract is *bit-identical* results — cycles,
 mem/branch-miss split, block counts, return values, array state, and the
@@ -18,7 +19,6 @@ from repro.machine import (
     ExecutableCache,
     ExecutionError,
     Executor,
-    JitConfig,
     PENTIUM4,
     SPARC2,
     TieredExecutor,
@@ -26,9 +26,6 @@ from repro.machine import (
 )
 
 from ..strategies import kernel_inputs, kernels
-
-#: aggressive JIT so tiny test kernels form traces after one invocation
-HOT_JIT = JitConfig(warmup_invocations=1, hot_block_count=2, max_trace_blocks=8)
 
 MACHINES = (SPARC2, PENTIUM4)
 
@@ -43,19 +40,18 @@ def machine_state(ex: Executor):
     )
 
 
-def run_differential(fn, env_fn, machine, *, invocations=6, jit=HOT_JIT,
-                     max_steps=None):
+def run_differential(fn, env_fn, machine, *, invocations=6, max_steps=None):
     """Run the same invocation sequence through both tiers and compare.
 
     *env_fn(i)* builds the i-th environment (called once per tier so each
     executor mutates its own arrays).  Invocations alternate
     ``count_blocks`` to cover both generated-code variants.  Returns the
-    Tier-1 executor (for trace-formation assertions).
+    Tier-1 executor (for engagement assertions).
     """
     exe0 = compile_function(fn, machine)
     exe1 = compile_function(fn, machine)
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, jit=jit, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
     if max_steps is not None:
         ex0.MAX_STEPS = max_steps
         ex1.MAX_STEPS = max_steps
@@ -89,11 +85,9 @@ def run_differential(fn, env_fn, machine, *, invocations=6, jit=HOT_JIT,
     return ex1
 
 
-def traces_formed(ex1: TieredExecutor) -> int:
-    total = 0
-    for ts in ex1.code_cache._entries.values():
-        total += len(ts)
-    return total
+def fully_compiled(ex1: TieredExecutor) -> bool:
+    """Every frame ran compiled code and no block fell back to Tier 0."""
+    return ex1.compiled_frames > 0 and ex1.interpreted_blocks == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -101,7 +95,7 @@ def traces_formed(ex1: TieredExecutor) -> int:
 
 
 def hot_loop_fn(name="hot"):
-    """The canonical JIT target: a tight counted loop over two arrays."""
+    """The canonical Tier-1 target: a tight counted loop over two arrays."""
     b = FunctionBuilder(
         name,
         [("n", Type.INT), ("x", Type.FLOAT_ARRAY), ("y", Type.FLOAT_ARRAY)],
@@ -125,7 +119,7 @@ def test_hot_loop_windowed(machine):
         return {"n": 48, "x": rng.normal(size=48), "y": rng.normal(size=48)}
 
     ex1 = run_differential(fn, env_fn, machine)
-    assert traces_formed(ex1) >= 1
+    assert fully_compiled(ex1)
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
@@ -139,7 +133,7 @@ def test_hot_loop_large_arrays_not_windowed(machine):
         return {"n": n, "x": rng.normal(size=n), "y": rng.normal(size=n)}
 
     ex1 = run_differential(fn, env_fn, machine, invocations=4)
-    assert traces_formed(ex1) >= 1
+    assert fully_compiled(ex1)
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
@@ -180,7 +174,7 @@ def test_error_mid_trace_preserves_state(machine):
     fn = b.build()
 
     def env_fn(i):
-        # m=0 on later invocations: ZeroDivisionError inside a hot trace
+        # m=0 on later invocations: ZeroDivisionError inside the hot loop
         return {"n": 40, "m": 8 if i < 3 else 0, "a": np.zeros(8)}
 
     run_differential(fn, env_fn, machine)
@@ -208,7 +202,8 @@ def test_step_budget_exhaustion(machine):
         rng = np.random.default_rng(i)
         return {"n": 200, "x": rng.normal(size=200), "y": rng.normal(size=200)}
 
-    run_differential(fn, env_fn, machine, max_steps=150)
+    ex1 = run_differential(fn, env_fn, machine, max_steps=150)
+    assert ex1.interpreted_blocks > 0  # the guard handed the tail to Tier 0
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
@@ -242,7 +237,7 @@ def test_calls_and_callee_counts(machine):
     exe0 = compile_function(fn, machine, callees=callees)
     exe1 = compile_function(fn, machine, callees=callees)
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, jit=HOT_JIT, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
     for i in range(6):
         env0, env1 = env_fn(i), env_fn(i)
         count = i % 2 == 1
@@ -277,8 +272,8 @@ def test_negative_and_aliased_indexes(machine):
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
 def test_branchy_trace_side_exits(machine):
-    """A data-dependent branch inside the loop: the trace picks one arm
-    and side-exits on the other, predictor accounting must align."""
+    """A data-dependent branch inside the loop: both arms are inlined in
+    the loop chain and predictor accounting must align."""
     b = FunctionBuilder(
         "branchy",
         [("n", Type.INT), ("a", Type.FLOAT_ARRAY)],
@@ -301,7 +296,7 @@ def test_branchy_trace_side_exits(machine):
 
 
 def test_interleaved_functions_share_machine_state():
-    """Two functions alternating on one executor: traces from one must
+    """Two functions alternating on one executor: code from one must
     see cache/predictor effects of the other exactly as Tier 0 does."""
     fn_a = hot_loop_fn("fa")
     fn_b = hot_loop_fn("fb")
@@ -309,7 +304,7 @@ def test_interleaved_functions_share_machine_state():
     exe0a, exe0b = compile_function(fn_a, machine), compile_function(fn_b, machine)
     exe1a, exe1b = compile_function(fn_a, machine), compile_function(fn_b, machine)
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, jit=HOT_JIT, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
     for i in range(8):
         rng0, rng1 = np.random.default_rng(i), np.random.default_rng(i)
         e0 = {"n": 32, "x": rng0.normal(size=32), "y": rng0.normal(size=32)}
@@ -320,6 +315,125 @@ def test_interleaved_functions_share_machine_state():
         r1 = ex1.run(pick1, e1)
         assert r0.cycles == r1.cycles
         assert machine_state(ex0) == machine_state(ex1)
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_error_after_non_mru_hit_keeps_lru_order(machine):
+    """A block whose only cache mutation is a non-MRU hit (no miss) must
+    leave nothing in the undo log: a later block that raises rolls back
+    only its own accesses, so the set's LRU order stays Tier 0's."""
+    b = FunctionBuilder(
+        "lru",
+        [
+            ("n", Type.INT),
+            ("a", Type.FLOAT_ARRAY),
+            ("b", Type.FLOAT_ARRAY),
+            ("idx", Type.INT_ARRAY),
+        ],
+        return_type=Type.FLOAT,
+    )
+    b.local("s", Type.FLOAT)
+    with b.for_("i", 0, b.var("n")) as i:
+        b.assign("s", ArrayRef("a", i) + ArrayRef("b", i) + ArrayRef("a", i))
+        with b.if_(b.var("n") > 0):
+            b.assign("s", b.var("s") + ArrayRef("a", ArrayRef("idx", i)))
+    b.ret(b.var("s"))
+    fn = b.build()
+
+    def env_fn(i):
+        # 248 floats: b starts 32 lines after a, so a[i] and b[i] share a
+        # Pentium 4 set; idx goes out of range from invocation 3 on
+        rng = np.random.default_rng(i)
+        idx = np.arange(248) % 8 if i < 3 else np.full(248, 10_000)
+        return {"n": 40, "a": rng.normal(size=248), "b": rng.normal(size=248),
+                "idx": idx}
+
+    run_differential(fn, env_fn, machine)
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_callee_arrays_bound_per_call_site(machine):
+    """``g(n, a); g(n, b)``: each call simulates the argument it was given,
+    at every call, on both tiers."""
+    cal = FunctionBuilder(
+        "g", [("n", Type.INT), ("v", Type.FLOAT_ARRAY)], return_type=Type.FLOAT
+    )
+    cal.local("acc", Type.FLOAT)
+    with cal.for_("i", 0, cal.var("n")) as i:
+        cal.assign("acc", cal.var("acc") + ArrayRef("v", i))
+    cal.ret(cal.var("acc"))
+    callee_fn = cal.build()
+
+    b = FunctionBuilder(
+        "f",
+        [("n", Type.INT), ("a", Type.FLOAT_ARRAY), ("b", Type.FLOAT_ARRAY)],
+        return_type=Type.FLOAT,
+    )
+    b.local("s", Type.FLOAT)
+    b.local("t", Type.FLOAT)
+    b.call("g", [b.var("n"), b.var("a")], target="s")
+    b.call("g", [b.var("n"), b.var("b")], target="t")
+    b.ret(b.var("s") + b.var("t"))
+    fn = b.build()
+    callees = {"g": compile_function(callee_fn, machine)}
+
+    exe0 = compile_function(fn, machine, callees=callees)
+    exe1 = compile_function(fn, machine, callees=callees)
+    ex0 = Executor(machine)
+    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
+    for i in range(4):
+        rng0, rng1 = np.random.default_rng(i), np.random.default_rng(i)
+        e0 = {"n": 32, "a": rng0.normal(size=32), "b": rng0.normal(size=32)}
+        e1 = {"n": 32, "a": rng1.normal(size=32), "b": rng1.normal(size=32)}
+        r0 = ex0.run(exe0, e0, count_blocks=i % 2 == 1)
+        r1 = ex1.run(exe1, e1, count_blocks=i % 2 == 1)
+        assert r0.cycles == r1.cycles
+        assert r0.block_counts == r1.block_counts
+        assert r0.return_value == r1.return_value
+        assert machine_state(ex0) == machine_state(ex1)
+    assert fully_compiled(ex1)
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_recursive_calls_share_predictor_entries(machine):
+    """A function that calls itself: caller and callee frames update the
+    same predictor keys, so compiled frames must write their predictor
+    locals back before a call and reload them after it."""
+    b = FunctionBuilder(
+        "rec",
+        [("n", Type.INT), ("a", Type.FLOAT_ARRAY)],
+        return_type=Type.FLOAT,
+    )
+    b.local("s", Type.FLOAT)
+    b.local("t", Type.FLOAT)
+    with b.for_("i", 0, b.var("n")) as i:
+        with b.if_(ArrayRef("a", i) > 0.0):
+            b.assign("s", b.var("s") + ArrayRef("a", i))
+    with b.if_(b.var("n") > 0):
+        b.call("rec", [b.var("n") - 1, b.var("a")], target="t")
+        b.assign("s", b.var("s") + b.var("t"))
+    b.ret(b.var("s"))
+    fn = b.build()
+
+    def env_fn(i):
+        rng = np.random.default_rng(i)
+        return {"n": 6 + i, "a": rng.normal(size=16)}
+
+    exe0 = compile_function(fn, machine)
+    exe0.callees["rec"] = exe0
+    exe1 = compile_function(fn, machine)
+    exe1.callees["rec"] = exe1
+    ex0 = Executor(machine)
+    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
+    for i in range(4):
+        r0 = ex0.run(exe0, env_fn(i), count_blocks=i % 2 == 1)
+        r1 = ex1.run(exe1, env_fn(i), count_blocks=i % 2 == 1)
+        assert r0.cycles == r1.cycles
+        assert r0.branch_miss_cycles == r1.branch_miss_cycles
+        assert r0.block_counts == r1.block_counts
+        assert r0.return_value == r1.return_value
+        assert machine_state(ex0) == machine_state(ex1)
+    assert fully_compiled(ex1)
 
 
 # --------------------------------------------------------------------------- #
@@ -340,3 +454,26 @@ def test_random_kernels_differential(fn, env, machine):
         return e
 
     run_differential(fn, env_fn, machine, invocations=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fn=kernels(),
+    env=kernel_inputs(),
+    machine=st.sampled_from(MACHINES),
+    max_steps=st.integers(min_value=1, max_value=60),
+)
+def test_random_kernels_exhaust_at_tier0_block(fn, env, machine, max_steps):
+    """Random kernels under a tiny step budget: the budget guard hands
+    each frame to Tier 0 wherever the remaining budget cannot cover a
+    chain, so exhaustion (or completion) matches Tier 0 exactly."""
+
+    def env_fn(i):
+        e = dict(env)
+        e["a"] = np.array(env["a"])
+        e["b"] = np.array(env["b"])
+        e["k"] = env["k"] + i
+        return e
+
+    run_differential(fn, env_fn, machine, invocations=3, max_steps=max_steps)
+
