@@ -12,7 +12,8 @@ This module provides the parallel counterpart:
 * Every rating task is **hermetic**: it gets its own
   :class:`~repro.runtime.ledger.TuningLedger`, its own
   :class:`~repro.core.rating.feed.InvocationFeed` (replaying the dataset
-  from the start, like re-running the application), and its own
+  from the start, like re-running the application; the inputs come from
+  the worker's one :class:`~repro.core.rating.feed.InputReplay`), and its own
   noise RNG seeded from ``(base_seed, task_id)``.  Task ids are assigned at
   submission in batch order, so results are **bit-identical for any
   ``jobs``/backend setting** — ``jobs=1`` is the reference serial run.
@@ -42,6 +43,7 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +60,8 @@ from ..runtime.ledger import TuningLedger
 from ..runtime.save_restore import SaveRestorePlan
 from ..workloads.base import Workload
 from .rating.base import RatingResult, RatingSettings
-from .rating.baselines import AverageRating, WholeProgramRating
-from .rating.cbr import ContextBasedRating
 from .rating.consultant import ConsultantLimits, RatingPlan, consult
-from .rating.feed import InvocationFeed
-from .rating.mbr import ModelBasedRating
+from .rating.feed import InputReplay, InvocationFeed
 from .rating.rbr import ReExecutionRating
 from .search.parallel import ParallelEvaluator
 
@@ -108,7 +107,9 @@ class EngineSpec:
 
 
 class _WorkerContext:
-    """Worker-local rating state: workload, plan, and the version cache."""
+    """Worker-local rating state: workload, plan, the version cache, and
+    what every task of the worker reuses (the dataset replay and the RBR
+    save/restore plan)."""
 
     def __init__(
         self,
@@ -141,10 +142,20 @@ class _WorkerContext:
             )
         self.plan = plan
         self.ds = workload.dataset(spec.dataset)
+        #: the dataset's inputs, generated once and replayed by every task
+        self.replay = InputReplay(
+            self.ds.generator, self.ds.n_invocations, spec.base_seed
+        )
         self.cache: VersionCache | None = VersionCache() if spec.use_cache else None
         self.prefix_cache: PassPrefixCache | None = (
             PassPrefixCache() if spec.use_prefix_cache else None
         )
+
+    @cached_property
+    def save_plan(self) -> SaveRestorePlan:
+        """The RBR save/restore plan (liveness and store analyses of the TS;
+        read-only once built)."""
+        return SaveRestorePlan(self.workload.ts, self.spec.machine)
 
 
 #: process-pool workers keep their context in a module global (set by
@@ -239,6 +250,7 @@ class _TaskRater:
             ctx.ds.non_ts_cycles,
             self.ledger,
             seed=spec.base_seed,
+            replay=ctx.replay,
         )
         self.obs = Obs.create() if spec.obs_enabled else NULL_OBS
         self.timed = TimedExecutor(
@@ -287,39 +299,14 @@ class _TaskRater:
     # -- rating --------------------------------------------------------- #
 
     def rate_single(self, method: str, key: tuple[str, ...]) -> RatingResult:
-        ctx, spec = self.ctx, self.ctx.spec
-        s = spec.settings
-        if method == "CBR":
-            rater = ContextBasedRating(ctx.plan.context, s, self.timed)
-            result = rater.rate(
-                self.version_for(key, instrumented=False), self.feed
-            )
-        elif method == "MBR":
-            rater = ModelBasedRating(
-                ctx.plan.component_model,
-                ctx.plan.avg_counts,
-                s,
-                self.timed,
-                dominant=ctx.plan.mbr_dominant,
-            )
-            result = rater.rate(
-                self.version_for(key, instrumented=True), self.feed
-            )
-        elif method == "AVG":
-            rater = AverageRating(s, self.timed)
-            result = rater.rate(
-                self.version_for(key, instrumented=False), self.feed
-            )
-            result.converged = True  # AVG never switches (it is the baseline)
-        elif method == "WHL":
-            rater = WholeProgramRating(
-                s, self.timed, runs_per_rating=spec.whl_runs_per_rating
-            )
-            result = rater.rate(
-                self.version_for(key, instrumented=False), self.feed
-            )
-        else:  # pragma: no cover
-            raise ValueError(f"unknown rating method {method!r}")
+        spec = self.ctx.spec
+        rater = self.ctx.plan.rater(
+            method, spec.settings, self.timed,
+            whl_runs_per_rating=spec.whl_runs_per_rating,
+        )
+        result = rater.rate(
+            self.version_for(key, instrumented=method == "MBR"), self.feed
+        )
         self.n_rated += 1
         return result
 
@@ -327,9 +314,8 @@ class _TaskRater:
         self, candidate: tuple[str, ...], reference: tuple[str, ...]
     ) -> RatingResult:
         ctx, spec = self.ctx, self.ctx.spec
-        save_plan = SaveRestorePlan(ctx.workload.ts, spec.machine)
         rater = ReExecutionRating(
-            save_plan, spec.settings, self.timed, improved=spec.rbr_improved
+            ctx.save_plan, spec.settings, self.timed, improved=spec.rbr_improved
         )
         result = rater.rate_pair(
             self.version_for(candidate, instrumented=False),

@@ -46,11 +46,8 @@ from ..runtime.ledger import TuningLedger
 from ..runtime.save_restore import SaveRestorePlan
 from ..workloads.base import Workload
 from .rating.base import RatingResult, RatingSettings
-from .rating.baselines import AverageRating, WholeProgramRating
-from .rating.cbr import ContextBasedRating
 from .rating.consultant import ConsultantLimits, RatingPlan, consult
 from .rating.feed import InvocationFeed
-from .rating.mbr import ModelBasedRating
 from .rating.rbr import ReExecutionRating
 from .search.base import SearchAlgorithm, SearchResult
 from .search.iterative_elimination import IterativeElimination
@@ -139,29 +136,13 @@ class _RatingEngine:
         cached = self._rating_cache.get(key)
         if cached is not None:
             return cached
-        s = self.tuner.settings
-        if self.method == "CBR":
-            rater = ContextBasedRating(self.plan.context, s, self.timed)
-            result = rater.rate(self.version_for(config, instrumented=False), self.feed)
-        elif self.method == "MBR":
-            rater = ModelBasedRating(
-                self.plan.component_model,
-                self.plan.avg_counts,
-                s,
-                self.timed,
-                dominant=self.plan.mbr_dominant,
-            )
-            result = rater.rate(self.version_for(config, instrumented=True), self.feed)
-        elif self.method == "AVG":
-            rater = AverageRating(s, self.timed)
-            result = rater.rate(self.version_for(config, instrumented=False), self.feed)
-            result.converged = True  # AVG never switches (it is the baseline)
-        elif self.method == "WHL":
-            rater = WholeProgramRating(s, self.timed,
-                                       runs_per_rating=self.tuner.whl_runs_per_rating)
-            result = rater.rate(self.version_for(config, instrumented=False), self.feed)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown rating method {self.method!r}")
+        rater = self.plan.rater(
+            self.method, self.tuner.settings, self.timed,
+            whl_runs_per_rating=self.tuner.whl_runs_per_rating,
+        )
+        result = rater.rate(
+            self.version_for(config, instrumented=self.method == "MBR"), self.feed
+        )
         self.n_rated += 1
         if result.converged:
             self._rating_cache[key] = result

@@ -6,16 +6,18 @@ from .base import Direction, InvocationSource, RatingResult, RatingSettings, rat
 from .baselines import AverageRating, WholeProgramRating
 from .cbr import ContextBasedRating
 from .consultant import ConsultantLimits, RatingPlan, consult
-from .feed import InvocationFeed
+from .feed import InputReplay, InvocationFeed
 from .mbr import ModelBasedRating, regression_var, solve_component_times
 from .outliers import filter_outliers
 from .rbr import ReExecutionRating
+from .window import SampleWindow, WindowGrowth
 
 __all__ = [
     "AverageRating",
     "ConsultantLimits",
     "ContextBasedRating",
     "Direction",
+    "InputReplay",
     "InvocationFeed",
     "InvocationSource",
     "ModelBasedRating",
@@ -23,7 +25,9 @@ __all__ = [
     "RatingResult",
     "RatingSettings",
     "ReExecutionRating",
+    "SampleWindow",
     "WholeProgramRating",
+    "WindowGrowth",
     "consult",
     "filter_outliers",
     "regression_var",

@@ -23,14 +23,14 @@ from ...compiler.version import Version
 from ...runtime.instrument import TimedExecutor
 from .base import Direction, RatingResult, RatingSettings, rating_var
 from .feed import InvocationFeed
-from .outliers import filter_outliers
+from .window import SampleWindow, WindowGrowth
 
 __all__ = ["ContextBasedRating"]
 
 
 @dataclass
 class _Bucket:
-    samples: list[float] = field(default_factory=list)
+    window: SampleWindow = field(default_factory=SampleWindow)
     total_time: float = 0.0
 
 
@@ -55,69 +55,45 @@ class ContextBasedRating:
         """Rate *version*, consuming invocations from *feed* until the
         dominant context's window converges (or the budget is exhausted)."""
         s = self.settings
-        obs = self.timed.obs
         buckets: dict[tuple, _Bucket] = {}
         consumed = 0
-        target = s.window
 
-        with obs.span("cbr.rate", "rating"):
-            win = obs.start("cbr.window", "rating", target=target)
+        with self.timed.obs.span("cbr.rate", "rating"):
+            growth = WindowGrowth(s, self.timed.obs, "cbr.window")
             while consumed < s.max_invocations:
                 env = feed.next_env()
                 key = context_key(self.analysis, env)
                 sample = self.timed.invoke(version, env)
                 consumed += 1
-                b = buckets.setdefault(key, _Bucket())
-                b.samples.append(sample.measured_cycles)
+                b = buckets.get(key)
+                if b is None:
+                    b = buckets[key] = _Bucket(SampleWindow(s.outlier_k))
+                b.window.append(sample.measured_cycles)
                 b.total_time += sample.measured_cycles
 
                 if consumed % max(4, s.window // 2) == 0 or consumed >= s.max_invocations:
                     dom = self._dominant(buckets)
-                    if dom is None:
-                        continue
-                    clean = filter_outliers(
-                        np.asarray(buckets[dom].samples), s.outlier_k
-                    )
-                    if clean.size >= target:
-                        var = rating_var(clean)
-                        if var <= s.var_threshold:
-                            self._end_window(win, clean, var, consumed, True)
-                            return self._result(buckets, dom, clean, consumed, True)
-                        # grow the window (paper: VAR decreases with window size)
-                        if clean.size >= target * s.window_growth:
-                            target = int(target * s.window_growth)
-                            self._end_window(win, clean, var, consumed, False)
-                            win = obs.start("cbr.window", "rating", target=target)
+                    window = buckets[dom].window
+                    clean = growth.check(window, window.clean().size, consumed)
+                    if clean is not None:
+                        return self._result(buckets, dom, clean, consumed, True)
 
-            dom = self._dominant(buckets)
-            if dom is None:
-                win.end(size=0, invocations=consumed, converged=False)
+            if not buckets:
+                growth.end(None, None, consumed, False)
                 return RatingResult(
                     self.name, float("nan"), float("inf"),
                     Direction.LOWER_IS_BETTER,
                     0, consumed, False, notes="no invocations observed",
                 )
-            clean = filter_outliers(np.asarray(buckets[dom].samples), s.outlier_k)
-            self._end_window(win, clean, rating_var(clean), consumed, False)
+            dom = self._dominant(buckets)
+            clean = buckets[dom].window.clean()
+            growth.end(clean, rating_var(clean), consumed, False)
             return self._result(buckets, dom, clean, consumed, False)
-
-    @staticmethod
-    def _end_window(win, clean: np.ndarray, var: float, consumed: int,
-                    converged: bool) -> None:
-        win.end(
-            size=int(clean.size),
-            eval=float(np.mean(clean)) if clean.size else None,
-            var=var,
-            invocations=consumed,
-            converged=converged,
-        )
 
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _dominant(buckets: dict[tuple, _Bucket]) -> tuple | None:
-        if not buckets:
-            return None
+    def _dominant(buckets: dict[tuple, _Bucket]) -> tuple:
         return max(buckets, key=lambda k: buckets[k].total_time)
 
     @staticmethod
@@ -142,7 +118,7 @@ class ContextBasedRating:
     ) -> RatingResult:
         per_context = {}
         for key, b in buckets.items():
-            arr = filter_outliers(np.asarray(b.samples), self.settings.outlier_k)
+            arr = b.window.clean()
             mean, var = self._stats(arr)
             per_context[key] = (mean, var, int(arr.size))
         eval_, var_ = self._stats(clean)

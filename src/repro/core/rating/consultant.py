@@ -40,6 +40,11 @@ from ...ir.function import Function
 from ...machine.config import MachineConfig
 from ...machine.profiler import TSProfile
 from ...runtime.counters import instrument_counters
+from ...runtime.instrument import TimedExecutor
+from .base import RatingSettings
+from .baselines import AverageRating, WholeProgramRating
+from .cbr import ContextBasedRating
+from .mbr import ModelBasedRating
 
 __all__ = ["ConsultantLimits", "RatingPlan", "consult"]
 
@@ -83,6 +88,31 @@ class RatingPlan:
         except ValueError:
             return self.applicable[0] if self.applicable else None
         return self.applicable[i + 1] if i + 1 < len(self.applicable) else None
+
+    def rater(
+        self,
+        method: str,
+        settings: RatingSettings,
+        timed: TimedExecutor,
+        *,
+        whl_runs_per_rating: int = 1,
+    ) -> ContextBasedRating | ModelBasedRating | AverageRating | WholeProgramRating:
+        """The rater of one version by *method* (anything but RBR, which
+        rates pairs); MBR rates versions compiled from ``instrumented_fn``."""
+        if method == "CBR":
+            return ContextBasedRating(self.context, settings, timed)
+        if method == "MBR":
+            return ModelBasedRating(
+                self.component_model, self.avg_counts, settings, timed,
+                dominant=self.mbr_dominant,
+            )
+        if method == "AVG":
+            return AverageRating(settings, timed)
+        if method == "WHL":
+            return WholeProgramRating(
+                settings, timed, runs_per_rating=whl_runs_per_rating
+            )
+        raise ValueError(f"unknown rating method {method!r}")
 
 
 def consult(

@@ -6,17 +6,124 @@ environments in order; when a program run's invocations are exhausted, a new
 run starts (charged to the ledger — tuning that needs more invocations than
 one run provides costs extra whole-program executions, which is exactly the
 accounting behind Fig. 7(c)/(d)).
+
+Every program run replays the same input file: its input RNG is re-seeded
+from the same seed, so run *k* sees exactly the environments of run 1.  An
+:class:`InputReplay` therefore calls the generator for one run only, the
+first time an input is needed, and keeps those environments as the pristine
+copy of the input file.  Every hand-out is a fresh copy, so a rating that
+mutates its arrays (every TS writes some) never changes a later run's
+inputs.  The copies follow what the generator's own output does:
+
+* an array bound to several names of one environment stays one array;
+* an object the generator returns at several positions of a run (crafty's
+  ``dirs`` table) is handed out itself, never copied, so writes to it carry
+  over exactly as when the generator hands it out again;
+* immutable values (numbers, strings, numpy scalars) are shared as they are.
+
+The contract this relies on: the generator's output depends only on its RNG
+and the position, and every object it returns at only one position of a run
+is new on each call.  One replay may serve many feeds, also from several
+threads: the batch engine gives every task of a worker the same replay.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ...runtime.ledger import TuningLedger
 
-__all__ = ["InvocationFeed"]
+__all__ = ["InputReplay", "InvocationFeed"]
+
+#: values a hand-out may share with the pristine copy
+_IMMUTABLE = (int, float, complex, bool, str, bytes, type(None), np.generic)
+
+#: how a hand-out produces a value: as it is, ``ndarray.copy`` or deepcopy
+_KEEP, _COPY, _DEEP = 0, 1, 2
+
+
+class InputReplay:
+    """One program run's invocation environments, generated once.
+
+    Parameters
+    ----------
+    generator:
+        ``generator(rng, i) -> env`` building the i'th invocation's inputs.
+    n_per_run:
+        invocations of the TS in one program run.
+    seed:
+        the seed of the run's input RNG.
+    """
+
+    def __init__(
+        self,
+        generator: Callable[[np.random.Generator, int], dict],
+        n_per_run: int,
+        seed: int = 0,
+    ) -> None:
+        self.generator = generator
+        self.n_per_run = n_per_run
+        self.seed = seed
+        #: per position: (entries, simple); entries are (name, value, how)
+        self._positions: list[tuple[tuple, bool]] | None = None
+        self._lock = threading.Lock()
+
+    def _generate(self) -> list[tuple[tuple, bool]]:
+        rng = np.random.default_rng(self.seed)
+        envs = [self.generator(rng, i) for i in range(self.n_per_run)]
+        # mutable objects returned at more than one position are live state
+        # of the generator, not inputs of one invocation
+        first_at: dict[int, int] = {}
+        shared: set[int] = set()
+        for pos, env in enumerate(envs):
+            for value in env.values():
+                if first_at.setdefault(id(value), pos) != pos:
+                    shared.add(id(value))
+        positions = []
+        for env in envs:
+            entries = []
+            seen: set[int] = set()
+            simple = True
+            for name, value in env.items():
+                if isinstance(value, _IMMUTABLE) or id(value) in shared:
+                    how = _KEEP
+                else:
+                    how = _COPY if isinstance(value, np.ndarray) else _DEEP
+                    # one object under two names: copy it once per hand-out
+                    simple = simple and how == _COPY and id(value) not in seen
+                    seen.add(id(value))
+                entries.append((name, value, how))
+            positions.append((tuple(entries), simple))
+        return positions
+
+    def env(self, pos: int) -> dict:
+        """A fresh copy of the environment at position *pos* of the run."""
+        positions = self._positions
+        if positions is None:
+            with self._lock:
+                if self._positions is None:
+                    self._positions = self._generate()
+                positions = self._positions
+        entries, simple = positions[pos]
+        if simple:
+            return {name: value.copy() if how else value for name, value, how in entries}
+        memo: dict[int, object] = {}
+        env = {}
+        for name, value, how in entries:
+            if how == _KEEP:
+                env[name] = value
+                continue
+            out = memo.get(id(value))
+            if out is None:
+                out = memo[id(value)] = (
+                    value.copy() if how == _COPY else copy.deepcopy(value)
+                )
+            env[name] = out
+        return env
 
 
 class InvocationFeed:
@@ -36,6 +143,10 @@ class InvocationFeed:
         base seed; each program run re-derives its input RNG from it, so the
         same dataset replays identically across runs (like re-running the
         application on the same input file).
+    replay:
+        the :class:`InputReplay` of (generator, n_per_run, seed) to draw
+        from, shared with other feeds of the same dataset; by default the
+        feed builds its own.
     """
 
     def __init__(
@@ -45,16 +156,24 @@ class InvocationFeed:
         non_ts_cycles: float,
         ledger: TuningLedger,
         seed: int = 0,
+        *,
+        replay: InputReplay | None = None,
     ) -> None:
         if n_per_run <= 0:
             raise ValueError("a program run must contain at least one invocation")
+        if replay is None:
+            replay = InputReplay(generator, n_per_run, seed)
+        elif (replay.generator, replay.n_per_run, replay.seed) != (
+            generator, n_per_run, seed
+        ):
+            raise ValueError("the replay belongs to a different dataset or seed")
         self.generator = generator
         self.n_per_run = n_per_run
         self.non_ts_cycles = non_ts_cycles
         self.ledger = ledger
         self.seed = seed
+        self.replay = replay
         self._index = 0
-        self._rng = None
 
     @property
     def invocations_consumed(self) -> int:
@@ -64,10 +183,8 @@ class InvocationFeed:
         pos = self._index % self.n_per_run
         if pos == 0:
             self.ledger.start_program_run(self.non_ts_cycles)
-            self._rng = np.random.default_rng(self.seed)
-        env = self.generator(self._rng, pos)
         self._index += 1
-        return env
+        return self.replay.env(pos)
 
     def iter(self, n: int) -> Iterator[dict]:
         for _ in range(n):

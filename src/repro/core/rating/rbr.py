@@ -27,7 +27,7 @@ from ...runtime.instrument import TimedExecutor
 from ...runtime.save_restore import SaveRestorePlan
 from .base import Direction, RatingResult, RatingSettings, rating_var
 from .feed import InvocationFeed
-from .outliers import filter_outliers
+from .window import SampleWindow, WindowGrowth
 
 __all__ = ["ReExecutionRating"]
 
@@ -62,14 +62,12 @@ class ReExecutionRating:
     ) -> RatingResult:
         """Produce the rating of *experimental* relative to *base*."""
         s = self.settings
-        obs = self.timed.obs
-        ratios: list[float] = []
+        window = SampleWindow(s.outlier_k)
         consumed = 0
-        target = s.window
         self._degenerate = 0
 
-        with obs.span("rbr.rate", "rating", improved=self.improved):
-            win = obs.start("rbr.window", "rating", target=target)
+        with self.timed.obs.span("rbr.rate", "rating", improved=self.improved):
+            growth = WindowGrowth(s, self.timed.obs, "rbr.window")
             while consumed < s.max_invocations:
                 env = feed.next_env()
                 consumed += 1
@@ -78,34 +76,14 @@ class ReExecutionRating:
                     # degenerate measurement (non-positive time): one such
                     # sample used to poison the whole window with inf/NaN
                     continue
-                ratios.append(ratio)
+                window.append(ratio)
+                clean = growth.check(window, len(window), consumed)
+                if clean is not None:
+                    return self._result(clean, consumed, True)
 
-                if len(ratios) >= target:
-                    clean = filter_outliers(np.asarray(ratios), s.outlier_k)
-                    var = rating_var(clean)
-                    if var <= s.var_threshold:
-                        self._end_window(win, clean, var, consumed, True)
-                        return self._result(clean, consumed, True)
-                    if len(ratios) >= target * s.window_growth:
-                        target = int(target * s.window_growth)
-                        self._end_window(win, clean, var, consumed, False)
-                        win = obs.start("rbr.window", "rating", target=target)
-
-            clean = filter_outliers(np.asarray(ratios), s.outlier_k)
-            var = rating_var(clean)
-            self._end_window(win, clean, var, consumed, False)
+            clean = window.clean()
+            growth.end(clean, rating_var(clean), consumed, False)
             return self._result(clean, consumed, False)
-
-    @staticmethod
-    def _end_window(win, clean: np.ndarray, var: float, consumed: int,
-                    converged: bool) -> None:
-        win.end(
-            size=int(clean.size),
-            eval=float(np.mean(clean)) if clean.size else None,
-            var=var,
-            invocations=consumed,
-            converged=converged,
-        )
 
     # ------------------------------------------------------------------ #
 

@@ -386,6 +386,8 @@ class Executor:
         #: 1-bit branch predictor: (fn_name, label) -> last direction
         self.branch_state: dict[tuple[str, str], bool] = {}
         self._amap_cache: dict[tuple, AddressMap] = {}
+        #: (env names, value types) -> (sorted array names, their positions)
+        self._array_layout: dict[tuple, tuple] = {}
         #: blocks completed by the dispatch loop (:meth:`_interpret`)
         self.interpreted_blocks = 0
 
@@ -401,14 +403,28 @@ class Executor:
         # AddressMap.for_env depends only on the arrays' sorted names, their
         # lengths and which names share one object, so that shape is the
         # key: a dataset whose invocations all bind same-shaped arrays
-        # builds one map
-        canonical: dict[int, str] = {}
-        shape = []
-        for name in sorted(env):
-            value = env[name]
-            if hasattr(value, "__len__"):
-                shape.append((name, len(value), canonical.setdefault(id(value), name)))
-        key = tuple(shape)
+        # builds one map.  Which values are arrays (have __len__) and their
+        # sorted order depend only on the names and value types, so that
+        # part is memoized per (names, types).
+        values = tuple(env.values())
+        sig = (tuple(env), tuple(map(type, values)))
+        layout = self._array_layout.get(sig)
+        if layout is None:
+            order = sorted(range(len(values)), key=sig[0].__getitem__)
+            idx = tuple(i for i in order if hasattr(values[i], "__len__"))
+            layout = self._array_layout[sig] = (
+                tuple(sig[0][i] for i in idx), idx,
+            )
+        names, idx = layout
+        arrays = [values[i] for i in idx]
+        if len({id(a) for a in arrays}) == len(arrays):
+            aliases = None
+        else:
+            canonical: dict[int, str] = {}
+            aliases = tuple(
+                canonical.setdefault(id(a), name) for name, a in zip(names, arrays)
+            )
+        key = (names, tuple(map(len, arrays)), aliases)
         amap = self._amap_cache.get(key)
         if amap is None:
             amap = AddressMap.for_env(env, line=self.machine.cache_line)

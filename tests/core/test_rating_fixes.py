@@ -274,14 +274,15 @@ class TestCBREmptyContexts:
     def test_result_with_empty_bucket_is_warning_free(self):
         cbr = self._cbr()
         full = _Bucket()
-        full.samples = [100.0, 101.0, 99.0, 100.0]
-        full.total_time = sum(full.samples)
+        for t in [100.0, 101.0, 99.0, 100.0]:
+            full.window.append(t)
+        full.total_time = float(full.window.samples.sum())
         empty = _Bucket()  # all samples filtered out / never populated
         buckets = {("ctx", 48): full, ("ctx", 16): empty}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = cbr._result(
-                buckets, ("ctx", 48), np.asarray(full.samples), 4, True
+                buckets, ("ctx", 48), full.window.clean(), 4, True
             )
         assert np.isfinite(res.eval)
         mean, var, size = res.per_context[("ctx", 16)]

@@ -270,6 +270,17 @@ class TestAddressMapCache:
         ex.run(exe, {"n": 8, "x": x, "y": x})
         assert len(ex._amap_cache) == 2
 
+    def test_array_layout_follows_names_and_value_types(self):
+        ex = Executor(SPARC2)
+        a, b = np.zeros(8), np.zeros(4)
+        m1 = ex._address_map({"n": 8, "x": a, "y": b})
+        m2 = ex._address_map({"n": a, "x": 8, "y": b})  # same names, other types
+        assert set(m1.bases) == {"x", "y"}
+        assert set(m2.bases) == {"n", "y"}
+        # another insertion order is another layout but the same shape
+        assert ex._address_map({"y": np.ones(4), "n": 3, "x": np.ones(8)}) is m1
+        assert len(ex._amap_cache) == 2
+
 
 class TestGeneratedCode:
     def test_source_is_regenerated_not_retained(self):
