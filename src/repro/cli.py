@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto",
                    help="worker pool backend for --jobs (default: auto)")
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the compiled-version cache (--jobs only)")
+                   help="disable the compiled-version cache")
     p.add_argument("--no-prefix-cache", action="store_true",
                    help="disable incremental compilation (pass-prefix IR "
                         "snapshot reuse across configurations)")

@@ -1,22 +1,28 @@
-"""The batch rating engine: parallel candidate evaluation for PEAK.
+"""The rating engines: the paper's serial engine and the parallel batch engine.
 
-The legacy ``_RatingEngine`` in :mod:`.peak` rates one candidate at a time
-against a single shared invocation feed and noise stream — faithful to the
-paper's sequential tuning process, but it leaves every core but one idle.
-This module provides the parallel counterpart:
+Both rate through one rater and one switching loop.  A :class:`_TaskRater`
+compiles and rates versions against a :class:`_WorkerContext` (plan,
+version and pass-prefix caches, the dataset's
+:class:`~repro.core.rating.feed.InputReplay`, the RBR save/restore plan),
+with its own ledger, invocation feed and noise stream; :func:`_rate_pair`
+rates one pair and switches to the next applicable method whenever a
+rating does not converge (Section 3 of the paper).
 
-* :class:`BatchRatingEngine` implements both the scalar ``rate(candidate,
-  reference)`` interface and the ``rate_many(pairs)`` batch hook the search
-  algorithms call through :meth:`SearchAlgorithm._measure_batch`.  Batches
-  fan out over a :class:`~repro.core.search.parallel.ParallelEvaluator`.
-* Every rating task is **hermetic**: it gets its own
-  :class:`~repro.runtime.ledger.TuningLedger`, its own
-  :class:`~repro.core.rating.feed.InvocationFeed` (replaying the dataset
-  from the start, like re-running the application; the inputs come from
-  the worker's one :class:`~repro.core.rating.feed.InputReplay`), and its own
-  noise RNG seeded from ``(base_seed, task_id)``.  Task ids are assigned at
+:class:`SerialRatingEngine` is the paper's sequential tuning process: one
+long-lived rater, so every rating continues one invocation feed and one
+noise stream.  It leaves every core but one idle.
+:class:`BatchRatingEngine` is the parallel counterpart: besides the scalar
+``rate(candidate, reference)`` it implements the ``rate_many(pairs)`` batch
+hook the search algorithms call through
+:meth:`SearchAlgorithm._measure_batch`, fanning batches out over a
+:class:`~repro.core.search.parallel.ParallelEvaluator`.
+
+* Every rating task is **hermetic**: a fresh rater whose feed replays the
+  dataset from the start, like re-running the application, and whose noise
+  RNG is seeded from ``(base_seed, task_id)``.  Task ids are assigned at
   submission in batch order, so results are **bit-identical for any
-  ``jobs``/backend setting** — ``jobs=1`` is the reference serial run.
+  ``jobs``/backend setting** — ``jobs=1`` is the reference run (not the
+  serial engine's: a task does not continue the serial feed).
 * Per batch, each distinct reference configuration is rated **once** and
   the result is shared by the batch's candidate tasks (Iterative
   Elimination re-rates its baseline ~n times otherwise).  RBR has no
@@ -25,16 +31,15 @@ This module provides the parallel counterpart:
   alternation that cancels RBR's measurement bias.
 * Compiled versions are served from a content-addressed
   :class:`~repro.compiler.pipeline.VersionCache` (per engine for the
-  serial/thread backends, per worker process for the process backend), so
-  re-probed configurations skip the pass pipeline; hit/miss counts and
-  per-worker wall-clock land in the merged ledger.
+  serial/thread backends, per worker process for the process backend).
+  Task ledgers carry cache traffic and per-worker wall-clock time, and
+  are absorbed in submission order.
 
-Method switching (Section 3 of the paper) is preserved: when a reference
-rating fails to converge the whole batch escalates to the next applicable
-method; when an individual candidate fails, its task escalates locally —
-re-rating its reference under the new method inside the same task — and
-the engine adopts the furthest-along method for subsequent batches, which
-is independent of worker scheduling.
+When a reference rating fails to converge the whole batch escalates to the
+next applicable method; when an individual candidate fails, its task
+escalates locally — re-rating its reference under the new method inside the
+same task — and the engine adopts the furthest-along method for subsequent
+batches, which is independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .rating.feed import InputReplay, InvocationFeed
 from .rating.rbr import ReExecutionRating
 from .search.parallel import ParallelEvaluator
 
-__all__ = ["BatchRatingEngine", "EngineSpec"]
+__all__ = ["BatchRatingEngine", "EngineSpec", "SerialRatingEngine"]
 
 
 # --------------------------------------------------------------------------- #
@@ -211,12 +216,9 @@ class _TaskOutcome:
     method: str
     methods_tried: tuple[str, ...]
     n_rated: int
+    #: the task's cycles, version-cache and prefix-cache traffic, and wall
+    #: time on its worker
     ledger: TuningLedger
-    cache_hits: int
-    cache_misses: int
-    prefix: PrefixStats
-    wall_seconds: float
-    worker: str
     #: completed span trees from the task's tracer (empty when obs is off);
     #: the parent grafts these under its batch span in submission order
     spans: tuple = ()
@@ -227,22 +229,28 @@ class _TaskOutcome:
     unattributed: dict | None = None
 
 
-@dataclass
-class _CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-
 class _TaskRater:
-    """Rates configurations inside one task: fresh feed/noise, shared cache."""
+    """Rates configurations against one context with its own ledger,
+    invocation feed and noise stream.
 
-    def __init__(self, ctx: _WorkerContext, task: _Task) -> None:
+    A batch task owns a fresh rater; the serial engine keeps one for the
+    whole search and memoizes its converged ratings (*memo*).
+    """
+
+    def __init__(
+        self,
+        ctx: _WorkerContext,
+        seed: int | np.random.SeedSequence,
+        obs: Obs,
+        *,
+        memo: bool = False,
+    ) -> None:
         self.ctx = ctx
-        self.task = task
-        self.stats = _CacheStats()
-        self.prefix_stats = PrefixStats()
+        self.obs = obs
         self.ledger = TuningLedger()
         self.n_rated = 0
+        #: converged ratings by (config key, method)
+        self.memo: dict[tuple, RatingResult] | None = {} if memo else None
         spec = ctx.spec
         self.feed = InvocationFeed(
             ctx.ds.generator,
@@ -252,14 +260,13 @@ class _TaskRater:
             seed=spec.base_seed,
             replay=ctx.replay,
         )
-        self.obs = Obs.create() if spec.obs_enabled else NULL_OBS
         self.timed = TimedExecutor(
             spec.machine,
-            seed=_task_seed(spec.base_seed, task.task_id),
+            seed=seed,
             noise=spec.noise,
             ledger=self.ledger,
             exec_tier=spec.exec_tier,
-            obs=self.obs,
+            obs=obs,
         )
 
     # -- compilation ---------------------------------------------------- #
@@ -270,35 +277,34 @@ class _TaskRater:
         if fn is None:
             raise RuntimeError("MBR requested but TS was never instrumented")
         config = OptConfig(frozenset(key))
-        if ctx.cache is None:
-            return compile_version(
+
+        def build() -> Version:
+            stats = PrefixStats()
+            version = compile_version(
                 fn, config, spec.machine,
                 program=ctx.workload.program, checked=spec.checked,
-                prefix_cache=ctx.prefix_cache, prefix_stats=self.prefix_stats,
-                obs=self.obs,
+                prefix_cache=ctx.prefix_cache, prefix_stats=stats, obs=self.obs,
             )
+            self.ledger.record_prefix(
+                stats.compiles, stats.full_hits, stats.steps_saved, stats.steps_run
+            )
+            return version
+
+        if ctx.cache is None:
+            return build()
         cache_key = ctx.cache.key_for(
             fn, config, spec.machine,
             program=ctx.workload.program, checked=spec.checked,
         )
-        version, hit = ctx.cache.get_or_compile(
-            cache_key,
-            lambda: compile_version(
-                fn, config, spec.machine,
-                program=ctx.workload.program, checked=spec.checked,
-                prefix_cache=ctx.prefix_cache, prefix_stats=self.prefix_stats,
-                obs=self.obs,
-            ),
-        )
-        if hit:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
+        version, hit = ctx.cache.get_or_compile(cache_key, build)
+        self.ledger.record_cache(int(hit), int(not hit))
         return version
 
     # -- rating --------------------------------------------------------- #
 
     def rate_single(self, method: str, key: tuple[str, ...]) -> RatingResult:
+        if self.memo is not None and (key, method) in self.memo:
+            return self.memo[key, method]
         spec = self.ctx.spec
         rater = self.ctx.plan.rater(
             method, spec.settings, self.timed,
@@ -308,6 +314,8 @@ class _TaskRater:
             self.version_for(key, instrumented=method == "MBR"), self.feed
         )
         self.n_rated += 1
+        if self.memo is not None and result.converged:
+            self.memo[key, method] = result
         return result
 
     def rate_rbr_pair(
@@ -326,19 +334,57 @@ class _TaskRater:
         return result
 
 
-def _next_method(
-    plan: RatingPlan, method: str, tried: tuple[str, ...]
-) -> str | None:
-    nxt = plan.next_method(method)
-    if nxt is None or nxt in tried:
-        return None
-    return nxt
+def _rate_pair(
+    rater: _TaskRater,
+    method: str,
+    tried: list[str],
+    candidate: tuple[str, ...],
+    reference: tuple[str, ...],
+    ref_rating: RatingResult | None = None,
+) -> tuple[float, str]:
+    """Speed of *candidate* relative to *reference* (>1 = faster), and the
+    method that rated it.
+
+    Whenever a rating does not converge, the pair is re-rated with the
+    plan's next applicable method (paper Section 3); every switch is
+    appended to *tried*, and a method already tried is never re-entered.
+    *ref_rating*, when given, is *reference*'s rating under *method*.
+    """
+    plan = rater.ctx.plan
+
+    def switch() -> bool:
+        nonlocal method, ref_rating
+        nxt = plan.next_method(method)
+        if nxt is None or nxt in tried:
+            return False
+        method, ref_rating = nxt, None
+        tried.append(nxt)
+        return True
+
+    while True:
+        if method == "RBR":
+            result = rater.rate_rbr_pair(candidate, reference)
+            if result.converged or not switch():
+                return result.eval, method
+            continue
+        if ref_rating is None:
+            ref_rating = rater.rate_single(method, reference)
+            if not ref_rating.converged and switch():
+                continue
+        cand_rating = rater.rate_single(method, candidate)
+        if cand_rating.converged or not switch():
+            return cand_rating.speed_vs(ref_rating), method
 
 
 def _run_task(ctx: _WorkerContext, task: _Task) -> _TaskOutcome:
     """Execute one rating task; hermetic except for the shared version cache."""
     t0 = time.perf_counter()
-    rater = _TaskRater(ctx, task)
+    worker = _worker_label()
+    rater = _TaskRater(
+        ctx,
+        _task_seed(ctx.spec.base_seed, task.task_id),
+        Obs.create() if ctx.spec.obs_enabled else NULL_OBS,
+    )
     method = task.method
     tried = list(task.tried) if task.method in task.tried else \
         list(task.tried) + [task.method]
@@ -351,48 +397,18 @@ def _run_task(ctx: _WorkerContext, task: _Task) -> _TaskOutcome:
     with rater.obs.span(
         "task", "engine",
         task_id=task.task_id, kind=task.kind, method=task.method,
-        worker=_worker_label(),
+        worker=worker,
     ):
         if task.kind == "ref":
             rating = rater.rate_single(method, task.candidate)
         else:
             assert task.reference is not None
-            ref_rating = task.ref_rating
-            while True:
-                if method == "RBR":
-                    result = rater.rate_rbr_pair(task.candidate, task.reference)
-                    nxt = (
-                        None
-                        if result.converged
-                        else _next_method(ctx.plan, method, tuple(tried))
-                    )
-                    if nxt is None:
-                        speed = result.eval
-                        break
-                    method = nxt
-                    tried.append(nxt)
-                    ref_rating = None
-                    continue
-                if ref_rating is None:
-                    ref_rating = rater.rate_single(method, task.reference)
-                    if not ref_rating.converged:
-                        nxt = _next_method(ctx.plan, method, tuple(tried))
-                        if nxt is not None:
-                            method = nxt
-                            tried.append(nxt)
-                            ref_rating = None
-                            continue
-                cand_rating = rater.rate_single(method, task.candidate)
-                if not cand_rating.converged:
-                    nxt = _next_method(ctx.plan, method, tuple(tried))
-                    if nxt is not None:
-                        method = nxt
-                        tried.append(nxt)
-                        ref_rating = None
-                        continue
-                speed = cand_rating.speed_vs(ref_rating)
-                break
+            speed, method = _rate_pair(
+                rater, method, tried, task.candidate, task.reference,
+                task.ref_rating,
+            )
 
+    rater.ledger.record_wall(worker, time.perf_counter() - t0)
     obs = rater.obs
     return _TaskOutcome(
         task_id=task.task_id,
@@ -402,11 +418,6 @@ def _run_task(ctx: _WorkerContext, task: _Task) -> _TaskOutcome:
         methods_tried=tuple(tried),
         n_rated=rater.n_rated,
         ledger=rater.ledger,
-        cache_hits=rater.stats.hits,
-        cache_misses=rater.stats.misses,
-        prefix=rater.prefix_stats,
-        wall_seconds=time.perf_counter() - t0,
-        worker=_worker_label(),
         spans=tuple(obs.tracer.roots) if obs.tracer.enabled else (),
         metrics=obs.metrics if obs.metrics.enabled else None,
         unattributed=dict(obs.tracer.unattributed) if obs.tracer.enabled else None,
@@ -420,7 +431,55 @@ def _run_task_in_worker(task: _Task) -> _TaskOutcome:
 
 
 # --------------------------------------------------------------------------- #
-# the engine
+# the engines
+
+
+class SerialRatingEngine:
+    """The paper's sequential engine: rates one pair at a time.
+
+    One long-lived rater serves the whole search: one invocation feed and
+    one noise stream (seeded with ``spec.base_seed``), the caller's
+    :class:`~repro.obs.Obs`, and a memo of converged ratings, so a search
+    re-probing its reference pays for it once.  A switched method stays in
+    force for every later pair.  There is no ``rate_many``: searches rate
+    their batches pair by pair, in order.
+    """
+
+    def __init__(
+        self,
+        spec: EngineSpec,
+        *,
+        method: str,
+        workload: Workload | None = None,
+        plan: RatingPlan | None = None,
+        obs: Obs | None = None,
+    ) -> None:
+        self._ctx = _WorkerContext(spec, workload=workload, plan=plan)
+        self._rater = _TaskRater(
+            self._ctx, spec.base_seed, obs_or_null(obs), memo=True
+        )
+        self.ledger = self._rater.ledger
+        self.method = method
+        self.methods_tried: list[str] = [method]
+
+    @property
+    def n_rated(self) -> int:
+        return self._rater.n_rated
+
+    @property
+    def version_cache(self) -> VersionCache | None:
+        """The compiled-version cache (None when disabled)."""
+        return self._ctx.cache
+
+    def rate(self, candidate: OptConfig, reference: OptConfig) -> float:
+        """Speed of *candidate* relative to *reference* (>1 = faster)."""
+        speed, self.method = _rate_pair(
+            self._rater, self.method, self.methods_tried,
+            candidate.key(), reference.key(),
+        )
+        return speed
+
+    __call__ = rate
 
 
 class BatchRatingEngine:
@@ -508,14 +567,6 @@ class BatchRatingEngine:
             # re-attributed here — they arrive inside the adopted spans.
             for out in outcomes:
                 self.ledger.absorb(out.ledger)
-                self.ledger.record_cache(out.cache_hits, out.cache_misses)
-                self.ledger.record_prefix(
-                    out.prefix.compiles,
-                    out.prefix.full_hits,
-                    out.prefix.steps_saved,
-                    out.prefix.steps_run,
-                )
-                self.ledger.record_wall(out.worker, out.wall_seconds)
                 self.n_rated += out.n_rated
                 if out.spans:
                     self.obs.tracer.adopt(out.spans)
@@ -582,8 +633,8 @@ class BatchRatingEngine:
             }
             if all(r.converged for r in ref_ratings.values()):
                 break
-            nxt = _next_method(self.plan, method, tuple(self.methods_tried))
-            if nxt is None:
+            nxt = self.plan.next_method(method)
+            if nxt is None or nxt in self.methods_tried:
                 break
             method = nxt
             self.methods_tried.append(nxt)

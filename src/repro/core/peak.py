@@ -13,13 +13,14 @@
 4. The best configuration's clean version (no instrumentation) is the
    result; every cycle spent tuning is in the returned ledger.
 
-With ``jobs`` set, step 3 runs on the **parallel batch engine**
-(:mod:`repro.core.engine`): the search algorithms emit batches of
-independent candidates that fan out over a worker pool, compiled versions
-are served from a content-addressed cache, and per-task seeding keeps the
-chosen configuration and every rating bit-identical across ``jobs``
-settings.  ``jobs=None`` (the default) keeps the paper-faithful serial
-engine with its single shared invocation feed.
+Step 3 runs on one of the two engines of :mod:`repro.core.engine`, which
+share one rater and one method-switching loop.  ``jobs=None`` (the default)
+selects the paper-faithful serial engine with its single shared invocation
+feed.  With ``jobs`` set, step 3 runs on the **parallel batch engine**: the
+search algorithms emit batches of independent candidates that fan out over
+a worker pool, and per-task seeding keeps the chosen configuration and
+every rating bit-identical across ``jobs`` settings.  Both engines serve
+compiled versions from a content-addressed cache (``use_version_cache``).
 
 ``evaluate_speedup`` measures the tuned configuration the way the paper's
 Fig. 7(a)/(b) does: whole-program runs of the ``ref`` dataset, tuned vs
@@ -34,21 +35,16 @@ import numpy as np
 
 from ..compiler.options import OptConfig
 from ..compiler.pipeline import compile_version
-from ..compiler.prefix import PassPrefixCache, PrefixStats
-from ..compiler.version import Version
 from ..machine.config import MachineConfig
-from ..machine.jit import create_executor
+from ..machine.jit import create_executor, global_executable_cache
 from ..machine.perturb import NoiseModel
 from ..machine.profiler import TSProfile, profile_tuning_section
-from ..obs import Obs, collect_run, obs_or_null
-from ..runtime.instrument import TimedExecutor
+from ..obs import Obs, collect_cache, collect_run, obs_or_null
 from ..runtime.ledger import TuningLedger
-from ..runtime.save_restore import SaveRestorePlan
 from ..workloads.base import Workload
-from .rating.base import RatingResult, RatingSettings
+from .engine import BatchRatingEngine, EngineSpec, SerialRatingEngine
+from .rating.base import RatingSettings
 from .rating.consultant import ConsultantLimits, RatingPlan, consult
-from .rating.feed import InvocationFeed
-from .rating.rbr import ReExecutionRating
 from .search.base import SearchAlgorithm, SearchResult
 from .search.iterative_elimination import IterativeElimination
 
@@ -75,119 +71,6 @@ class TuningResult:
     @property
     def tuning_cycles(self) -> float:
         return self.ledger.total_cycles
-
-
-class _RatingEngine:
-    """Rates candidate configurations with the active method, switching
-    methods on convergence failure."""
-
-    def __init__(
-        self,
-        tuner: "PeakTuner",
-        workload: Workload,
-        plan: RatingPlan,
-        feed: InvocationFeed,
-        timed: TimedExecutor,
-        method: str,
-    ) -> None:
-        self.tuner = tuner
-        self.workload = workload
-        self.plan = plan
-        self.feed = feed
-        self.timed = timed
-        self.method = method
-        self.methods_tried = [method]
-        self.n_rated = 0
-        self._version_cache: dict[tuple, Version] = {}
-        #: pass-prefix IR snapshots shared by this run's compiles, and their
-        #: traffic (recorded into the ledger when the search ends)
-        self.prefix_cache = PassPrefixCache() if tuner.use_prefix_cache else None
-        self.prefix_stats = PrefixStats()
-        self._rating_cache: dict[tuple, RatingResult] = {}
-        self._save_plan: SaveRestorePlan | None = None
-
-    # -- compilation ---------------------------------------------------- #
-
-    def version_for(self, config: OptConfig, *, instrumented: bool) -> Version:
-        key = (config.key(), instrumented)
-        v = self._version_cache.get(key)
-        if v is None:
-            fn = self.plan.instrumented_fn if instrumented else self.workload.ts
-            if fn is None:
-                raise RuntimeError("MBR requested but TS was never instrumented")
-            v = compile_version(
-                fn,
-                config,
-                self.tuner.machine,
-                program=self.workload.program,
-                checked=self.tuner.checked,
-                prefix_cache=self.prefix_cache,
-                prefix_stats=self.prefix_stats,
-                obs=self.tuner.obs,
-            )
-            self._version_cache[key] = v
-        return v
-
-    # -- rating --------------------------------------------------------- #
-
-    def _rate_single(self, config: OptConfig) -> RatingResult:
-        """Rate one configuration with the active (non-RBR) method."""
-        key = (config.key(), self.method)
-        cached = self._rating_cache.get(key)
-        if cached is not None:
-            return cached
-        rater = self.plan.rater(
-            self.method, self.tuner.settings, self.timed,
-            whl_runs_per_rating=self.tuner.whl_runs_per_rating,
-        )
-        result = rater.rate(
-            self.version_for(config, instrumented=self.method == "MBR"), self.feed
-        )
-        self.n_rated += 1
-        if result.converged:
-            self._rating_cache[key] = result
-        return result
-
-    def rate(self, candidate: OptConfig, reference: OptConfig) -> float:
-        """Speed of *candidate* relative to *reference* (>1 = faster)."""
-        while True:
-            if self.method == "RBR":
-                if self._save_plan is None:
-                    self._save_plan = SaveRestorePlan(
-                        self.workload.ts, self.tuner.machine
-                    )
-                rater = ReExecutionRating(
-                    self._save_plan,
-                    self.tuner.settings,
-                    self.timed,
-                    improved=self.tuner.rbr_improved,
-                )
-                result = rater.rate_pair(
-                    self.version_for(candidate, instrumented=False),
-                    self.version_for(reference, instrumented=False),
-                    self.feed,
-                )
-                self.n_rated += 1
-                if result.converged or not self._switch():
-                    return result.eval
-                continue
-            ref_rating = self._rate_single(reference)
-            if not ref_rating.converged and self._switch():
-                continue
-            cand_rating = self._rate_single(candidate)
-            if not cand_rating.converged and self._switch():
-                continue
-            return cand_rating.speed_vs(ref_rating)
-
-    def _switch(self) -> bool:
-        """Switch to the next applicable method; True if switched."""
-        nxt = self.plan.next_method(self.method)
-        if nxt is None or nxt in self.methods_tried:
-            return False
-        self.method = nxt
-        self.methods_tried.append(nxt)
-        self._rating_cache.clear()
-        return True
 
 
 class PeakTuner:
@@ -274,6 +157,7 @@ class PeakTuner:
         searched option set (used by tests and ablations); the default
         searches all 38.
         """
+        exec_counts = self._exec_cache_counts()
         profile = self.profile(workload, dataset)
         plan = self.plan(workload, profile)
 
@@ -297,12 +181,10 @@ class PeakTuner:
             search=type(self.search).__name__,
         )
         try:
-            result, ledger, method_used, methods_tried, n_rated, parent_cache = (
-                self._search(workload, dataset, chosen, flag_names, plan)
-            )
+            result, engine = self._search(workload, dataset, chosen, flag_names, plan)
         finally:
             root.end()
-        self._collect(ledger, parent_cache)
+        self._collect(engine, exec_counts)
 
         return TuningResult(
             workload=workload.name,
@@ -310,13 +192,13 @@ class PeakTuner:
             machine=self.machine.name,
             dataset=dataset,
             method_requested=method,
-            method_used=method_used,
-            methods_tried=methods_tried,
+            method_used=engine.method,
+            methods_tried=engine.methods_tried,
             best_config=result.best_config,
             search=result,
-            ledger=ledger,
+            ledger=engine.ledger,
             plan=plan,
-            n_versions_rated=n_rated,
+            n_versions_rated=engine.n_rated,
         )
 
     def _search(
@@ -326,79 +208,70 @@ class PeakTuner:
         chosen: str,
         flag_names: tuple[str, ...],
         plan: RatingPlan,
-    ):
+    ) -> tuple[SearchResult, SerialRatingEngine | BatchRatingEngine]:
         """Step 3 on the engine the constructor selected."""
-        if self.jobs is not None:
-            # parallel batch engine: hermetic per-task rating contexts,
-            # version cache, deterministic for any jobs/backend setting
-            from .engine import BatchRatingEngine, EngineSpec
-
-            spec = EngineSpec(
-                workload_name=workload.name,
-                machine=self.machine,
-                dataset=dataset,
-                settings=self.settings,
-                limits=self.limits,
-                noise=self.noise,
-                rbr_improved=self.rbr_improved,
-                whl_runs_per_rating=self.whl_runs_per_rating,
-                checked=self.checked,
-                profile_limit=self.profile_limit,
-                base_seed=self.seed,
-                use_cache=self.use_version_cache,
-                exec_tier=self.exec_tier,
-                use_prefix_cache=self.use_prefix_cache,
+        spec = EngineSpec(
+            workload_name=workload.name,
+            machine=self.machine,
+            dataset=dataset,
+            settings=self.settings,
+            limits=self.limits,
+            noise=self.noise,
+            rbr_improved=self.rbr_improved,
+            whl_runs_per_rating=self.whl_runs_per_rating,
+            checked=self.checked,
+            profile_limit=self.profile_limit,
+            base_seed=self.seed,
+            use_cache=self.use_version_cache,
+            exec_tier=self.exec_tier,
+            use_prefix_cache=self.use_prefix_cache,
+        )
+        if self.jobs is None:
+            engine = SerialRatingEngine(
+                spec, method=chosen, workload=workload, plan=plan, obs=self.obs
             )
-            with BatchRatingEngine(
-                spec,
-                method=chosen,
-                workload=workload,
-                plan=plan,
-                jobs=self.jobs,
-                backend=self.parallel_backend,
-                obs=self.obs,
-            ) as engine:
-                result = self.search.search(engine, flag_names, OptConfig.o3())
-                return (
-                    result, engine.ledger, engine.method,
-                    engine.methods_tried, engine.n_rated, engine.version_cache,
-                )
-        ledger = TuningLedger()
-        ds = workload.dataset(dataset)
-        feed = InvocationFeed(
-            ds.generator, ds.n_invocations, ds.non_ts_cycles, ledger,
-            seed=self.seed,
-        )
-        timed = TimedExecutor(
-            self.machine, seed=self.seed, noise=self.noise, ledger=ledger,
-            exec_tier=self.exec_tier, obs=self.obs,
-        )
-        engine = _RatingEngine(self, workload, plan, feed, timed, chosen)
-        result = self.search.search(engine.rate, flag_names, OptConfig.o3())
-        stats = engine.prefix_stats
-        ledger.record_prefix(
-            stats.compiles, stats.full_hits, stats.steps_saved, stats.steps_run
-        )
-        return (
-            result, ledger, engine.method, engine.methods_tried,
-            engine.n_rated, None,
-        )
+            return self.search.search(engine, flag_names, OptConfig.o3()), engine
+        with BatchRatingEngine(
+            spec,
+            method=chosen,
+            workload=workload,
+            plan=plan,
+            jobs=self.jobs,
+            backend=self.parallel_backend,
+            obs=self.obs,
+        ) as engine:
+            return self.search.search(engine, flag_names, OptConfig.o3()), engine
 
-    def _collect(self, ledger: TuningLedger, version_cache) -> None:
-        """End-of-run metrics sweep (no-op with observability disabled)."""
+    def _exec_cache_counts(self) -> tuple[int, int, int] | None:
+        """The JIT executable cache's (hits, misses, evictions) so far; None
+        at tier 0, which never uses it."""
+        if self.exec_tier < 1:
+            return None
+        cache = global_executable_cache()
+        return cache.hits, cache.misses, cache.evictions
+
+    def _collect(
+        self,
+        engine: SerialRatingEngine | BatchRatingEngine,
+        exec_counts: tuple[int, int, int] | None,
+    ) -> None:
+        """End-of-run metrics sweep (no-op with observability disabled).
+
+        The executable cache is process-wide, so its traffic is reported
+        as the difference from *exec_counts*, taken when the tune began.
+        """
         if not self.obs.enabled:
             return
-        exec_cache = None
-        if self.exec_tier >= 1:
-            from ..machine.jit import global_executable_cache
-
-            exec_cache = global_executable_cache()
-        collect_run(
-            self.obs,
-            ledger=ledger,
-            version_cache=version_cache,
-            exec_cache=exec_cache,
-        )
+        collect_run(self.obs, ledger=engine.ledger, version_cache=engine.version_cache)
+        if exec_counts is not None:
+            hits, misses, evictions = (
+                now - then
+                for now, then in zip(self._exec_cache_counts(), exec_counts)
+            )
+            collect_cache(
+                self.obs, "executable", hits=hits, misses=misses,
+                evictions=evictions, size=len(global_executable_cache()),
+            )
 
 
 # --------------------------------------------------------------------------- #

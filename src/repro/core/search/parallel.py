@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = ["ParallelEvaluator", "resolve_jobs"]
 
@@ -123,14 +123,3 @@ class ParallelEvaluator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ParallelEvaluator backend={self.backend} jobs={self.jobs}>"
 
-
-def iter_chunks(items: Iterable[Any], size: int) -> Iterable[list[Any]]:
-    """Split *items* into lists of at most *size* (used by large batches)."""
-    chunk: list[Any] = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

@@ -13,11 +13,11 @@ rather than estimated:
 * ``non_ts``        — the rest of the application around the TS, charged
   once per program run (workloads declare their non-TS cost)
 
-Beyond simulated cycles, the ledger also carries the *parallel tuning
-engine's* bookkeeping: compiled-version cache hits/misses, and wall-clock
-seconds itemised per worker — so a tuning run reports both how much
-simulated work it charged (machine-independent) and how long it really
-took on how many cores (machine-dependent).
+Beyond simulated cycles, the ledger also carries the tuning engines'
+bookkeeping: compiled-version and pass-prefix cache traffic, and (on the
+batch engine) wall-clock seconds itemised per worker — so a tuning run
+reports both how much simulated work it charged (machine-independent) and
+how long it really took on how many cores (machine-dependent).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class TuningLedger:
     by_category: dict[str, float] = field(default_factory=dict)
     invocations: int = 0
     program_runs: int = 0
-    #: compiled-version cache traffic (parallel/batch engine only)
+    #: compiled-version cache traffic
     cache_hits: int = 0
     cache_misses: int = 0
     #: pass-prefix cache traffic: compiles routed through the cache, compiles
@@ -54,7 +54,7 @@ class TuningLedger:
     prefix_full_hits: int = 0
     prefix_steps_saved: int = 0
     prefix_steps_run: int = 0
-    #: wall-clock seconds of rating work, per worker label
+    #: wall-clock seconds of rating work, per worker label (batch engine)
     wall_by_worker: dict[str, float] = field(default_factory=dict)
 
     def attach_tracer(self, tracer) -> None:
@@ -143,22 +143,6 @@ class TuningLedger:
         self.prefix_steps_run += other.prefix_steps_run
         for w, s in other.wall_by_worker.items():
             self.wall_by_worker[w] = self.wall_by_worker.get(w, 0.0) + s
-
-    def merged(self, other: "TuningLedger") -> "TuningLedger":
-        out = TuningLedger(
-            by_category=dict(self.by_category),
-            invocations=self.invocations,
-            program_runs=self.program_runs,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            prefix_compiles=self.prefix_compiles,
-            prefix_full_hits=self.prefix_full_hits,
-            prefix_steps_saved=self.prefix_steps_saved,
-            prefix_steps_run=self.prefix_steps_run,
-            wall_by_worker=dict(self.wall_by_worker),
-        )
-        out.absorb(other)
-        return out
 
     def summary(self) -> str:
         parts = ", ".join(

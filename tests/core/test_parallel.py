@@ -18,7 +18,6 @@ from repro.compiler import VersionCache, version_key
 from repro.compiler.options import OptConfig
 from repro.core.peak import PeakTuner
 from repro.core.search import IterativeElimination, ParallelEvaluator, resolve_jobs
-from repro.core.search.parallel import iter_chunks
 from repro.machine import PENTIUM4, SPARC2
 from repro.runtime.ledger import TuningLedger
 from repro.workloads import get_workload
@@ -98,10 +97,6 @@ class TestParallelEvaluator:
         ev.map(lambda x: x, [1])
         ev.close()
         ev.close()
-
-    def test_iter_chunks(self):
-        assert list(iter_chunks(range(5), 2)) == [[0, 1], [2, 3], [4]]
-        assert list(iter_chunks([], 3)) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -355,13 +350,11 @@ class TestLedgerAccounting:
         a, b = TuningLedger(), TuningLedger()
         a.record_prefix(3, 1, 20, 10)
         b.record_prefix(5, 2, 40, 15)
-        merged = a.merged(b)
         a.absorb(b)
-        for ledger in (a, merged):
-            assert ledger.prefix_compiles == 8
-            assert ledger.prefix_full_hits == 3
-            assert ledger.prefix_steps_saved == 60
-            assert ledger.prefix_steps_run == 25
+        assert a.prefix_compiles == 8
+        assert a.prefix_full_hits == 3
+        assert a.prefix_steps_saved == 60
+        assert a.prefix_steps_run == 25
 
     def test_summary_mentions_prefix_only_when_used(self):
         ledger = TuningLedger()
@@ -387,11 +380,32 @@ class TestDeterminism:
             _tune(jobs=1)
         )
 
-    def test_no_cache_does_not_change_the_answer(self):
-        cached = _tune(jobs=2, backend="thread", cache=True)
-        uncached = _tune(jobs=2, backend="thread", cache=False)
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the batch engine runs a different experiment: each hermetic "
+        "task replays the dataset from invocation 0 with its own noise "
+        "stream, where the serial engine continues one feed and one stream "
+        "(ROADMAP, 'One rating engine')",
+    )
+    def test_batch_engine_matches_serial_engine(self):
+        def signature(result):
+            ledger = result.ledger
+            return _signature(result), (
+                ledger.by_category, ledger.invocations, ledger.program_runs
+            )
+
+        assert signature(_tune(jobs=1)) == signature(_tune(jobs=None))
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "batch"])
+    def test_no_cache_does_not_change_the_answer(self, jobs):
+        cached = _tune(jobs=jobs, backend="thread", cache=True)
+        uncached = _tune(jobs=jobs, backend="thread", cache=False)
         assert _signature(cached) == _signature(uncached)
-        assert cached.ledger.cache_hits > 0
+        assert cached.ledger.cache_misses > 0
+        if jobs is not None:
+            # batch tasks re-probe the reference; the serial engine's
+            # rating memo answers those without a cache lookup
+            assert cached.ledger.cache_hits > 0
         assert uncached.ledger.cache_hits == 0
         assert uncached.ledger.cache_misses == 0
 
@@ -419,8 +433,9 @@ class TestDeterminism:
         assert with_prefix.ledger.prefix_steps_saved > 0
         assert without.ledger.prefix_compiles == 0
 
-    def test_prefix_counters_are_consistent(self):
-        ledger = _tune(jobs=1).ledger
+    @pytest.mark.parametrize("jobs", [None, 1], ids=["serial", "batch"])
+    def test_prefix_counters_are_consistent(self, jobs):
+        ledger = _tune(jobs=jobs).ledger
         # compiles routed through the prefix cache are exactly the version-
         # cache misses (hits never reach the pipeline)
         assert ledger.prefix_compiles == ledger.cache_misses

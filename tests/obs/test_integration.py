@@ -108,6 +108,22 @@ class TestMetricsDocument:
         misses = m.counter_value("cache.version.local.misses")
         assert hits + misses > 0
 
+    def test_executable_cache_counts_only_this_tune(self):
+        # the JIT's executable cache is process-wide: the second, identical
+        # tune finds every function compiled, and must not report the first
+        # tune's traffic as its own
+        first, _ = tune_with_obs(exec_tier=1)
+        second, _ = tune_with_obs(exec_tier=1)
+
+        def traffic(obs):
+            m = obs.metrics
+            return (m.counter_value("cache.executable.hits"),
+                    m.counter_value("cache.executable.misses"))
+
+        hits, misses = traffic(second)
+        assert hits > 0 and misses == 0
+        assert hits == sum(traffic(first))
+
 
 class TestCLI:
     def test_tune_exports_validating_trace_and_metrics(self, tmp_path, capsys):

@@ -64,17 +64,6 @@ class TestLedger:
         assert led.program_runs == 2
         assert led.by_category["non_ts"] == 2000.0
 
-    def test_merged(self):
-        a = TuningLedger()
-        a.charge("ts", 10.0)
-        a.invocations = 3
-        b = TuningLedger()
-        b.charge("ts", 5.0)
-        b.charge("non_ts", 7.0)
-        m = a.merged(b)
-        assert m.by_category == {"ts": 15.0, "non_ts": 7.0}
-        assert m.invocations == 3
-
     def test_summary_renders(self):
         led = TuningLedger()
         led.charge("ts", 10.0)
