@@ -98,10 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prefix-cache", action="store_true",
                    help="disable incremental compilation (pass-prefix IR "
                         "snapshot reuse across configurations)")
-    p.add_argument("--exec-tier", type=int, choices=EXEC_TIERS, default=0,
-                   help="simulated-execution tier: 0 = paper-faithful "
-                        "interpreter, 1 = whole-function compilation "
-                        "(bit-identical results, faster)")
+    _exec_tier_arg(p)
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="record a span tree of the tuning run and write it "
                         "as JSON-lines (one span per line, header first)")
@@ -125,7 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", action="store_true",
                    help="also tune with the ref dataset (right bars)")
     p.add_argument("--seed", type=int, default=1)
+    _exec_tier_arg(p)
     return parser
+
+
+def _exec_tier_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--exec-tier", type=int, choices=EXEC_TIERS, default=0,
+                   help="simulated-execution tier: 0 = paper-faithful "
+                        "interpreter, 1 = whole-function compilation "
+                        "(bit-identical results, faster)")
 
 
 # --------------------------------------------------------------------------- #
@@ -281,7 +286,8 @@ def _cmd_fig7(args, out) -> int:
     benchmarks = tuple(args.benchmarks) if args.benchmarks else ("swim", "mgrid", "art", "equake")
     datasets = ("train", "ref") if args.ref else ("train",)
     entries = figure7_experiment(machine, benchmarks=benchmarks,
-                                 datasets=datasets, seed=args.seed)
+                                 datasets=datasets, seed=args.seed,
+                                 exec_tier=args.exec_tier)
     rows = [
         [e.benchmark, e.method + ("*" if e.suggested else ""), e.dataset,
          f"{e.improvement_pct:7.2f}", f"{e.normalized_tuning_time:7.3f}"]

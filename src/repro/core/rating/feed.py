@@ -13,12 +13,19 @@ from the same seed, so run *k* sees exactly the environments of run 1.  An
 first time an input is needed, and keeps those environments as the pristine
 copy of the input file.  Every hand-out is a fresh copy, so a rating that
 mutates its arrays (every TS writes some) never changes a later run's
-inputs.  The copies follow what the generator's own output does:
+inputs.  The copies follow what the generator's own output does, bound as
+the machine binds inputs (:func:`~repro.machine.executor.unbox`):
 
-* an array bound to several names of one environment stays one array;
+* a 1-D ``float64`` array is handed out as a list of floats
+  (``ndarray.tolist``); the pristine copy stays numpy, which holds a run's
+  inputs in a quarter of the memory of boxed floats;
+* any other array is handed out as an ``ndarray.copy``, and any other
+  mutable object as a deep copy;
+* an array bound to several names of one environment stays one array (or
+  one list);
 * an object the generator returns at several positions of a run (crafty's
-  ``dirs`` table) is handed out itself, never copied, so writes to it carry
-  over exactly as when the generator hands it out again;
+  ``dirs`` table) is handed out itself, never copied or unboxed, so writes
+  to it carry over exactly as when the generator hands it out again;
 * immutable values (numbers, strings, numpy scalars) are shared as they are.
 
 The contract this relies on: the generator's output depends only on its RNG
@@ -30,20 +37,19 @@ threads: the batch engine gives every task of a worker the same replay.
 from __future__ import annotations
 
 import copy
+import functools
 import threading
 from typing import Callable, Iterator
 
 import numpy as np
 
+from ...machine.executor import is_float_vector
 from ...runtime.ledger import TuningLedger
 
 __all__ = ["InputReplay", "InvocationFeed"]
 
 #: values a hand-out may share with the pristine copy
 _IMMUTABLE = (int, float, complex, bool, str, bytes, type(None), np.generic)
-
-#: how a hand-out produces a value: as it is, ``ndarray.copy`` or deepcopy
-_KEEP, _COPY, _DEEP = 0, 1, 2
 
 
 class InputReplay:
@@ -68,7 +74,9 @@ class InputReplay:
         self.generator = generator
         self.n_per_run = n_per_run
         self.seed = seed
-        #: per position: (entries, simple); entries are (name, value, how)
+        #: per position: (entries, simple); entries are (name, value, make),
+        #: where ``make()`` produces the hand-out's copy of value (None:
+        #: hand out value itself)
         self._positions: list[tuple[tuple, bool]] | None = None
         self._lock = threading.Lock()
 
@@ -90,13 +98,22 @@ class InputReplay:
             simple = True
             for name, value in env.items():
                 if isinstance(value, _IMMUTABLE) or id(value) in shared:
-                    how = _KEEP
+                    make = None
                 else:
-                    how = _COPY if isinstance(value, np.ndarray) else _DEEP
+                    if is_float_vector(value):
+                        make = value.tolist
+                    elif isinstance(value, np.ndarray):
+                        make = value.copy
+                    else:
+                        make = functools.partial(copy.deepcopy, value)
                     # one object under two names: copy it once per hand-out
-                    simple = simple and how == _COPY and id(value) not in seen
+                    simple = (
+                        simple
+                        and isinstance(value, np.ndarray)
+                        and id(value) not in seen
+                    )
                     seen.add(id(value))
-                entries.append((name, value, how))
+                entries.append((name, value, make))
             positions.append((tuple(entries), simple))
         return positions
 
@@ -110,18 +127,16 @@ class InputReplay:
                 positions = self._positions
         entries, simple = positions[pos]
         if simple:
-            return {name: value.copy() if how else value for name, value, how in entries}
+            return {name: make() if make else value for name, value, make in entries}
         memo: dict[int, object] = {}
         env = {}
-        for name, value, how in entries:
-            if how == _KEEP:
+        for name, value, make in entries:
+            if make is None:
                 env[name] = value
                 continue
             out = memo.get(id(value))
             if out is None:
-                out = memo[id(value)] = (
-                    value.copy() if how == _COPY else copy.deepcopy(value)
-                )
+                out = memo[id(value)] = make()
             env[name] = out
         return env
 

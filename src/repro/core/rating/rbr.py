@@ -24,7 +24,7 @@ import numpy as np
 
 from ...compiler.version import Version
 from ...runtime.instrument import TimedExecutor
-from ...runtime.save_restore import SaveRestorePlan
+from ...runtime.save_restore import SaveRestorePlan, copy_array
 from .base import Direction, RatingResult, RatingSettings, rating_var
 from .feed import InvocationFeed
 from .window import SampleWindow, WindowGrowth
@@ -107,8 +107,7 @@ class ReExecutionRating:
             )
             snap = self.plan.save(env, ledger)
             before = {
-                name: np.array(env[name], copy=True)
-                for name in self.plan.inspector_arrays
+                name: copy_array(env[name]) for name in self.plan.inspector_arrays
             }
             pre = self.timed.run_untimed(base, env)
             ledger.charge("precondition", pre.cycles)

@@ -71,12 +71,15 @@ def figure7_experiment(
     seed: int = 1,
     settings: RatingSettings = RatingSettings(),
     eval_runs: int = 1,
+    exec_tier: int = 0,
 ) -> list[Figure7Entry]:
     """Run the Fig. 7 experiment for one machine.
 
     Returns one entry per (benchmark, method, dataset) with improvement and
     normalised tuning time filled in.  Honouring the paper's methodology,
     *performance is always measured on ref*, whichever dataset tuned.
+    *exec_tier* selects the simulated-execution tier; every tier gives
+    bit-identical entries.
     """
     entries: list[Figure7Entry] = []
     for bench in benchmarks:
@@ -87,11 +90,11 @@ def figure7_experiment(
         for dataset in datasets:
             for method in methods:
                 tuner = PeakTuner(machine, seed=seed, settings=settings,
-                                  profile_limit=60)
+                                  profile_limit=60, exec_tier=exec_tier)
                 result = tuner.tune(workload, dataset=dataset, method=method)
                 improvement = evaluate_speedup(
                     workload, result.best_config, machine,
-                    dataset="ref", runs=eval_runs,
+                    dataset="ref", runs=eval_runs, exec_tier=exec_tier,
                 )
                 entry = Figure7Entry(
                     benchmark=bench,

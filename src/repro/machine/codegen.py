@@ -12,6 +12,8 @@ closure interpreter:
 * ``&&`` / ``||`` short-circuit (guarding patterns like
   ``i < n && a[i] > 0`` must not touch ``a[i]`` when the guard fails);
 * float-typed subscripts are truncated with ``int()``;
+* a store of a value that is not statically FLOAT into a float array is
+  wrapped in ``float()`` (see the executor's value representation);
 * the generated function returns ``(next_label, taken)`` exactly like the
   interpreted terminator.
 
@@ -29,6 +31,7 @@ from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ..ir.stmt import Assign, CondBranch, Jump, Return
 from ..ir.types import Type
 from .cost import infer_type
+from .executor import needs_float_conversion
 
 __all__ = ["compile_block_fn", "ExprEmitter", "exec_namespace", "RETURN_LABEL"]
 
@@ -53,9 +56,11 @@ _INTRINSIC_IMPLS: dict[str, Callable] = {
 class ExprEmitter:
     """Emits flattened Python source for IR expressions and assignments.
 
-    Subclasses (the Tier-1 compiler) override :meth:`expr`'s ``Var``/``ArrayRef``
-    handling to bind promoted locals and inline address arithmetic; the
-    recursive cases dispatch through ``self.expr`` so overrides compose.
+    Subclasses (the Tier-1 compiler) override :meth:`expr`'s ``Var``
+    handling, :meth:`subscript`, :meth:`access`, :meth:`array` and
+    :meth:`assign` to bind promoted locals and inline address arithmetic;
+    the recursive cases dispatch through ``self.expr`` so overrides
+    compose.
     """
 
     def __init__(self, types: dict[str, Type]) -> None:
@@ -80,14 +85,9 @@ class ExprEmitter:
         if isinstance(e, Var):
             return f"env[{e.name!r}]"
         if isinstance(e, ArrayRef):
-            idx = self.expr(e.index)
-            tmp = self.fresh()
-            if infer_type(e.index, self.types) is Type.FLOAT:
-                self.emit(f"{tmp} = int({idx})")
-            else:
-                self.emit(f"{tmp} = {idx}")
-            self.emit(f"_ma(({e.array!r}, {tmp}))")
-            return f"env[{e.array!r}][{tmp}]"
+            tmp = self.subscript(e.index)
+            self.access(e.array, tmp)
+            return f"{self.array(e.array)}[{tmp}]"
         if isinstance(e, UnOp):
             sub = self.expr(e.operand)
             if e.op == "-":
@@ -134,20 +134,38 @@ class ExprEmitter:
 
     # ------------------------------------------------------------------ #
 
+    def subscript(self, index: Expr) -> str:
+        """The name holding the evaluated subscript *index*."""
+        idx = self.expr(index)
+        tmp = self.fresh()
+        if infer_type(index, self.types) is Type.FLOAT:
+            self.emit(f"{tmp} = int({idx})")
+        else:
+            self.emit(f"{tmp} = {idx}")
+        return tmp
+
+    def access(self, name: str, idx: str) -> None:
+        """Record the access of element *idx* of array *name*."""
+        self.emit(f"_ma(({name!r}, {idx}))")
+
+    def array(self, name: str) -> str:
+        """The expression holding array *name*."""
+        return f"env[{name!r}]"
+
+    def assign(self, name: str, value: str) -> None:
+        """Assign *value* to scalar *name*."""
+        self.emit(f"env[{name!r}] = {value}")
+
     def stmt(self, s: Assign) -> None:
         if isinstance(s.target, ArrayRef):
-            idx = self.expr(s.target.index)
-            tmp = self.fresh()
-            if infer_type(s.target.index, self.types) is Type.FLOAT:
-                self.emit(f"{tmp} = int({idx})")
-            else:
-                self.emit(f"{tmp} = {idx}")
-            self.emit(f"_ma(({s.target.array!r}, {tmp}))")
+            tmp = self.subscript(s.target.index)
+            self.access(s.target.array, tmp)
             value = self.expr(s.expr)
-            self.emit(f"env[{s.target.array!r}][{tmp}] = {value}")
+            if needs_float_conversion(s, self.types):
+                value = f"float({value})"
+            self.emit(f"{self.array(s.target.array)}[{tmp}] = {value}")
         else:
-            value = self.expr(s.expr)
-            self.emit(f"env[{s.target.name!r}] = {value}")
+            self.assign(s.target.name, self.expr(s.expr))
 
     def terminator(self, term) -> None:
         if isinstance(term, Jump):

@@ -13,6 +13,23 @@ The executor plays the role of the paper's hardware platform.  It
 
 Expressions are compiled to Python closures once per version ("code
 generation"); the hot interpreter loop then only dispatches closures.
+
+**Value representation.**  A ``FLOAT_ARRAY`` reaches the machine as a
+Python ``list`` of ``float`` (:func:`unbox` converts a 1-D ``float64``
+ndarray at the input boundaries), so an element read is a list index and
+the arithmetic after it is plain float arithmetic, not numpy-scalar
+arithmetic.  Every store into a float array whose value is not statically
+FLOAT is wrapped in ``float(...)``, so an element is always a ``float``,
+as it would be in a ``float64`` array.  ``INT_ARRAY`` stays a numpy
+``int64`` array: its wraparound on overflow is observable.  The machine
+accepts ndarrays for float arrays too (an input shared across invocations
+is handed out as it is), with the same values.
+
+With a Python float, division or modulo by a zero element raises
+``ZeroDivisionError``, which becomes an :class:`ExecutionError`, where a
+numpy scalar returned inf or NaN with a warning.  Every runtime error of
+the IR program (:data:`RUNTIME_ERRORS`) surfaces as an ``ExecutionError``
+at both tiers.
 """
 
 from __future__ import annotations
@@ -38,11 +55,49 @@ __all__ = [
     "Executor",
     "compile_function",
     "ExecutionError",
+    "RUNTIME_ERRORS",
+    "unbox",
 ]
 
 
 class ExecutionError(Exception):
     """Raised when IR execution fails (bad index, division by zero, ...)."""
+
+
+#: exceptions of a running IR program that become an ExecutionError: a bad
+#: subscript (out of range, a NaN, a non-integer into a list), division by
+#: zero, overflow.  A well-typed program raises no TypeError, only an
+#: ill-typed one (a float held in an INT subscript) does; but a TypeError
+#: from a bug in the executor or its generated code is reported the same
+#: way, so the differential suites assert that none occurs.
+RUNTIME_ERRORS = (
+    KeyError, IndexError, ValueError, TypeError, ZeroDivisionError, OverflowError,
+)
+
+
+def is_float_vector(value: object) -> bool:
+    """Whether :func:`unbox` binds *value* as a list."""
+    return (
+        type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 1
+    )
+
+
+def unbox(env: dict) -> dict:
+    """*env* with every 1-D ``float64`` ndarray bound as a list of floats.
+
+    An array bound to several names becomes one list.  Other values,
+    ``int64`` arrays included, are bound as they are.
+    """
+    lists: dict[int, list] = {}
+    out = {}
+    for name, value in env.items():
+        if is_float_vector(value):
+            lst = lists.get(id(value))
+            if lst is None:
+                lst = lists[id(value)] = value.tolist()
+            value = lst
+        out[name] = value
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -163,10 +218,21 @@ class _CallStep:
         self.target = stmt.target.name if stmt.target is not None else None
 
 
+def needs_float_conversion(stmt: Assign, types: dict[str, Type]) -> bool:
+    """Whether the array store *stmt* wraps its value in ``float(...)``: a
+    float array receives a value that is not statically FLOAT."""
+    return (
+        types.get(stmt.target.array) is Type.FLOAT_ARRAY
+        and infer_type(stmt.expr, types) is not Type.FLOAT
+    )
+
+
 def _compile_stmt(stmt, types: dict[str, Type]):
     if isinstance(stmt, Assign):
         value_fn = compile_expr(stmt.expr, types)
         if isinstance(stmt.target, ArrayRef):
+            if needs_float_conversion(stmt, types):
+                value_fn = lambda env, mem, f=value_fn: float(f(env, mem))
             idx_fn = compile_expr(stmt.target.index, types)
             name = stmt.target.array
             if infer_type(stmt.target.index, types) is Type.FLOAT:
@@ -536,7 +602,7 @@ class Executor:
                         for step in blk.steps:
                             step(env, mem)
                         label_next, taken = blk.term(env, mem)
-                except (KeyError, IndexError, ZeroDivisionError, OverflowError) as e:
+                except RUNTIME_ERRORS as e:
                     raise ExecutionError(
                         f"{exe.name}/{label}: runtime error {type(e).__name__}: {e}"
                     ) from e

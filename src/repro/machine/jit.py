@@ -68,7 +68,13 @@ from .cache import AddressMap
 from .codegen import ExprEmitter, exec_namespace
 from .config import MachineConfig
 from .cost import infer_type
-from .executor import ExecutableFunction, ExecutionError, Executor, InvocationResult
+from .executor import (
+    RUNTIME_ERRORS,
+    ExecutableFunction,
+    ExecutionError,
+    Executor,
+    InvocationResult,
+)
 
 __all__ = [
     "WholeFunction",
@@ -288,7 +294,7 @@ class _FunctionEmitter(ExprEmitter):
         self._cse.pop(sym, None)
         self._elide = {k for k in self._elide if k[1] != sym}
 
-    def _index_tmp(self, index) -> str:
+    def subscript(self, index) -> str:
         # cheap, effect-free int indexes need no temporary
         if infer_type(index, self.types) is not Type.FLOAT:
             if isinstance(index, Var):
@@ -297,17 +303,11 @@ class _FunctionEmitter(ExprEmitter):
                     return sym
             elif isinstance(index, Const):
                 return repr(index.value)
-        idx = self.expr(index)
-        tmp = self.fresh()
-        if infer_type(index, self.types) is Type.FLOAT:
-            self.emit(f"{tmp} = int({idx})")
-        else:
-            self.emit(f"{tmp} = {idx}")
-        return tmp
+        return super().subscript(index)
 
-    def _array(self, name: str) -> str:
+    def array(self, name: str) -> str:
         sym = self.array_sym.get(name)
-        return sym[0] if sym is not None else f"env[{name!r}]"
+        return sym[0] if sym is not None else super().array(name)
 
     def _shifted(self, idx: str) -> str:
         """Line offset ``idx >> idx_shift``, CSE'd while *idx* is unchanged."""
@@ -325,7 +325,7 @@ class _FunctionEmitter(ExprEmitter):
                 shifted = f"({idx} >> {p.idx_shift})"
         return shifted
 
-    def _emit_access(self, name: str, idx: str) -> None:
+    def access(self, name: str, idx: str) -> None:
         """Record one element access for the cache simulation.
 
         Deferred blocks append the address for the per-block
@@ -406,26 +406,15 @@ class _FunctionEmitter(ExprEmitter):
         if isinstance(e, Var):
             sym = self.scalar_sym.get(e.name)
             return sym if sym is not None else f"env[{e.name!r}]"
-        if isinstance(e, ArrayRef):
-            tmp = self._index_tmp(e.index)
-            self._emit_access(e.array, tmp)
-            return f"{self._array(e.array)}[{tmp}]"
         return super().expr(e)
 
-    def stmt(self, s) -> None:
-        if isinstance(s.target, ArrayRef):
-            tmp = self._index_tmp(s.target.index)
-            self._emit_access(s.target.array, tmp)
-            value = self.expr(s.expr)
-            self.emit(f"{self._array(s.target.array)}[{tmp}] = {value}")
+    def assign(self, name: str, value: str) -> None:
+        sym = self.scalar_sym.get(name)
+        if sym is None:
+            super().assign(name, value)
             return
-        value = self.expr(s.expr)
-        sym = self.scalar_sym.get(s.target.name)
-        if sym is not None:
-            self.emit(f"{sym} = {value}")
-            self._invalidate(sym)
-        else:
-            self.emit(f"env[{s.target.name!r}] = {value}")
+        self.emit(f"{sym} = {value}")
+        self._invalidate(sym)
 
 
 def _scan_names(blocks) -> tuple[set, set, set]:
@@ -585,13 +574,10 @@ class WholeFunction:
         src = self.source(counting=counting, depth0=depth0, windowed=windowed)
         namespace = exec_namespace(
             _EE=ExecutionError,
+            _RTE=RUNTIME_ERRORS,
             _aslow=_assoc_slow,
             type=type,
             str=str,
-            KeyError=KeyError,
-            IndexError=IndexError,
-            ZeroDivisionError=ZeroDivisionError,
-            OverflowError=OverflowError,
         )
         exec(compile(src, f"<tier1 {self._exe.name}>", "exec"), namespace)
         return namespace["_fn"]
@@ -921,8 +907,7 @@ class _Generator:
             "    try:",
             "        while _L >= 0:",
             *em.lines,
-            "    except (KeyError, IndexError, ZeroDivisionError,"
-            " OverflowError) as _e:",
+            "    except _RTE as _e:",
             *[f"        {line}" for line in rollback + flush],
             f"        raise _EE({exe.name!r} + '/' + _lbl"
             " + ': runtime error ' + type(_e).__name__ + ': ' + str(_e))"

@@ -15,6 +15,12 @@ the store classification analysis:
   write.
 
 Scalars in the modified-input set are always saved directly.
+
+Arrays come in the machine's representations (see
+:mod:`repro.machine.executor`): a float array is a list of floats and is
+saved as a list slice, any other array is an ndarray and is saved as an
+ndarray copy.  Restores write back in place (``array[:] = saved``; the
+inspector's sparse restore loops over the recorded indices of a list).
 """
 
 from __future__ import annotations
@@ -30,10 +36,15 @@ from ..ir.types import is_array
 from ..machine.config import MachineConfig
 from .ledger import TuningLedger
 
-__all__ = ["SaveRestorePlan", "Snapshot"]
+__all__ = ["SaveRestorePlan", "Snapshot", "copy_array"]
 
 #: inspector bookkeeping cost per recorded write (cycles)
 INSPECT_COST_CYCLES = 3.0
+
+
+def copy_array(value):
+    """A copy of one array input: a list slice, or an ndarray copy."""
+    return value[:] if type(value) is list else np.array(value, copy=True)
 
 
 @dataclass
@@ -41,17 +52,17 @@ class Snapshot:
     """Saved pre-invocation state of the modified-input set."""
 
     scalars: dict[str, object] = field(default_factory=dict)
-    full_arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    #: array -> (indices, values) for inspector-managed arrays
-    sparse_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
+    #: array -> its saved copy (a list or an ndarray, as the array is)
+    full_arrays: dict[str, list | np.ndarray] = field(default_factory=dict)
+    #: array -> (indices, values) for inspector-managed arrays (lists for
+    #: a list, ndarrays for an ndarray)
+    sparse_arrays: dict[str, tuple] = field(default_factory=dict)
 
     @property
     def elements(self) -> int:
         n = len(self.scalars)
-        n += sum(a.size for a in self.full_arrays.values())
-        n += sum(idx.size for idx, _ in self.sparse_arrays.values())
+        n += sum(map(len, self.full_arrays.values()))
+        n += sum(len(idx) for idx, _ in self.sparse_arrays.values())
         return n
 
 
@@ -97,8 +108,8 @@ class SaveRestorePlan:
         for name in self.scalar_names:
             snap.scalars[name] = env[name]
         for name in self.full_arrays:
-            snap.full_arrays[name] = np.array(env[name], copy=True)
-        cycles = (len(snap.scalars) + sum(a.size for a in snap.full_arrays.values())) \
+            snap.full_arrays[name] = copy_array(env[name])
+        cycles = (len(snap.scalars) + sum(map(len, snap.full_arrays.values()))) \
             * self._copy_unit
         if ledger is not None:
             ledger.charge("save_restore", cycles)
@@ -122,8 +133,11 @@ class SaveRestorePlan:
             before = np.asarray(env_before[name])
             after = np.asarray(env_after[name])
             idx = np.nonzero(before != after)[0]
-            snap.sparse_arrays[name] = (idx, before[idx].copy())
             total_writes += idx.size
+            values = before[idx]
+            if type(env_after[name]) is list:  # restored element by element
+                idx, values = idx.tolist(), values.tolist()
+            snap.sparse_arrays[name] = (idx, values)
         if ledger is not None:
             ledger.charge(
                 "save_restore",
@@ -136,10 +150,15 @@ class SaveRestorePlan:
         """Write the snapshot back into *env*; charges restore cycles."""
         for name, value in snap.scalars.items():
             env[name] = value
-        for name, arr in snap.full_arrays.items():
-            np.copyto(env[name], arr)
+        for name, saved in snap.full_arrays.items():
+            env[name][:] = saved
         for name, (idx, values) in snap.sparse_arrays.items():
-            env[name][idx] = values
+            arr = env[name]
+            if type(arr) is list:
+                for i, v in zip(idx, values):
+                    arr[i] = v
+            else:
+                arr[idx] = values
         if ledger is not None:
             ledger.charge("save_restore", snap.elements * self._copy_unit)
 

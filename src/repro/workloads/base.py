@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..ir.function import Function, Program
+from ..machine.executor import unbox
 
 __all__ = ["Dataset", "PaperRow", "Workload"]
 
@@ -39,7 +40,11 @@ class Dataset:
     generator: InputGenerator
 
     def env(self, rng: np.random.Generator, i: int) -> dict:
-        return self.generator(rng, i)
+        """Invocation *i*'s inputs, float arrays bound as the machine binds
+        them (:func:`~repro.machine.executor.unbox`).  A float array the
+        generator returns at several invocations is unboxed afresh each
+        time, so writes to it do not carry over (no workload shares one)."""
+        return unbox(self.generator(rng, i))
 
 
 @dataclass(frozen=True)

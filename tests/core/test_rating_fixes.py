@@ -37,6 +37,7 @@ from repro.ir import ArrayRef, FunctionBuilder, Type
 from repro.machine import NoiseModel, SPARC2
 from repro.obs import Obs
 from repro.runtime import SaveRestorePlan, TimedExecutor, TuningLedger
+from repro.runtime.save_restore import copy_array
 
 SETTINGS = RatingSettings(window=12, max_invocations=400)
 
@@ -354,19 +355,22 @@ class TestRBRImprovedInvariants:
         base = version(fn, OptConfig.o0())
         proto = feed.next_env()
 
-        env_rbr = {k: np.array(v, copy=True) if isinstance(v, np.ndarray) else v
+        env_rbr = {k: copy_array(v) if hasattr(v, "__len__") else v
                    for k, v in proto.items()}
         rbr._one_invocation(exp, base, env_rbr)
         # after the toggle inside _one_invocation, the second-run version is
         second = base if rbr._swap else exp
 
-        env_plain = {k: np.array(v, copy=True) if isinstance(v, np.ndarray) else v
+        env_plain = {k: copy_array(v) if hasattr(v, "__len__") else v
                      for k, v in proto.items()}
         plain = TimedExecutor(SPARC2, seed=99, ledger=TuningLedger())
         plain.run_untimed(second, env_plain)
 
+        assert any(isinstance(v, list) for v in proto.values())
         for name, value in env_plain.items():
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(env_rbr[name], value)
+            if hasattr(value, "__len__"):
+                assert env_rbr[name] is not value, name
+                assert env_rbr[name] is not proto[name], name
+                np.testing.assert_array_equal(np.asarray(env_rbr[name]), np.asarray(value))
             else:
                 assert env_rbr[name] == value

@@ -99,7 +99,8 @@ class TestConsistencyExperiment:
 class TestFigure7Harness:
     def test_single_benchmark_single_dataset(self):
         entries = figure7_experiment(
-            PENTIUM4, benchmarks=("swim",), datasets=("train",), seed=1
+            PENTIUM4, benchmarks=("swim",), datasets=("train",), seed=1,
+            exec_tier=1,
         )
         methods = {e.method for e in entries}
         assert {"CBR", "RBR", "WHL", "AVG"} <= methods

@@ -83,6 +83,7 @@ class TestCommands:
     def test_fig7_single_benchmark(self):
         code, out = run_cli(
             "fig7", "--machine", "pentium4", "--benchmarks", "swim",
+            "--exec-tier", "1",
         )
         assert code == 0
         assert "CBR*" in out  # the consultant's choice is starred

@@ -5,7 +5,8 @@ The tiered executor's contract is *bit-identical* results — cycles,
 mem/branch-miss split, block counts, return values, array state, and the
 persistent machine state (cache lines, LRU order, predictor table) — for
 any IR program, on both paper machines, with or without counting, through
-errors and step-budget exhaustion.  These tests enforce that contract on
+errors and step-budget exhaustion, with float arrays bound as lists (as
+feeds and datasets hand them out) or as ndarrays.  These tests enforce that contract on
 hand-written adversarial kernels and on random IR programs.
 """
 
@@ -24,6 +25,7 @@ from repro.machine import (
     TieredExecutor,
     compile_function,
 )
+from repro.machine.executor import unbox
 
 from ..strategies import kernel_inputs, kernels
 
@@ -40,23 +42,43 @@ def machine_state(ex: Executor):
     )
 
 
-def run_differential(fn, env_fn, machine, *, invocations=6, max_steps=None):
+def bits(value):
+    """A value's exact identity: its type and, for a float, its hex (NaN
+    equals NaN, 0.0 differs from -0.0); arrays element by element."""
+    if isinstance(value, (list, np.ndarray)):
+        return type(value).__name__, [bits(v) for v in value]
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    return type(value).__name__, repr(value)
+
+
+def run_differential(
+    fn, env_fn, machine, *, invocations=6, max_steps=None, callees=None,
+    lists_only=False,
+):
     """Run the same invocation sequence through both tiers and compare.
 
     *env_fn(i)* builds the i-th environment (called once per tier so each
     executor mutates its own arrays).  Invocations alternate
-    ``count_blocks`` to cover both generated-code variants.  Returns the
-    Tier-1 executor (for engagement assertions).
+    ``count_blocks`` to cover both generated-code variants.  Float arrays
+    are bound as feeds and datasets hand them out, unboxed to lists, except
+    that every second pair of invocations keeps the ndarrays (an input a
+    feed shares across positions) unless *lists_only*.  Values compare by
+    :func:`bits`.  Returns the Tier-1 executor (for engagement assertions)
+    and Tier 0's outcome per invocation: ``(error text or None, bits of
+    the return value, env)``.
     """
-    exe0 = compile_function(fn, machine)
-    exe1 = compile_function(fn, machine)
+    exe0 = compile_function(fn, machine, callees=callees)
+    exe1 = compile_function(fn, machine, callees=callees)
     ex0 = Executor(machine)
     ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
     if max_steps is not None:
         ex0.MAX_STEPS = max_steps
         ex1.MAX_STEPS = max_steps
+    outcomes = []
     for i in range(invocations):
-        env0, env1 = env_fn(i), env_fn(i)
+        bind = unbox if lists_only or i // 2 % 2 == 0 else dict
+        env0, env1 = bind(env_fn(i)), bind(env_fn(i))
         count = i % 2 == 1
         err0 = err1 = None
         r0 = r1 = None
@@ -69,20 +91,21 @@ def run_differential(fn, env_fn, machine, *, invocations=6, max_steps=None):
         except ExecutionError as e:
             err1 = str(e)
         assert err0 == err1
+        # these programs are well typed: a TypeError would be a bug of the
+        # executor or its generated code, reported as the program's error
+        assert "runtime error TypeError" not in (err0 or "")
         if r0 is not None:
             assert r0.cycles == r1.cycles
             assert r0.mem_cycles == r1.mem_cycles
             assert r0.branch_miss_cycles == r1.branch_miss_cycles
             assert r0.block_counts == r1.block_counts
-            assert repr(r0.return_value) == repr(r1.return_value)
-        for key in env0:
-            v0, v1 = env0[key], env1[key]
-            if hasattr(v0, "__len__"):
-                assert np.array_equal(np.asarray(v0), np.asarray(v1)), key
-            else:
-                assert repr(v0) == repr(v1), key
+            assert bits(r0.return_value) == bits(r1.return_value)
+        assert {k: bits(v) for k, v in env0.items()} == {
+            k: bits(v) for k, v in env1.items()
+        }
         assert machine_state(ex0) == machine_state(ex1)
-    return ex1
+        outcomes.append((err0, r0 and bits(r0.return_value), env0))
+    return ex1, outcomes
 
 
 def fully_compiled(ex1: TieredExecutor) -> bool:
@@ -118,7 +141,7 @@ def test_hot_loop_windowed(machine):
         rng = np.random.default_rng(i)
         return {"n": 48, "x": rng.normal(size=48), "y": rng.normal(size=48)}
 
-    ex1 = run_differential(fn, env_fn, machine)
+    ex1, _ = run_differential(fn, env_fn, machine)
     assert fully_compiled(ex1)
 
 
@@ -132,7 +155,7 @@ def test_hot_loop_large_arrays_not_windowed(machine):
         rng = np.random.default_rng(i)
         return {"n": n, "x": rng.normal(size=n), "y": rng.normal(size=n)}
 
-    ex1 = run_differential(fn, env_fn, machine, invocations=4)
+    ex1, _ = run_differential(fn, env_fn, machine, invocations=4)
     assert fully_compiled(ex1)
 
 
@@ -202,7 +225,7 @@ def test_step_budget_exhaustion(machine):
         rng = np.random.default_rng(i)
         return {"n": 200, "x": rng.normal(size=200), "y": rng.normal(size=200)}
 
-    ex1 = run_differential(fn, env_fn, machine, max_steps=150)
+    ex1, _ = run_differential(fn, env_fn, machine, max_steps=150)
     assert ex1.interpreted_blocks > 0  # the guard handed the tail to Tier 0
 
 
@@ -234,18 +257,7 @@ def test_calls_and_callee_counts(machine):
         return {"n": 24, "x": rng.normal(size=24)}
 
     callees = {"callee": compile_function(callee_fn, machine)}
-    exe0 = compile_function(fn, machine, callees=callees)
-    exe1 = compile_function(fn, machine, callees=callees)
-    ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
-    for i in range(6):
-        env0, env1 = env_fn(i), env_fn(i)
-        count = i % 2 == 1
-        r0 = ex0.run(exe0, env0, count_blocks=count)
-        r1 = ex1.run(exe1, env1, count_blocks=count)
-        assert r0.cycles == r1.cycles
-        assert r0.block_counts == r1.block_counts
-        assert machine_state(ex0) == machine_state(ex1)
+    run_differential(fn, env_fn, machine, callees=callees)
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
@@ -311,8 +323,8 @@ def test_interleaved_functions_share_machine_state():
         e1 = {"n": 32, "x": rng1.normal(size=32), "y": rng1.normal(size=32)}
         pick0 = (exe0a, exe0b)[i % 2]
         pick1 = (exe1a, exe1b)[i % 2]
-        r0 = ex0.run(pick0, e0)
-        r1 = ex1.run(pick1, e1)
+        r0 = ex0.run(pick0, unbox(e0))
+        r1 = ex1.run(pick1, unbox(e1))
         assert r0.cycles == r1.cycles
         assert machine_state(ex0) == machine_state(ex1)
 
@@ -377,20 +389,11 @@ def test_callee_arrays_bound_per_call_site(machine):
     fn = b.build()
     callees = {"g": compile_function(callee_fn, machine)}
 
-    exe0 = compile_function(fn, machine, callees=callees)
-    exe1 = compile_function(fn, machine, callees=callees)
-    ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
-    for i in range(4):
-        rng0, rng1 = np.random.default_rng(i), np.random.default_rng(i)
-        e0 = {"n": 32, "a": rng0.normal(size=32), "b": rng0.normal(size=32)}
-        e1 = {"n": 32, "a": rng1.normal(size=32), "b": rng1.normal(size=32)}
-        r0 = ex0.run(exe0, e0, count_blocks=i % 2 == 1)
-        r1 = ex1.run(exe1, e1, count_blocks=i % 2 == 1)
-        assert r0.cycles == r1.cycles
-        assert r0.block_counts == r1.block_counts
-        assert r0.return_value == r1.return_value
-        assert machine_state(ex0) == machine_state(ex1)
+    def env_fn(i):
+        rng = np.random.default_rng(i)
+        return {"n": 32, "a": rng.normal(size=32), "b": rng.normal(size=32)}
+
+    ex1, _ = run_differential(fn, env_fn, machine, invocations=4, callees=callees)
     assert fully_compiled(ex1)
 
 
@@ -426,8 +429,8 @@ def test_recursive_calls_share_predictor_entries(machine):
     ex0 = Executor(machine)
     ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
     for i in range(4):
-        r0 = ex0.run(exe0, env_fn(i), count_blocks=i % 2 == 1)
-        r1 = ex1.run(exe1, env_fn(i), count_blocks=i % 2 == 1)
+        r0 = ex0.run(exe0, unbox(env_fn(i)), count_blocks=i % 2 == 1)
+        r1 = ex1.run(exe1, unbox(env_fn(i)), count_blocks=i % 2 == 1)
         assert r0.cycles == r1.cycles
         assert r0.branch_miss_cycles == r1.branch_miss_cycles
         assert r0.block_counts == r1.block_counts

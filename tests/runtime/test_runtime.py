@@ -164,6 +164,37 @@ class TestSaveRestore:
         plan.restore(env, snap, led)
         np.testing.assert_array_equal(out, np.arange(10.0))
 
+    def test_save_restore_on_float_lists(self):
+        """Float arrays reach the machine as lists: a full snapshot is a
+        list slice, the inspector restores element by element, and both
+        charge what the ndarray path charges."""
+        charged = []
+        for as_list in (False, True):
+            led = TuningLedger()
+            y = np.arange(4.0).tolist() if as_list else np.arange(4.0)
+            env = {"n": 4, "a": 2.0, "x": np.ones(4), "y": y}
+            plan = SaveRestorePlan(saxpy_version().ir, SPARC2)
+            snap = plan.save(env, led)
+            env["y"][1] = 99.0
+            plan.restore(env, snap, led)
+            assert env["y"] is y and list(y) == [0.0, 1.0, 2.0, 3.0]
+
+            out = np.arange(10.0).tolist() if as_list else np.arange(10.0)
+            env = {"n": 2, "idx": np.array([3, 7]), "out": out}
+            plan = SaveRestorePlan(scatter_fn(), SPARC2)
+            snap = plan.save(env, led)
+            before = {"out": out[:] if as_list else out.copy()}
+            out[3] = out[7] = 1.0  # the precondition run's writes
+            plan.observe_writes(before, env, snap, led)
+            out[3] = 42.0
+            plan.restore(env, snap, led)
+            assert env["out"] is out and list(out) == np.arange(10.0).tolist()
+            if as_list:
+                assert all(type(v) is float for v in out)
+            assert snap.elements == 2
+            charged.append(dict(led.by_category))
+        assert charged[0] == charged[1]
+
     def test_snapshot_elements_counts(self):
         fn = scatter_fn()
         plan = SaveRestorePlan(fn, SPARC2)

@@ -88,9 +88,10 @@ class TestPrograms:
                 env = ds.env(rng, i)
                 res = ex.run(version.exe, env, factors=version.factors)
                 out.append(res.return_value)
+                # float arrays arrive as lists, int arrays as ndarrays
                 out.extend(
-                    float(np.sum(v)) for k, v in sorted(env.items())
-                    if isinstance(v, np.ndarray)
+                    float(np.sum(np.asarray(v))) for k, v in sorted(env.items())
+                    if isinstance(v, (list, np.ndarray))
                 )
             results[config.key()] = out
         vals = list(results.values())
@@ -210,8 +211,8 @@ class TestWorkloadBehaviours:
         ex = Executor(SPARC2)
         rng = np.random.default_rng(0)
         env = w.dataset("train").env(rng, 0)
-        f1w = env["f1"][: env["m"]] * env["w"][: env["m"]] + \
-            env["bus"][: env["m"]] * env["tds"][: env["m"]]
+        f1, wt, bus, tds = (np.asarray(env[k][: env["m"]]) for k in ("f1", "w", "bus", "tds"))
+        f1w = f1 * wt + bus * tds
         expected = int(np.argmax(f1w))
         res = ex.run(v.exe, env, factors=v.factors)
         assert res.return_value == expected
