@@ -20,7 +20,17 @@ VECTOR_MIN_BATCH = 48
 
 
 class CacheSim:
-    """Set-associative LRU cache with per-access cost."""
+    """Set-associative LRU cache with per-access cost.
+
+    An associative cache also keeps ``_mru``, one slot per set holding the
+    set's most recently used line (``None`` while the set is empty):
+    ``_mru[s] == (_sets[s][-1] if _sets[s] else None)`` whenever no Tier-1
+    block is mid-flight.  It is a mirror for Tier-1 code, which checks
+    residency with one compare against it; hits and misses here are still
+    decided from the way lists.  Every non-MRU access updates it, and
+    :meth:`flush` clears it in place, so compiled code may hold on to the
+    list.  Direct-mapped caches need no table: ``_direct`` is one already.
+    """
 
     __slots__ = (
         "line",
@@ -30,6 +40,7 @@ class CacheSim:
         "miss_cycles",
         "_sets",
         "_direct",
+        "_mru",
         "hits",
         "misses",
     )
@@ -58,6 +69,9 @@ class CacheSim:
         self._direct: list[int | None] | None = (
             [None] * self.n_sets if assoc == 1 else None
         )
+        self._mru: list[int | None] | None = (
+            [None] * self.n_sets if assoc > 1 else None
+        )
         self.hits = 0
         self.misses = 0
 
@@ -77,6 +91,7 @@ class CacheSim:
         if ways and ways[-1] == line_idx:  # MRU fast path
             self.hits += 1
             return self.hit_cycles
+        self._mru[set_idx] = line_idx
         try:
             ways.remove(line_idx)
         except ValueError:
@@ -129,6 +144,7 @@ class CacheSim:
             self.misses += misses
             return total
         sets = self._sets
+        mru = self._mru
         assoc = self.assoc
         for addr in addrs:
             line_idx = addr // line
@@ -138,6 +154,7 @@ class CacheSim:
                 hits += 1
                 total += hc
                 continue
+            mru[set_idx] = line_idx
             try:
                 ways.remove(line_idx)
             except ValueError:
@@ -202,6 +219,8 @@ class CacheSim:
         """Invalidate the entire cache (cold start)."""
         for ways in self._sets:
             ways.clear()
+        if self._mru is not None:
+            self._mru[:] = [None] * self.n_sets
         if self._direct is not None:
             self._direct = [None] * self.n_sets
 

@@ -24,7 +24,11 @@ inline:
 * **Code generation** — scalars are promoted to locals, branch-predictor
   entries are held in locals, block cycle costs are folded to float
   literals, and the cache line check is emitted at each access site (see
-  :class:`_InlineCache`).  When the frame's arrays fit the cache window
+  :class:`_InlineCache`): one compare against the set's most recently used
+  line, read from the direct-mapped slot array or from the associative
+  cache's MRU table (:attr:`CacheSim._mru`), which ``CacheSim`` keeps for
+  every access it simulates and the generated slow path keeps for its
+  own.  When the frame's arrays fit the cache window
   (:attr:`AddressMap.window_lines`), a variant with a last-line memo per
   array and elided repeated accesses runs instead.  A block with a call
   writes the promoted scalars back to ``env`` and goes through
@@ -197,8 +201,9 @@ class _InlineCache:
     so ``(base + i*8) >> line_shift`` decomposes into
     ``(base >> line_shift) + (i >> idx_shift)`` exactly.  Sets store line
     indices (see :class:`CacheSim`): direct-mapped checks are a single
-    compare against the slot, set-associative checks compare the MRU way
-    inline and fall into :func:`_assoc_slow` otherwise.
+    compare against the slot, set-associative checks a single compare
+    against the set's entry of the MRU table ``CacheSim._mru``, falling
+    into :func:`_assoc_slow` otherwise.
     """
 
     __slots__ = ("line_shift", "idx_shift", "set_mask", "assoc", "hit", "miss")
@@ -367,40 +372,42 @@ class _FunctionEmitter(ExprEmitter):
     def _emit_check(self, x: str, static: bool) -> None:
         """Residency check for line *x* at the current indent.
 
-        Direct-mapped: one compare against the slot; a miss logs the old
-        slot value to ``_u``.  Set-associative: the MRU way is compared
-        inline (an MRU hit mutates nothing, exactly like Tier 0's fast
-        path); anything else snapshots the set's way list to ``_u`` and
-        goes through :func:`_assoc_slow`, which replays Tier 0's LRU
-        update and reports hit/miss.
+        One compare against the set's MRU line: the slot itself when
+        direct-mapped, :attr:`CacheSim._mru` when set-associative.  An MRU
+        hit mutates nothing, exactly like Tier 0's fast path.  Otherwise a
+        direct-mapped miss logs the old slot value to ``_u`` and stores
+        *x*; a set-associative access snapshots the set's way list to
+        ``_u``, makes *x* the set's MRU line and goes through
+        :func:`_assoc_slow`, which replays Tier 0's LRU update and reports
+        hit/miss.
         """
         p = self.inline
+        table = "_dt" if p.assoc == 1 else "_mru"
         s = self.fresh()
+        self.emit(f"if {table}[{x} & {p.set_mask}] != {x}:")
+        self.indent += 1
+        self.emit(f"{s} = {x} & {p.set_mask}")
         if p.assoc == 1:
-            self.emit(f"{s} = {x} & {p.set_mask}")
-            self.emit(f"if _dt[{s}] != {x}:")
-            self.emit(f"    _u.append(({s}, _dt[{s}]))")
-            self.emit(f"    _dt[{s}] = {x}")
-            self.emit("    _bm += 1")
-            if not static:
-                self.emit("else:")
+            self.emit(f"_u.append(({s}, _dt[{s}]))")
+            self.emit(f"_dt[{s}] = {x}")
+            self.emit("_bm += 1")
+        else:
+            w = self.fresh()
+            self.emit(f"{w} = _dt[{s}]")
+            self.emit(f"_u.append(({w}, {w}[:]))")
+            self.emit(f"_mru[{s}] = {x}")
+            if static:
+                self.emit(f"if not _aslow({w}, {x}, {p.assoc}):")
+                self.emit("    _bm += 1")
+            else:
+                self.emit(f"if _aslow({w}, {x}, {p.assoc}):")
                 self.emit("    _bh += 1")
-            return
-        self.emit(f"{s} = _dt[{x} & {p.set_mask}]")
-        if static:
-            self.emit(f"if not ({s} and {s}[-1] == {x}):")
-            self.emit(f"    _u.append(({s}, {s}[:]))")
-            self.emit(f"    if not _aslow({s}, {x}, {p.assoc}):")
-            self.emit("        _bm += 1")
-            return
-        self.emit(f"if {s} and {s}[-1] == {x}:")
-        self.emit("    _bh += 1")
-        self.emit("else:")
-        self.emit(f"    _u.append(({s}, {s}[:]))")
-        self.emit(f"    if _aslow({s}, {x}, {p.assoc}):")
-        self.emit("        _bh += 1")
-        self.emit("    else:")
-        self.emit("        _bm += 1")
+                self.emit("else:")
+                self.emit("    _bm += 1")
+        self.indent -= 1
+        if not static:
+            self.emit("else:")
+            self.emit("    _bh += 1")
 
     def expr(self, e):
         if isinstance(e, Var):
@@ -866,6 +873,8 @@ class _Generator:
         prologue += ["_cyc = 0.0", "_memc = 0.0", "_missc = 0.0"]
         if inline is not None:
             prologue += ["_nh = 0", "_nm = 0", "_bh = 0", "_bm = 0", "_u = []"]
+            if inline.assoc > 1:
+                prologue.append("_mru = _ch._mru")
         if self.any_deferred:
             prologue += ["_mem = []", "_ap = _mem.append"]
         prologue += [f"{memo} = None" for memo in em.memo_sym.values()]
@@ -884,13 +893,19 @@ class _Generator:
         # — Tier 0 simulates a block's accesses only after it completes.
         # Direct-mapped undo entries are (slot, old line); associative
         # entries are (way list, pre-image), restored in reverse so repeated
-        # mutations of one set end at the oldest snapshot.
+        # mutations of one set end at the oldest snapshot, after which the
+        # MRU table is re-synced from the restored way lists in place.
         if inline is None:
             rollback = []
         elif inline.assoc == 1:
             rollback = ["while _u:", "    _rs, _rt = _u.pop()", "    _dt[_rs] = _rt"]
         else:
-            rollback = ["while _u:", "    _rw, _rc = _u.pop()", "    _rw[:] = _rc"]
+            rollback = [
+                "while _u:",
+                "    _rw, _rc = _u.pop()",
+                "    _rw[:] = _rc",
+                "_mru[:] = [_rw[-1] if _rw else None for _rw in _dt]",
+            ]
         flush = self._state_flush()
         counts = (
             [

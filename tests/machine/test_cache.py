@@ -80,6 +80,75 @@ class TestCacheSim:
         assert c.miss_rate() == 1.0
 
 
+class _ReferenceLRU:
+    """Per-set LRU lists written out plainly: the oracle for CacheSim."""
+
+    def __init__(self, n_sets: int, assoc: int, line: int) -> None:
+        self.sets = [[] for _ in range(n_sets)]
+        self.assoc = assoc
+        self.line = line
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr: int) -> bool:
+        line = addr // self.line
+        ways = self.sets[line % len(self.sets)]
+        hit = line in ways
+        if hit:
+            ways.remove(line)
+            self.hits += 1
+        else:
+            self.misses += 1
+            if len(ways) == self.assoc:
+                del ways[0]
+        ways.append(line)
+        return hit
+
+    def flush(self) -> None:
+        for ways in self.sets:
+            ways.clear()
+
+
+class TestAgainstReferenceLRU:
+    """``access``, ``access_many`` and ``flush`` in random interleavings
+    keep the way lists, the MRU table and the counters of a plain LRU."""
+
+    @pytest.mark.parametrize("assoc", [2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_streams(self, assoc, seed):
+        rng = np.random.default_rng(seed)
+        c = CacheSim(size=1024, line=64, assoc=assoc, hit_cycles=1.0,
+                     miss_cycles=50.0)
+        ref = _ReferenceLRU(c.n_sets, assoc, 64)
+        for _ in range(400):
+            op = rng.random()
+            # a span of 3*assoc lines per set, negative addresses included
+            addrs = [int(a) for a in rng.integers(-1024, 2048, size=rng.integers(1, 12))]
+            if op < 0.03:
+                c.flush()
+                ref.flush()
+            elif op < 0.5:
+                cost = c.access(addrs[0])
+                assert cost == (1.0 if ref.access(addrs[0]) else 50.0)
+            else:
+                cost = c.access_many(addrs)
+                assert cost == sum(1.0 if ref.access(a) else 50.0 for a in addrs)
+            assert c._sets == ref.sets
+            assert c._mru == [w[-1] if w else None for w in ref.sets]
+            assert (c.hits, c.misses) == (ref.hits, ref.misses)
+
+    def test_flush_clears_the_mru_table_in_place(self):
+        c = small_cache(assoc=2)
+        table = c._mru
+        c.access_many([0, 64, 4 * 64])
+        assert table == [4, 1, None, None]
+        c.flush()
+        assert c._mru is table and table == [None] * 4
+
+    def test_direct_mapped_cache_has_no_table(self):
+        assert small_cache(assoc=1)._mru is None
+
+
 class TestAddressMap:
     def test_line_aligned_bases(self):
         amap = AddressMap({"a": 10, "b": 20}, line=64)

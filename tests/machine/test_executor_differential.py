@@ -7,7 +7,9 @@ persistent machine state (cache lines, LRU order, predictor table) — for
 any IR program, on both paper machines, with or without counting, through
 errors and step-budget exhaustion, with float arrays bound as lists (as
 feeds and datasets hand them out) or as ndarrays.  These tests enforce that contract on
-hand-written adversarial kernels and on random IR programs.
+hand-written adversarial kernels and on random IR programs.  After every
+invocation both executors' Pentium 4 caches must also keep their MRU table
+(``CacheSim._mru``, which compiled code trusts) in step with the way lists.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.ir import ArrayRef, Const, FunctionBuilder, Type, Var
 from repro.machine import (
+    AddressMap,
     ExecutableCache,
     ExecutionError,
     Executor,
@@ -40,6 +43,13 @@ def machine_state(ex: Executor):
         ex.cache.misses,
         dict(ex.branch_state),
     )
+
+
+def assert_mru_in_step(ex: Executor) -> None:
+    """An associative cache's MRU table mirrors its way lists."""
+    cache = ex.cache
+    if cache._mru is not None:
+        assert cache._mru == [w[-1] if w else None for w in cache._sets]
 
 
 def bits(value):
@@ -104,6 +114,8 @@ def run_differential(
             k: bits(v) for k, v in env1.items()
         }
         assert machine_state(ex0) == machine_state(ex1)
+        assert_mru_in_step(ex0)
+        assert_mru_in_step(ex1)
         outcomes.append((err0, r0 and bits(r0.return_value), env0))
     return ex1, outcomes
 
@@ -111,6 +123,15 @@ def run_differential(
 def fully_compiled(ex1: TieredExecutor) -> bool:
     """Every frame ran compiled code and no block fell back to Tier 0."""
     return ex1.compiled_frames > 0 and ex1.interpreted_blocks == 0
+
+
+def windowed_variants(ex1: TieredExecutor) -> set[bool]:
+    """The ``windowed`` flags of every compiled variant the frames used."""
+    return {
+        key[2]
+        for wf in ex1.code_cache._entries.values()
+        for key in wf._fns
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -436,6 +457,79 @@ def test_recursive_calls_share_predictor_entries(machine):
         assert r0.block_counts == r1.block_counts
         assert r0.return_value == r1.return_value
         assert machine_state(ex0) == machine_state(ex1)
+        assert_mru_in_step(ex0)
+        assert_mru_in_step(ex1)
+    assert fully_compiled(ex1)
+
+
+def test_swim_shaped_stencil_beyond_the_window():
+    """fig7-swim's shape on the Pentium 4: six 48-element float arrays in a
+    3-point stencil span 47 cache lines, more than the 32 sets, so the
+    memo variant stands down and every access goes through the MRU-table
+    compare; two arrays share a set every iteration, so non-MRU hits
+    reorder the way lists."""
+    machine = PENTIUM4
+    names = ("p", "pold", "u", "uold", "v", "vold")
+    b = FunctionBuilder(
+        "calc",
+        [("n", Type.INT)] + [(name, Type.FLOAT_ARRAY) for name in names],
+    )
+    with b.for_("i", 1, b.var("n") - 1) as i:
+        b.store("u", i, ArrayRef("uold", i)
+                + 0.25 * (ArrayRef("p", i + 1) - ArrayRef("p", i - 1)))
+        b.store("v", i, ArrayRef("vold", i)
+                + 0.25 * (ArrayRef("p", i + 1) - 2.0 * ArrayRef("p", i)
+                          + ArrayRef("p", i - 1)))
+        b.store("pold", i, ArrayRef("p", i)
+                + 0.5 * (ArrayRef("u", i) + ArrayRef("v", i)))
+    b.ret()
+    fn = b.build()
+
+    def env_fn(i):
+        rng = np.random.default_rng(i)
+        return {"n": 48, **{name: rng.normal(size=48) for name in names}}
+
+    window = AddressMap.for_env(env_fn(0), line=machine.cache_line).window_lines
+    n_sets = machine.cache_size // (machine.cache_line * machine.cache_assoc)
+    assert (window, n_sets) == (47, 32)
+    ex1, _ = run_differential(fn, env_fn, machine)
+    assert fully_compiled(ex1)
+    assert windowed_variants(ex1) == {False}
+
+
+def test_call_arguments_and_drain_move_the_mru_line():
+    """A call block reads ``x[i]`` as an argument (``CacheSim.access``) and
+    drains ``x[i+8]`` through ``access_many``; the inline block after it
+    reads ``y[i]`` and ``y[i+8]``, which share those lines' Pentium 4 sets.
+    If either path left the MRU table stale, the inline compare would take
+    ``y``'s line for the most recent one and skip its LRU update."""
+    machine = PENTIUM4
+    cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)
+    cal.ret(cal.var("v") * 0.5)
+    callee_fn = cal.build()
+
+    b = FunctionBuilder(
+        "f",
+        [("n", Type.INT), ("x", Type.FLOAT_ARRAY), ("y", Type.FLOAT_ARRAY)],
+        return_type=Type.FLOAT,
+    )
+    b.local("acc", Type.FLOAT)
+    b.local("t", Type.FLOAT)
+    with b.for_("i", 0, b.var("n")) as i:
+        b.call("g", [ArrayRef("x", i)], target="t")
+        b.assign("acc", b.var("acc") + b.var("t") + ArrayRef("x", i + 8))
+        with b.if_(b.var("n") > 0):  # a call-free block: inline checks
+            b.assign("acc", b.var("acc") + ArrayRef("y", i) + ArrayRef("y", i + 8))
+    b.ret(b.var("acc"))
+    fn = b.build()
+    callees = {"g": compile_function(callee_fn, machine)}
+
+    def env_fn(i):
+        # 248 floats: y starts 32 lines after x, so x[j] and y[j] share a set
+        rng = np.random.default_rng(i)
+        return {"n": 40, "x": rng.normal(size=248), "y": rng.normal(size=248)}
+
+    ex1, _ = run_differential(fn, env_fn, machine, callees=callees)
     assert fully_compiled(ex1)
 
 
