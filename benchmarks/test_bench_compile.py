@@ -2,7 +2,7 @@
 
 Compiles an Iterative-Elimination-shaped sweep (-O3 plus each one-flag-off
 configuration, 39 configs) of three tuning sections, once cold and once
-through a shared :class:`PassPrefixCache`, and times both.  The cache's
+through a shared pass-prefix store, and times both.  The cache's
 acceptance gate is a >= 2x wall-time reduction with *bit-identical*
 Versions — both asserted here, so a regression in either the speedup or
 the correctness contract fails the nightly run.
@@ -21,12 +21,13 @@ from conftest import smoke_mode
 
 from repro.compiler import (
     ALL_FLAGS,
+    PREFIX_CACHE_MAX,
     OptConfig,
-    PassPrefixCache,
     PrefixStats,
     compile_version,
 )
 from repro.machine import PENTIUM4
+from repro.store import Store
 from repro.workloads import get_workload
 
 BENCHMARKS = ("swim", "mgrid", "art")
@@ -67,7 +68,7 @@ def test_bench_compile_incremental(benchmark):
 
     def warm_sweep():
         # a fresh cache per round: the sweep itself provides the sharing
-        return _sweep(prefix_cache=PassPrefixCache(), prefix_stats=stats)
+        return _sweep(prefix_cache=Store(PREFIX_CACHE_MAX), prefix_stats=stats)
 
     warm_s, warm = _best_of(warm_sweep, rounds)
 

@@ -27,13 +27,13 @@ from repro.core.peak import PeakTuner
 from repro.core.search import IterativeElimination
 from repro.ir import ArrayRef, FunctionBuilder, Type, Var
 from repro.machine import (
-    ExecutableCache,
     PENTIUM4,
     SPARC2,
     TieredExecutor,
     Executor,
     compile_function,
 )
+from repro.store import Store
 from repro.workloads import get_workload
 
 #: geometric-mean floor for Tier-1 speedup on the gate set (SPARC-II
@@ -140,7 +140,7 @@ def _measure_kernel(name: str, machine) -> dict:
     envs = [env_of(rng) for _ in range(80)]
     t0 = _throughput(lambda: Executor(machine), exe, envs)
     t1 = _throughput(
-        lambda: TieredExecutor(machine, code_cache=ExecutableCache()), exe, envs
+        lambda: TieredExecutor(machine, code_cache=Store()), exe, envs
     )
     return {
         "workload": name,
@@ -160,7 +160,7 @@ def _measure_spec(name: str, machine) -> dict:
     envs = [ds.env(rng, i) for i in range(60)]
     t0 = _throughput(lambda: Executor(machine), exe, envs)
     t1 = _throughput(
-        lambda: TieredExecutor(machine, code_cache=ExecutableCache()), exe, envs
+        lambda: TieredExecutor(machine, code_cache=Store()), exe, envs
     )
     return {
         "workload": name,

@@ -11,13 +11,12 @@ from .flags import ALL_FLAGS, FLAGS_BY_NAME, Flag, N_FLAGS
 from .options import OptConfig
 from .pipeline import (
     PASS_ORDER,
-    VersionCache,
     compile_version,
     effective_steps,
     run_passes,
     version_key,
 )
-from .prefix import PassPrefixCache, PrefixStats, ir_digest
+from .prefix import PREFIX_CACHE_MAX, PrefixStats, ir_digest
 from .version import Version
 
 __all__ = [
@@ -29,10 +28,9 @@ __all__ = [
     "N_FLAGS",
     "OptConfig",
     "PASS_ORDER",
-    "PassPrefixCache",
+    "PREFIX_CACHE_MAX",
     "PrefixStats",
     "Version",
-    "VersionCache",
     "VersionCosting",
     "compile_version",
     "compute_costing",

@@ -6,32 +6,33 @@ options (paper Section 4.1): it clones the IR, runs the passes the enabled
 flags select (in a fixed canonical order), validates the result, prices the
 blocks through the effect model, and emits an executable version.
 
-Two caches make the search-space sweep incremental:
+Two caches, each a :class:`~repro.store.Store`, make the search-space sweep
+incremental:
 
-* ``VersionCache`` is a content-addressed cache over whole compiles:
-  versions are keyed by a digest of the tuning section's IR, the option
-  set, the machine, and the surrounding program, so re-compiling a
-  configuration the search has already visited (common in Iterative
-  Elimination's re-probing, and across workers of the parallel evaluator)
-  skips the pipeline entirely.  Entries are LRU-evicted, and concurrent
-  compiles of the same key are deduplicated: exactly one caller builds,
-  the others wait and score a hit.
+* the *version cache* (``compile_version(..., cache=)``) memoizes whole
+  compiles under :func:`version_key`, a digest of the tuning section's IR,
+  the option set, the machine, and the surrounding program, so
+  re-compiling a configuration the search has already visited (common in
+  Iterative Elimination's re-probing, and across workers of the parallel
+  evaluator) skips the pipeline entirely.  Concurrent compiles of one key
+  are deduplicated: exactly one caller builds, the others wait and score
+  a hit.
 
-* :class:`~repro.compiler.prefix.PassPrefixCache` memoizes the pipeline
-  *per step*, keyed by the digest of the intermediate IR each step ran on.
-  A compile whose pass chain shares a prefix (or, after digests re-align,
-  any suffix) with earlier compiles resumes from the deepest memoized
-  snapshot and executes only the genuinely new steps — the incremental-
-  compilation half of this module (see ``DESIGN.md`` §8).
+* the *pass-prefix cache* (``prefix_cache=``, see :mod:`.prefix`)
+  memoizes the pipeline *per step*, keyed by the digest of the
+  intermediate IR each step ran on.  A compile whose pass chain shares a
+  prefix (or, after digests re-align, any suffix) with earlier compiles
+  resumes from the deepest memoized snapshot and executes only the
+  genuinely new steps — the incremental-compilation half of this module
+  (see ``DESIGN.md`` §8).
+
+Both key on the surrounding program through :func:`program_digest`, one
+identity memo shared by the whole process, so each program is hashed once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
-from collections import OrderedDict
-from typing import Callable
 
 from ..analysis.manager import AnalysisManager
 from ..ir.function import Function, Program
@@ -39,6 +40,7 @@ from ..ir.validate import validate_function
 from ..machine.config import MachineConfig
 from ..machine.executor import ExecutableFunction, compile_function
 from ..obs import Obs, obs_or_null
+from ..store import IdentityMemo, Store
 from .effects import compute_costing
 from .options import OptConfig
 from .passes.base import PassTraits
@@ -51,19 +53,13 @@ from .passes.jumpthread import crossjump, thread_jumps
 from .passes.licm import loop_invariant_code_motion
 from .passes.peephole import peephole, strength_reduce
 from .passes.unroll import unroll_loops
-from .prefix import (
-    PassPrefixCache,
-    PrefixStats,
-    _StepEntry,
-    cached_ir_digest,
-    ir_digest,
-)
+from .prefix import PrefixStats, _StepEntry, cached_ir_digest, ir_digest
 from .version import Version
 
 __all__ = [
-    "VersionCache",
     "compile_version",
     "effective_steps",
+    "program_digest",
     "run_passes",
     "version_key",
     "PASS_ORDER",
@@ -180,9 +176,8 @@ def _run_pipeline(
     *,
     program: Program | None = None,
     checked: bool = False,
-    prefix_cache: PassPrefixCache | None = None,
+    prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
-    program_hash: str | None = None,
     obs: Obs | None = None,
 ) -> tuple[Function, AnalysisManager, _StepEntry | None]:
     """Run the pipeline.
@@ -212,11 +207,7 @@ def _run_pipeline(
                 validate_function(out)
         return out, am, None
 
-    context = (
-        program_hash
-        if program_hash is not None
-        else _shared_program_digests.digest(program)
-    )
+    context = program_digest(program)
 
     # chain walk: follow memoized steps from the pristine IR's digest,
     # remembering the deepest materialized snapshot along the way
@@ -224,7 +215,7 @@ def _run_pipeline(
     hit_depth = 0
     resume_from: _StepEntry | None = None
     for step in steps:
-        entry = prefix_cache.lookup(context, cur, step)
+        entry = prefix_cache.get((context, cur, step))
         if entry is None:
             break
         cur = entry.out_digest
@@ -275,7 +266,8 @@ def _run_pipeline(
             owner = entry
         else:
             entry = _StepEntry(step_in, None, None)
-        prefix_cache.store(context, step_in, step, entry)
+        # a concurrent compile may have landed this row first: keep its row
+        prefix_cache.put((context, step_in, step), entry)
     return out, am, owner
 
 
@@ -285,7 +277,7 @@ def run_passes(
     *,
     program: Program | None = None,
     checked: bool = False,
-    prefix_cache: PassPrefixCache | None = None,
+    prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
     obs: Obs | None = None,
 ) -> Function:
@@ -311,9 +303,7 @@ def run_passes(
 # content-addressed version cache
 
 
-def _program_digest(program: Program | None) -> str:
-    if program is None:
-        return "-"
+def _hash_program(program: Program) -> str:
     h = hashlib.sha256()
     for name in sorted(program.functions):
         h.update(name.encode())
@@ -321,49 +311,14 @@ def _program_digest(program: Program | None) -> str:
     return h.hexdigest()
 
 
-class _ProgramDigestMemo:
-    """Bounded memo of program digests, keyed by object identity.
-
-    ``id()`` keys alone are unsafe — CPython reuses addresses, so a dead
-    program's digest could leak onto an unrelated new object.  Each entry
-    therefore carries a weak reference that is validated on lookup, and the
-    memo is LRU-bounded so long-lived caches cannot grow without bound.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[int, tuple[weakref.ref, str]] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def digest(self, program: Program | None) -> str:
-        if program is None:
-            return "-"
-        key = id(program)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                ref, dig = hit
-                if ref() is program:
-                    self._entries.move_to_end(key)
-                    return dig
-                del self._entries[key]  # id reuse: stale entry for a dead object
-        dig = _program_digest(program)
-        with self._lock:
-            self._entries[key] = (weakref.ref(program), dig)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return dig
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+#: program digests by identity; programs are treated as immutable, which
+#: holds for the tuning pipeline (passes always transform copies)
+_shared_program_digests = IdentityMemo(_hash_program, max_entries=256)
 
 
-#: module-wide digest memo used when compiling without a VersionCache
-_shared_program_digests = _ProgramDigestMemo()
+def program_digest(program: Program | None) -> str:
+    """Content digest of the surrounding program (``"-"`` for none)."""
+    return "-" if program is None else _shared_program_digests(program)
 
 
 def version_key(
@@ -373,7 +328,6 @@ def version_key(
     *,
     program: Program | None = None,
     checked: bool = True,
-    _program_hash: str | None = None,
 ) -> str:
     """Content hash identifying one ``compile_version`` outcome.
 
@@ -390,101 +344,10 @@ def version_key(
     h.update(b"\x00")
     h.update(repr(machine).encode())
     h.update(b"\x00")
-    h.update((_program_hash or _program_digest(program)).encode())
+    h.update(program_digest(program).encode())
     h.update(b"\x00")
     h.update(b"1" if checked else b"0")
     return h.hexdigest()
-
-
-class VersionCache:
-    """Thread-safe content-addressed cache of compiled :class:`Version`\\ s.
-
-    ``get_or_compile`` returns ``(version, hit)``.  Concurrent requests for
-    the same key are deduplicated: the first caller runs the pass pipeline,
-    later callers block until it lands and count as hits (they skipped the
-    compile).  Bounded caches evict in true LRU order (a hit refreshes the
-    entry; ``evictions`` counts what was dropped).  Program digests are
-    memoized by object identity with weak-reference validation — programs
-    are treated as immutable for the lifetime of the cache, which holds for
-    the tuning pipeline (passes always transform copies).
-    """
-
-    def __init__(self, max_entries: int | None = None) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Version] = OrderedDict()
-        self._building: dict[str, threading.Event] = {}
-        self._program_hashes = _ProgramDigestMemo()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._program_hashes.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def key_for(
-        self,
-        fn: Function,
-        config: OptConfig,
-        machine: MachineConfig,
-        *,
-        program: Program | None = None,
-        checked: bool = True,
-    ) -> str:
-        return version_key(
-            fn, config, machine, program=program, checked=checked,
-            _program_hash=self._program_hashes.digest(program),
-        )
-
-    def get_or_compile(
-        self, key: str, build: Callable[[], Version]
-    ) -> tuple[Version, bool]:
-        """Return the cached version for *key*, building it at most once."""
-        while True:
-            with self._lock:
-                v = self._entries.get(key)
-                if v is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return v, True
-                event = self._building.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._building[key] = event
-                    am_builder = True
-                else:
-                    am_builder = False
-            if am_builder:
-                v = None
-                try:
-                    v = build()
-                finally:
-                    with self._lock:
-                        if v is not None:
-                            self._entries[key] = v
-                            if self.max_entries is not None:
-                                while len(self._entries) > self.max_entries:
-                                    self._entries.popitem(last=False)
-                                    self.evictions += 1
-                        self.misses += 1
-                        self._building.pop(key, None)
-                        event.set()
-                return v, False
-            event.wait()
-            # the builder has landed the entry (or failed); retry the lookup
 
 
 def compile_version(
@@ -495,23 +358,22 @@ def compile_version(
     program: Program | None = None,
     checked: bool = True,
     callees: dict[str, ExecutableFunction] | None = None,
-    cache: VersionCache | None = None,
-    prefix_cache: PassPrefixCache | None = None,
+    cache: Store[Version] | None = None,
+    prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
     obs: Obs | None = None,
 ) -> Version:
     """Compile tuning section *fn* under *config* for *machine*.
 
-    With *cache*, the compile is served from / recorded into the
-    content-addressed version cache (explicit *callees* bypass it: they are
+    With *cache*, the compile is served from / recorded into that version
+    store under :func:`version_key` (explicit *callees* bypass it: they are
     caller-specific and not part of the content key).  With *prefix_cache*,
     a cache miss resumes the pass pipeline from the deepest memoized IR
     snapshot instead of starting cold.
     """
     if cache is not None and callees is None:
-        key = cache.key_for(fn, config, machine, program=program, checked=checked)
-        version, _ = cache.get_or_compile(
-            key,
+        version, _ = cache.get_or_build(
+            version_key(fn, config, machine, program=program, checked=checked),
             lambda: _compile_uncached(
                 fn, config, machine, program=program, checked=checked,
                 callees=None, prefix_cache=prefix_cache,
@@ -533,7 +395,7 @@ def _compile_uncached(
     program: Program | None = None,
     checked: bool = True,
     callees: dict[str, ExecutableFunction] | None = None,
-    prefix_cache: PassPrefixCache | None = None,
+    prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
     obs: Obs | None = None,
 ) -> Version:
@@ -554,7 +416,7 @@ def _compile_spanned(
     program: Program | None,
     checked: bool,
     callees: dict[str, ExecutableFunction] | None,
-    prefix_cache: PassPrefixCache | None,
+    prefix_cache: Store[_StepEntry] | None,
     prefix_stats: PrefixStats | None,
     obs: Obs,
 ) -> Version:

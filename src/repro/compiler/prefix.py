@@ -28,6 +28,14 @@ nothing but the memo row.  Snapshots carry the function's mutation stamp and
 an export of the analysis cache (see :mod:`repro.analysis.manager`), so a
 resumed compile continues with warm analyses.
 
+The memo is a :class:`~repro.store.Store` of :class:`_StepEntry` rows,
+bounded at :data:`PREFIX_CACHE_MAX`.  Its *context* is the surrounding
+program's digest (inlining sources) — the only input to a pass other than
+the IR itself; machine and effect-only options never reach the pipeline —
+so one store is safely shared across every configuration, machine and
+worker thread of a tuning run.  The store keeps the first row written
+under a key, because that is the row a compile enriches.
+
 The correctness bar is exact: a resumed compile must produce a bit-identical
 :class:`~repro.compiler.version.Version` to a cold one.  That is why
 :func:`ir_digest` hashes the *mutable* IR state at full fidelity — including
@@ -40,15 +48,16 @@ and sorts locals).
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
 from ..ir.function import Function
+from ..store import IdentityMemo
 
-__all__ = ["PassPrefixCache", "PrefixStats", "ir_digest"]
+__all__ = ["PREFIX_CACHE_MAX", "PrefixStats", "ir_digest"]
+
+#: bound of a tuning run's pass-prefix store (rows of ``_StepEntry``)
+PREFIX_CACHE_MAX = 4096
 
 
 def ir_digest(fn: Function) -> str:
@@ -87,11 +96,8 @@ def ir_digest(fn: Function) -> str:
     return h.hexdigest()
 
 
-_DIGEST_MEMO_MAX = 512
-_digest_memo_lock = threading.Lock()
-_digest_memo: OrderedDict[tuple[int, int, int], tuple[weakref.ref, str]] = (
-    OrderedDict()
-)
+#: IR digests memoized by function identity and mutation stamp
+_ir_digests = IdentityMemo(ir_digest, max_entries=512)
 
 
 def cached_ir_digest(fn: Function) -> str:
@@ -99,26 +105,12 @@ def cached_ir_digest(fn: Function) -> str:
 
     The pristine tuning section is digested once per compile; across a
     sweep that is hundreds of identical digests of the same object.  The
-    memo key carries the function's ``(cfg_version, stmt_version)`` stamp
-    and a weak reference validated on lookup (``id`` reuse), so it is safe
-    for any function that honours the bump-on-mutate contract — which every
-    pipeline pass does (passes transform copies and bump the copy).
+    memo key carries the function's ``(cfg_version, stmt_version)`` stamp,
+    so it is safe for any function that honours the bump-on-mutate
+    contract — which every pipeline pass does (passes transform copies and
+    bump the copy).
     """
-    key = (id(fn), fn.cfg_version, fn.stmt_version)
-    with _digest_memo_lock:
-        hit = _digest_memo.get(key)
-        if hit is not None:
-            ref, dig = hit
-            if ref() is fn:
-                _digest_memo.move_to_end(key)
-                return dig
-            del _digest_memo[key]
-    dig = ir_digest(fn)
-    with _digest_memo_lock:
-        _digest_memo[key] = (weakref.ref(fn), dig)
-        while len(_digest_memo) > _DIGEST_MEMO_MAX:
-            _digest_memo.popitem(last=False)
-    return dig
+    return _ir_digests(fn, fn.cfg_version, fn.stmt_version)
 
 
 @dataclass
@@ -163,64 +155,3 @@ class _StepEntry:
     #: True once a ``checked`` compile has validated this snapshot — later
     #: compiles of the identical IR may skip re-validation
     validated: bool = False
-
-
-class PassPrefixCache:
-    """Thread-safe, LRU-bounded memo of per-step pipeline outcomes.
-
-    Keys are ``(context, input_digest, step_token)`` where *context* is a
-    digest of the surrounding program (inlining sources) — the only input to
-    a pass other than the IR itself; machine and effect-only options never
-    reach the pass pipeline.  One cache is therefore safely shared across
-    *every* configuration, machine, and worker thread of a tuning run.
-    """
-
-    def __init__(self, max_entries: int | None = 4096) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-        self._memo: OrderedDict[tuple[str, str, str], _StepEntry] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def lookup(self, context: str, in_digest: str, step: str) -> _StepEntry | None:
-        """Return the memoized outcome of *step* on *in_digest*, if any."""
-        key = (context, in_digest, step)
-        with self._lock:
-            entry = self._memo.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._memo.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def store(
-        self, context: str, in_digest: str, step: str, entry: _StepEntry
-    ) -> None:
-        key = (context, in_digest, step)
-        with self._lock:
-            if key in self._memo:
-                # concurrent compile landed the same row first; keep it hot
-                self._memo.move_to_end(key)
-                return
-            self._memo[key] = entry
-            if self.max_entries is not None:
-                while len(self._memo) > self.max_entries:
-                    self._memo.popitem(last=False)
-                    self.evictions += 1

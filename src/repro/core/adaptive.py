@@ -35,6 +35,7 @@ from ..machine.config import MachineConfig
 from ..runtime.dispatch import VersionTable
 from ..runtime.instrument import TimedExecutor
 from ..runtime.ledger import TuningLedger
+from ..store import Store
 from ..workloads.base import Workload
 from .rating.feed import InvocationFeed
 from .rating.outliers import filter_outliers
@@ -92,20 +93,15 @@ class AdaptiveTuner:
         self._analysis: ContextAnalysis = analyze_context(
             workload.ts, pointer_seeds=workload.pointer_seeds
         )
-        self._version_cache: dict[tuple, Version] = {}
+        self._versions: Store[Version] = Store()
 
     # ------------------------------------------------------------------ #
 
     def _version(self, config: OptConfig) -> Version:
-        key = config.key()
-        v = self._version_cache.get(key)
-        if v is None:
-            v = compile_version(
-                self.workload.ts, config, self.machine,
-                program=self.workload.program,
-            )
-            self._version_cache[key] = v
-        return v
+        return compile_version(
+            self.workload.ts, config, self.machine,
+            program=self.workload.program, cache=self._versions,
+        )
 
     def _candidates(self, base: OptConfig):
         """Round-robin single-flag-off exploration from the current best."""

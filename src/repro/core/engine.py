@@ -29,9 +29,11 @@ hook the search algorithms call through
   separate reference rating: its A/B re-execution pair runs inside one
   task and therefore stays pinned to one worker, preserving the ordering
   alternation that cancels RBR's measurement bias.
-* Compiled versions are served from a content-addressed
-  :class:`~repro.compiler.pipeline.VersionCache` (per engine for the
-  serial/thread backends, per worker process for the process backend).
+* Compiled versions are served from a version store, a
+  :class:`~repro.store.Store` keyed by
+  :func:`~repro.compiler.pipeline.version_key`, and compiles resume from a
+  pass-prefix store (both per engine for the serial/thread backends, per
+  worker process for the process backend).
   Task ledgers carry cache traffic and per-worker wall-clock time, and
   are absorbed in submission order.
 
@@ -53,8 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from ..compiler.options import OptConfig
-from ..compiler.pipeline import VersionCache, compile_version
-from ..compiler.prefix import PassPrefixCache, PrefixStats
+from ..compiler.pipeline import compile_version, version_key
+from ..compiler.prefix import PREFIX_CACHE_MAX, PrefixStats
 from ..compiler.version import Version
 from ..machine.config import MachineConfig
 from ..machine.perturb import NoiseModel
@@ -63,6 +65,7 @@ from ..obs import NULL_OBS, Obs, obs_or_null
 from ..runtime.instrument import TimedExecutor
 from ..runtime.ledger import TuningLedger
 from ..runtime.save_restore import SaveRestorePlan
+from ..store import Store
 from ..workloads.base import Workload
 from .rating.base import RatingResult, RatingSettings
 from .rating.consultant import ConsultantLimits, RatingPlan, consult
@@ -151,9 +154,9 @@ class _WorkerContext:
         self.replay = InputReplay(
             self.ds.generator, self.ds.n_invocations, spec.base_seed
         )
-        self.cache: VersionCache | None = VersionCache() if spec.use_cache else None
-        self.prefix_cache: PassPrefixCache | None = (
-            PassPrefixCache() if spec.use_prefix_cache else None
+        self.cache: Store[Version] | None = Store() if spec.use_cache else None
+        self.prefix_cache: Store | None = (
+            Store(PREFIX_CACHE_MAX) if spec.use_prefix_cache else None
         )
 
     @cached_property
@@ -292,11 +295,13 @@ class _TaskRater:
 
         if ctx.cache is None:
             return build()
-        cache_key = ctx.cache.key_for(
-            fn, config, spec.machine,
-            program=ctx.workload.program, checked=spec.checked,
+        version, hit = ctx.cache.get_or_build(
+            version_key(
+                fn, config, spec.machine,
+                program=ctx.workload.program, checked=spec.checked,
+            ),
+            build,
         )
-        version, hit = ctx.cache.get_or_compile(cache_key, build)
         self.ledger.record_cache(int(hit), int(not hit))
         return version
 
@@ -454,9 +459,10 @@ class SerialRatingEngine:
         plan: RatingPlan | None = None,
         obs: Obs | None = None,
     ) -> None:
-        self._ctx = _WorkerContext(spec, workload=workload, plan=plan)
+        #: the rating context (plan, version and pass-prefix stores, inputs)
+        self.ctx = _WorkerContext(spec, workload=workload, plan=plan)
         self._rater = _TaskRater(
-            self._ctx, spec.base_seed, obs_or_null(obs), memo=True
+            self.ctx, spec.base_seed, obs_or_null(obs), memo=True
         )
         self.ledger = self._rater.ledger
         self.method = method
@@ -465,11 +471,6 @@ class SerialRatingEngine:
     @property
     def n_rated(self) -> int:
         return self._rater.n_rated
-
-    @property
-    def version_cache(self) -> VersionCache | None:
-        """The compiled-version cache (None when disabled)."""
-        return self._ctx.cache
 
     def rate(self, candidate: OptConfig, reference: OptConfig) -> float:
         """Speed of *candidate* relative to *reference* (>1 = faster)."""
@@ -524,8 +525,10 @@ class BatchRatingEngine:
         # the parent always keeps a context: serial/thread tasks run against
         # it directly, and the process backend still needs the plan for
         # method-escalation decisions (workers rebuild their own copies)
-        self._ctx = _WorkerContext(spec, workload=workload, plan=plan)
-        self.plan = self._ctx.plan
+        #: the parent's rating context (plan, version and pass-prefix
+        #: stores, inputs); process-pool workers build their own
+        self.ctx = _WorkerContext(spec, workload=workload, plan=plan)
+        self.plan = self.ctx.plan
         self.method = method
         self.methods_tried: list[str] = [method]
         self.ledger = TuningLedger()
@@ -543,11 +546,6 @@ class BatchRatingEngine:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    @property
-    def version_cache(self):
-        """The parent-context compiled-version cache (None when disabled)."""
-        return self._ctx.cache
-
     # ------------------------------------------------------------------ #
 
     def _next_task_id(self) -> int:
@@ -560,7 +558,7 @@ class BatchRatingEngine:
             if self.evaluator.backend == "process":
                 outcomes = self.evaluator.map(_run_task_in_worker, tasks)
             else:
-                ctx = self._ctx
+                ctx = self.ctx
                 outcomes = self.evaluator.map(lambda t: _run_task(ctx, t), tasks)
             # absorb bookkeeping in submission order (deterministic).  The
             # ledger absorb bypasses charge(), so worker cycles are not

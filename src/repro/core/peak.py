@@ -262,7 +262,12 @@ class PeakTuner:
         """
         if not self.obs.enabled:
             return
-        collect_run(self.obs, ledger=engine.ledger, version_cache=engine.version_cache)
+        collect_run(
+            self.obs,
+            ledger=engine.ledger,
+            version_cache=engine.ctx.cache,
+            prefix_cache=engine.ctx.prefix_cache,
+        )
         if exec_counts is not None:
             hits, misses, evictions = (
                 now - then

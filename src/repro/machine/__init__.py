@@ -20,7 +20,6 @@ from .executor import (
 )
 from .jit import (
     EXEC_TIERS,
-    ExecutableCache,
     TieredExecutor,
     create_executor,
     executable_digest,
@@ -36,7 +35,6 @@ __all__ = [
     "CostFactors",
     "CostTable",
     "EXEC_TIERS",
-    "ExecutableCache",
     "ExecutableFunction",
     "ExecutionError",
     "Executor",

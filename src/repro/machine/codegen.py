@@ -30,6 +30,7 @@ from ..ir.block import BasicBlock
 from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ..ir.stmt import Assign, CondBranch, Jump, Return
 from ..ir.types import Type
+from ..store import Store
 from .cost import infer_type
 from .executor import needs_float_conversion
 
@@ -211,8 +212,7 @@ def exec_namespace(**extra: object) -> dict:
 #: under many configurations), and ``builtins.compile`` dominates codegen
 #: time.  Code objects are immutable; each call still ``exec``\ s into a
 #: fresh namespace, so sharing them is safe.
-_CODE_MEMO: dict[tuple[str, str], object] = {}
-_CODE_MEMO_MAX = 4096
+_CODE_MEMO: Store[object] = Store(max_entries=4096)
 
 
 def compile_block_fn(
@@ -232,13 +232,9 @@ def compile_block_fn(
     src += "\n".join(em.lines) + "\n"
 
     namespace = exec_namespace()
-    memo_key = (blk.label, src)
-    code = _CODE_MEMO.get(memo_key)
-    if code is None:
-        if len(_CODE_MEMO) >= _CODE_MEMO_MAX:
-            _CODE_MEMO.clear()
-        code = compile(src, f"<block {blk.label}>", "exec")
-        _CODE_MEMO[memo_key] = code
+    code, _ = _CODE_MEMO.get_or_build(
+        (blk.label, src), lambda: compile(src, f"<block {blk.label}>", "exec")
+    )
     exec(code, namespace)
     fn = namespace[fn_name]
     fn.__source__ = src  # for debugging

@@ -34,12 +34,13 @@ inline:
   writes the promoted scalars back to ``env`` and goes through
   :meth:`Executor._do_call`, which runs the callee's own compiled
   function.
-* **Caching** — compiled functions land in a content-addressed
-  :class:`ExecutableCache` keyed by a digest of the function's rendered
+* **Caching** — compiled functions land in a :class:`~repro.store.Store`
+  keyed by :func:`executable_digest`, a digest of the function's rendered
   IR, its per-block cycle costs, and the machine (the same scheme as the
-  compiler pipeline's ``VersionCache``), so re-rating a version across
-  consistency windows, search rounds, and worker tasks never regenerates
-  code.
+  compiler pipeline's :func:`~repro.compiler.pipeline.version_key`), so
+  re-rating a version across consistency windows, search rounds, and
+  worker tasks never regenerates code.  The store is process-wide
+  (:func:`global_executable_cache`) and unbounded.
 
 **Exactness.**  Results are bit-identical to Tier 0.  Per block the
 generated code performs the same float operations in the same order —
@@ -68,6 +69,7 @@ from ..ir.cfg import CFG
 from ..ir.expr import ArrayRef, BinOp, Call, Const, UnOp, Var, walk
 from ..ir.stmt import CallStmt, CondBranch, Jump, Return
 from ..ir.types import Type
+from ..store import Store
 from .cache import AddressMap
 from .codegen import ExprEmitter, exec_namespace
 from .config import MachineConfig
@@ -82,7 +84,6 @@ from .executor import (
 
 __all__ = [
     "WholeFunction",
-    "ExecutableCache",
     "TieredExecutor",
     "create_executor",
     "executable_digest",
@@ -110,10 +111,10 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
 
     Covers the rendered IR, every per-block static cost (the channel
     through which the optimizing compiler's effect model differentiates
-    versions of identical IR), and the machine — mirroring the version-key
-    scheme of the compiler pipeline's ``VersionCache``.  Runtime inputs
-    (cost factors, cache and predictor state) are call arguments of the
-    generated code and deliberately not part of the key.
+    versions of identical IR), and the machine — mirroring the compiler
+    pipeline's ``version_key``.  Runtime inputs (cost factors, cache and
+    predictor state) are call arguments of the generated code and
+    deliberately not part of the key.
     """
     h = hashlib.sha256()
     h.update(str(exe.source).encode())
@@ -127,63 +128,13 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
     return h.hexdigest()
 
 
-class ExecutableCache:
-    """Thread-safe content-addressed cache of :class:`WholeFunction`\\ s.
-
-    Keyed by :func:`executable_digest`; shared process-wide by default so
-    every rating task, consistency window, and search round that touches a
-    version with the same IR and costs reuses one set of code objects
-    (worker processes each hold their own instance, like the version
-    cache).
-    """
-
-    def __init__(self, max_entries: int | None = None) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = threading.Lock()
-        self._entries: dict[str, WholeFunction] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def get(self, key: str) -> "WholeFunction | None":
-        with self._lock:
-            wf = self._entries.get(key)
-            if wf is not None:
-                self.hits += 1
-            return wf
-
-    def put(self, key: str, wf: "WholeFunction") -> None:
-        with self._lock:
-            self.misses += 1
-            if (
-                self.max_entries is not None
-                and key not in self._entries
-                and len(self._entries) >= self.max_entries
-            ):
-                self._entries.pop(next(iter(self._entries)))
-                self.evictions += 1
-            self._entries[key] = wf
+#: every rating task, consistency window, and search round that touches a
+#: version with the same IR and costs reuses one set of code objects (worker
+#: processes each hold their own store, like the version cache)
+_GLOBAL_CACHE: Store[WholeFunction] = Store()
 
 
-_GLOBAL_CACHE = ExecutableCache()
-
-
-def global_executable_cache() -> ExecutableCache:
+def global_executable_cache() -> Store[WholeFunction]:
     """The process-wide default compiled-code cache."""
     return _GLOBAL_CACHE
 
@@ -960,11 +911,14 @@ class TieredExecutor(Executor):
     Drop-in subclass of :class:`Executor`; identical machine state
     (cache, predictor) and bit-identical :class:`InvocationResult`\\ s.
     Every function runs through its :class:`WholeFunction`, served from a
-    shared :class:`ExecutableCache`, from its first invocation on.
+    shared code store, from its first invocation on.
     """
 
     def __init__(
-        self, machine: MachineConfig, *, code_cache: ExecutableCache | None = None
+        self,
+        machine: MachineConfig,
+        *,
+        code_cache: Store[WholeFunction] | None = None,
     ) -> None:
         super().__init__(machine)
         self.code_cache = code_cache if code_cache is not None else _GLOBAL_CACHE
@@ -980,11 +934,10 @@ class TieredExecutor(Executor):
         with _ATTACH_LOCK:
             wf = getattr(exe, "_jit_fn", None)
             if wf is None or wf.machine != self.machine:
-                digest = executable_digest(exe, self.machine)
-                wf = self.code_cache.get(digest)
-                if wf is None:
-                    wf = WholeFunction(exe, self.machine)
-                    self.code_cache.put(digest, wf)
+                wf, _ = self.code_cache.get_or_build(
+                    executable_digest(exe, self.machine),
+                    lambda: WholeFunction(exe, self.machine),
+                )
                 exe._jit_fn = wf
         return wf
 
@@ -1046,7 +999,7 @@ def create_executor(
     machine: MachineConfig,
     tier: int = 0,
     *,
-    code_cache: ExecutableCache | None = None,
+    code_cache: Store[WholeFunction] | None = None,
 ) -> Executor:
     """Build the executor for one execution tier.
 

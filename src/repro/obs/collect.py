@@ -1,11 +1,11 @@
 """Collectors: fold the run's scattered accounting into the registry.
 
-Each collector reads one existing accounting surface — the tuning ledger,
-the compiled-version cache, the pass-prefix stats (already merged into the
-ledger), the JIT's executable cache — and writes it into the metrics
-registry under a stable name, so ``--metrics-out`` emits one document
-covering everything a run counted.  :func:`render_report` is the human view
-of the same data plus the span tree.
+Each collector reads one existing accounting surface — the tuning ledger
+(which carries every rating task's version-cache and pass-prefix
+traffic) and the counters of each cache store — and writes it into the
+metrics registry under a stable name, so ``--metrics-out`` emits one
+document covering everything a run counted.  :func:`render_report` is the
+human view of the same data plus the span tree.
 """
 
 from __future__ import annotations
@@ -62,13 +62,14 @@ def collect_run(
     *,
     ledger: Any = None,
     version_cache: Any = None,
-    exec_cache: Any = None,
+    prefix_cache: Any = None,
 ) -> None:
-    """End-of-run sweep: ledger + in-process cache layers + span coverage.
+    """End-of-run sweep: ledger + in-process cache stores + span coverage.
 
-    ``version_cache`` is the parent-context compiled-version cache (worker
-    processes report their traffic through the ledger instead);
-    ``exec_cache`` is the JIT's :class:`~repro.machine.jit.ExecutableCache`.
+    ``version_cache`` and ``prefix_cache`` are the parent context's
+    version and pass-prefix stores, reported as ``cache.version.local.*``
+    and ``cache.prefix.local.*`` (worker processes report their traffic
+    through the ledger instead).
     """
     if ledger is not None:
         collect_ledger(obs, ledger)
@@ -77,24 +78,10 @@ def collect_run(
                 obs.tracer.coverage(ledger.total_cycles)
             )
             obs.gauge("trace.spans").set(obs.tracer.span_count())
-    if version_cache is not None:
-        collect_cache(
-            obs,
-            "version.local",
-            hits=version_cache.hits,
-            misses=version_cache.misses,
-            evictions=version_cache.evictions,
-            size=len(version_cache),
-        )
-    if exec_cache is not None:
-        collect_cache(
-            obs,
-            "executable",
-            hits=exec_cache.hits,
-            misses=exec_cache.misses,
-            evictions=exec_cache.evictions,
-            size=len(exec_cache),
-        )
+    for layer, store in (("version.local", version_cache), ("prefix.local", prefix_cache)):
+        if store is not None:
+            collect_cache(obs, layer, hits=store.hits, misses=store.misses,
+                          evictions=store.evictions, size=len(store))
 
 
 # --------------------------------------------------------------------------- #

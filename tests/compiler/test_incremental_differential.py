@@ -12,6 +12,8 @@ fresh recomputation after the pass ran.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,16 +23,18 @@ from repro.analysis.manager import ANALYSES, AnalysisManager
 from repro.compiler import (
     ALL_FLAGS,
     N_FLAGS,
+    PREFIX_CACHE_MAX,
     OptConfig,
-    PassPrefixCache,
     PrefixStats,
     compile_version,
     effective_steps,
     ir_digest,
 )
 from repro.compiler.pipeline import _STEP_TRAITS, _apply_step
-from repro.compiler.prefix import _StepEntry
+from repro.compiler.prefix import _ir_digests, cached_ir_digest
+from repro.ir import Type
 from repro.machine import Executor, PENTIUM4, SPARC2
+from repro.store import Store
 
 from ..strategies import kernel_inputs, kernels
 from .test_pipeline import KERNELS
@@ -85,7 +89,7 @@ class TestSweepBitIdentity:
         cache across the whole sweep) is bit-identical to the cold one."""
         fn_factory, _ = KERNELS[kernel]
         fn = fn_factory()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         stats = PrefixStats()
         for config in IE_SWEEP:
             cold = compile_version(fn, config, PENTIUM4)
@@ -106,7 +110,7 @@ class TestSweepBitIdentity:
         """Spot-check that warm versions also *run* identically."""
         fn_factory, inputs_factory = KERNELS[kernel]
         fn = fn_factory()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         rng = np.random.default_rng(7)
         env = inputs_factory(rng)
         for config in (OptConfig.o3(), OptConfig.o3().without("loop-optimize")):
@@ -116,7 +120,7 @@ class TestSweepBitIdentity:
 
     def test_identical_config_is_a_full_hit(self):
         fn = KERNELS["regular"][0]()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         first, second = PrefixStats(), PrefixStats()
         v1 = compile_version(
             fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache, prefix_stats=first
@@ -133,7 +137,7 @@ class TestSweepBitIdentity:
         """``checked=True`` through the cache: validation must neither
         change the result nor reject a resumed snapshot."""
         fn = KERNELS["mixed"][0]()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         for config in IE_SWEEP[:8]:
             cold = compile_version(fn, config, PENTIUM4, checked=True)
             warm = compile_version(
@@ -145,7 +149,7 @@ class TestSweepBitIdentity:
         """Machine parameters never reach the pass pipeline, so one cache
         serves both machines and the second machine's sweep is fully warm."""
         fn = KERNELS["branchy"][0]()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         p4_stats, sparc_stats = PrefixStats(), PrefixStats()
         compile_version(
             fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache,
@@ -170,7 +174,7 @@ class TestRandomizedBitIdentity:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_random_flag_subsets(self, kernel, flags):
         fn = KERNELS[kernel][0]()
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         config = OptConfig(frozenset(flags))
         cold = compile_version(fn, config, PENTIUM4)
         # twice through the same cache: the store path and the resume path
@@ -182,7 +186,7 @@ class TestRandomizedBitIdentity:
     @settings(max_examples=20, deadline=None)
     @given(fn=kernels(), env=kernel_inputs(), flags=flag_subsets)
     def test_random_kernels(self, fn, env, flags):
-        cache = PassPrefixCache()
+        cache = Store(PREFIX_CACHE_MAX)
         config = OptConfig(frozenset(flags))
         # warm the cache with -O3 first so the random config resumes from a
         # genuinely foreign chain, then compare against a cold compile
@@ -278,56 +282,87 @@ class TestIrDigest:
 
 
 # --------------------------------------------------------------------------- #
-# PassPrefixCache mechanics
+# the pass-prefix store and the IR digest memo
+
+
+class _RacingStore(Store):
+    """A prefix store whose chain walk never hits, as for a compile that
+    walked the chain before a concurrent compile's rows landed."""
+
+    def get(self, key):
+        super().get(key)
+        return None
 
 
 class TestPassPrefixCache:
     def test_lookup_counts_hits_and_misses(self):
-        cache = PassPrefixCache()
-        assert cache.lookup("ctx", "d0", "gcse") is None
-        cache.store("ctx", "d0", "gcse", _StepEntry("d1", None, None))
-        entry = cache.lookup("ctx", "d0", "gcse")
-        assert entry is not None and entry.out_digest == "d1"
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
+        """A cold compile misses once, where its chain walk stops, and
+        stores one row per step; the warm compile hits every row."""
+        fn = KERNELS["regular"][0]()
+        steps = len(effective_steps(OptConfig.o3()))
+        cache = Store(PREFIX_CACHE_MAX)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, steps)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (steps, 1, steps)
 
     def test_store_keeps_first_entry(self):
-        cache = PassPrefixCache()
-        first = _StepEntry("d1", None, None)
-        cache.store("ctx", "d0", "gcse", first)
-        cache.store("ctx", "d0", "gcse", _StepEntry("d1", None, None))
-        assert cache.lookup("ctx", "d0", "gcse") is first
-        assert len(cache) == 1
-
-    def test_lru_eviction_counts_and_respects_recency(self):
-        cache = PassPrefixCache(max_entries=2)
-        cache.store("ctx", "a", "s", _StepEntry("a1", None, None))
-        cache.store("ctx", "b", "s", _StepEntry("b1", None, None))
-        cache.lookup("ctx", "a", "s")  # refresh a: b is now the LRU entry
-        cache.store("ctx", "c", "s", _StepEntry("c1", None, None))
-        assert cache.evictions == 1
-        assert cache.lookup("ctx", "a", "s") is not None
-        assert cache.lookup("ctx", "b", "s") is None
-        assert cache.lookup("ctx", "c", "s") is not None
+        """A racing compile's rows never replace the rows the first compile
+        stored — the owner row carries its analyses and validated mark."""
+        fn = KERNELS["mixed"][0]()
+        cache = _RacingStore(PREFIX_CACHE_MAX)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, checked=True, prefix_cache=cache)
+        rows = dict(cache._entries)
+        assert any(row.validated for row in rows.values())
+        compile_version(fn, OptConfig.o3(), PENTIUM4, checked=True, prefix_cache=cache)
+        assert len(cache._entries) == len(rows)
+        assert all(cache._entries[key] is row for key, row in rows.items())
 
     def test_clear_resets_everything(self):
-        cache = PassPrefixCache(max_entries=1)
-        cache.store("ctx", "a", "s", _StepEntry("a1", None, None))
-        cache.store("ctx", "b", "s", _StepEntry("b1", None, None))
-        cache.lookup("ctx", "b", "s")
+        """Clearing a thrashed prefix cache drops its rows and resets the
+        hit, miss and eviction counters; the next compile starts cold."""
+        fn = KERNELS["mixed"][0]()
+        cache = Store(max_entries=1)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache)
+        assert cache.evictions > 0 and cache.misses > 0
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, prefix_cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_bounded_cache_still_compiles_correctly(self):
         """A pathologically tiny cache thrashes but must stay correct."""
         fn = KERNELS["mixed"][0]()
-        cache = PassPrefixCache(max_entries=3)
+        cache = Store(max_entries=3)
         for config in IE_SWEEP[:6]:
             cold = compile_version(fn, config, PENTIUM4)
             warm = compile_version(fn, config, PENTIUM4, prefix_cache=cache)
             assert_versions_identical(cold, warm, context=config.describe())
         assert cache.evictions > 0
+
+
+class TestCachedIrDigest:
+    def test_redigests_after_a_mutation_stamp_bump(self):
+        fn = KERNELS["regular"][0]()
+        before = cached_ir_digest(fn)
+        fn.locals["extra"] = Type.INT
+        fn.bump_stmts()
+        assert cached_ir_digest(fn) == ir_digest(fn) != before
+
+    def test_never_serves_a_dead_objects_entry(self):
+        class _Husk:
+            pass
+
+        fn = KERNELS["regular"][0]()
+        husk = _Husk()
+        dead = weakref.ref(husk)
+        del husk
+        # simulate id reuse: a dead object's entry squatting on fn's key
+        _ir_digests.clear()
+        _ir_digests.put((id(fn), *fn.ir_stamp), (dead, "stale"))
+        assert cached_ir_digest(fn) == ir_digest(fn)
 
 
 # --------------------------------------------------------------------------- #

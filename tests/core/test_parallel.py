@@ -14,12 +14,14 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
-from repro.compiler import VersionCache, version_key
+from repro.compiler import compile_version, version_key
 from repro.compiler.options import OptConfig
+from repro.compiler.pipeline import program_digest
 from repro.core.peak import PeakTuner
 from repro.core.search import IterativeElimination, ParallelEvaluator, resolve_jobs
 from repro.machine import PENTIUM4, SPARC2
 from repro.runtime.ledger import TuningLedger
+from repro.store import Store
 from repro.workloads import get_workload
 
 FLAGS = ("strength-reduce", "schedule-insns", "inline-functions")
@@ -100,49 +102,58 @@ class TestParallelEvaluator:
 
 
 # --------------------------------------------------------------------------- #
-# VersionCache
+# the version cache: compile_version through a Store under version_key
+
+
+def _swim_program():
+    from repro.ir import Program
+
+    fn = get_workload("swim").ts
+    return fn, Program("p", functions={fn.name: fn})
 
 
 class TestVersionCache:
     def test_miss_then_hit(self):
-        cache = VersionCache()
-        built = []
-
-        def build():
-            built.append(1)
-            return object()
-
-        v1, hit1 = cache.get_or_compile("k", build)
-        v2, hit2 = cache.get_or_compile("k", build)
-        assert (hit1, hit2) == (False, True)
+        fn = get_workload("swim").ts
+        cache = Store()
+        v1 = compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+        v2 = compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
         assert v1 is v2
-        assert built == [1]
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
 
     def test_distinct_keys_do_not_collide(self):
-        cache = VersionCache()
-        va, _ = cache.get_or_compile("a", lambda: "A")
-        vb, _ = cache.get_or_compile("b", lambda: "B")
-        assert (va, vb) == ("A", "B")
+        fn = get_workload("swim").ts
+        cache = Store()
+        va = compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+        vb = compile_version(
+            fn, OptConfig.o3().without("strength-reduce"), PENTIUM4, cache=cache
+        )
+        assert va is not vb and va.config != vb.config
         assert cache.misses == 2 and cache.hits == 0
 
-    def test_failed_build_is_not_cached(self):
-        cache = VersionCache()
-        with pytest.raises(RuntimeError):
-            cache.get_or_compile("k", self._boom)
-        # the key must not be poisoned: a later build succeeds
-        v, hit = cache.get_or_compile("k", lambda: "ok")
-        assert v == "ok" and hit is False
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        from repro.compiler import pipeline
 
-    @staticmethod
-    def _boom():
-        raise RuntimeError("pass pipeline exploded")
+        fn = get_workload("swim").ts
+        cache = Store()
+        real = pipeline._compile_uncached
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("pass pipeline exploded")
+
+        monkeypatch.setattr(pipeline, "_compile_uncached", boom)
+        with pytest.raises(RuntimeError):
+            compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+        # the key must not be poisoned: a later compile succeeds
+        monkeypatch.setattr(pipeline, "_compile_uncached", real)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+        assert len(cache) == 1 and cache.hits == 0
 
     def test_clear_resets_counters(self):
-        cache = VersionCache()
-        cache.get_or_compile("k", object)
-        cache.get_or_compile("k", object)
+        fn = get_workload("swim").ts
+        cache = Store()
+        compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+        compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
@@ -165,135 +176,95 @@ class TestVersionCache:
         o3 = OptConfig.o3()
         assert version_key(swim, o3, PENTIUM4) != version_key(mgrid, o3, PENTIUM4)
 
-    def test_lru_eviction_respects_recency(self):
-        cache = VersionCache(max_entries=2)
-        cache.get_or_compile("a", lambda: "A")
-        cache.get_or_compile("b", lambda: "B")
-        cache.get_or_compile("a", lambda: "A")  # refresh: b is now the LRU
-        cache.get_or_compile("c", lambda: "C")
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        _, hit_a = cache.get_or_compile("a", lambda: "A2")
-        _, hit_b = cache.get_or_compile("b", lambda: "B2")
-        assert hit_a is True, "the refreshed entry must survive eviction"
-        assert hit_b is False, "the least recently used entry was dropped"
-
-    def test_unbounded_cache_never_evicts(self):
-        cache = VersionCache()
-        for i in range(50):
-            cache.get_or_compile(str(i), object)
-        assert len(cache) == 50 and cache.evictions == 0
-
-    def test_clear_resets_eviction_counter_and_program_memo(self):
-        from repro.ir import Program
-
-        cache = VersionCache(max_entries=1)
-        fn = get_workload("swim").ts
-        program = Program("p", functions={fn.name: fn})
-        cache.key_for(fn, OptConfig.o3(), PENTIUM4, program=program)
-        cache.get_or_compile("a", object)
-        cache.get_or_compile("b", object)
-        assert cache.evictions == 1
-        assert len(cache._program_hashes) == 1
-        cache.clear()
-        assert cache.evictions == 0
-        assert len(cache._program_hashes) == 0, (
-            "clear() must drop memoized program digests (id-keyed entries "
-            "would otherwise go stale across cache generations)"
-        )
-
     def test_program_digest_memoized_by_identity(self):
-        from repro.ir import Program
+        from repro.compiler.pipeline import _shared_program_digests
 
-        cache = VersionCache()
-        fn = get_workload("swim").ts
-        program = Program("p", functions={fn.name: fn})
-        k1 = cache.key_for(fn, OptConfig.o3(), PENTIUM4, program=program)
-        k2 = cache.key_for(fn, OptConfig.o3(), PENTIUM4, program=program)
+        fn, program = _swim_program()
+        k1 = version_key(fn, OptConfig.o3(), PENTIUM4, program=program)
+        hits = _shared_program_digests.hits
+        k2 = version_key(fn, OptConfig.o3(), PENTIUM4, program=program)
         assert k1 == k2
-        assert len(cache._program_hashes) == 1
+        assert _shared_program_digests.hits == hits + 1
         # the memo is an optimisation, not part of the key: an equal-content
         # program yields the same key through a fresh digest
-        clone = Program("p", functions={fn.name: fn})
-        assert cache.key_for(fn, OptConfig.o3(), PENTIUM4, program=clone) == k1
-        assert len(cache._program_hashes) == 2
+        _, clone = _swim_program()
+        misses = _shared_program_digests.misses
+        assert version_key(fn, OptConfig.o3(), PENTIUM4, program=clone) == k1
+        assert _shared_program_digests.misses == misses + 1
 
-    def test_concurrent_same_key_deduplicates(self):
+    def test_concurrent_same_key_deduplicates(self, monkeypatch):
         import threading
-        import time
 
-        cache = VersionCache()
-        built = []
+        from repro.compiler import pipeline
 
-        def build():
-            time.sleep(0.02)
+        fn = get_workload("swim").ts
+        cache = Store()
+        real, built = pipeline._compile_uncached, []
+
+        def counting(*args, **kwargs):
             built.append(1)
-            return "V"
+            return real(*args, **kwargs)
 
+        monkeypatch.setattr(pipeline, "_compile_uncached", counting)
         results = []
         threads = [
             threading.Thread(
-                target=lambda: results.append(cache.get_or_compile("k", build))
+                target=lambda: results.append(
+                    compile_version(fn, OptConfig.o3(), PENTIUM4, cache=cache)
+                )
             )
             for _ in range(4)
         ]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         assert built == [1], "only one thread may run the pass pipeline"
-        assert {v for v, _ in results} == {"V"}
+        assert len({id(v) for v in results}) == 1 and len(results) == 4
         assert cache.misses == 1 and cache.hits == 3
 
 
 # --------------------------------------------------------------------------- #
-# program-digest memo (id-keyed, weakref-validated, bounded)
+# the program-digest memo shared by version keys and prefix contexts
 
 
 class TestProgramDigestMemo:
-    def _memo(self, **kw):
-        from repro.compiler.pipeline import _ProgramDigestMemo
-
-        return _ProgramDigestMemo(**kw)
-
-    def _program(self, name="p"):
-        from repro.ir import Program
-
-        fn = get_workload("swim").ts
-        return Program(name, functions={fn.name: fn})
-
     def test_none_program_is_a_constant(self):
-        memo = self._memo()
-        assert memo.digest(None) == "-"
-        assert len(memo) == 0
+        from repro.compiler.pipeline import _shared_program_digests
+
+        size = len(_shared_program_digests)
+        assert program_digest(None) == "-"
+        assert len(_shared_program_digests) == size
 
     def test_stale_id_entry_is_not_served(self):
         """An entry whose weak referent died must be recomputed, even if a
         new program lands on the same ``id`` (CPython reuses addresses)."""
         import weakref
 
+        from repro.compiler.pipeline import _shared_program_digests
+
         class _Husk:
             pass
 
-        memo = self._memo()
-        program = self._program()
+        _, program = _swim_program()
         husk = _Husk()
         dead = weakref.ref(husk)
         del husk
         assert dead() is None
         # simulate id reuse: a dead entry squatting on this program's id
-        memo._entries[id(program)] = (dead, "stale-digest")
-        assert memo.digest(program) != "stale-digest"
-        assert memo.digest(program) == memo.digest(program)
+        _shared_program_digests.clear()
+        _shared_program_digests.put((id(program),), (dead, "stale-digest"))
+        assert program_digest(program) != "stale-digest"
+        assert program_digest(program) == program_digest(program)
 
     def test_bounded(self):
-        memo = self._memo(max_entries=2)
-        programs = [self._program(f"p{i}") for i in range(5)]
+        from repro.compiler.pipeline import _shared_program_digests
+
+        programs = [_swim_program()[1] for _ in range(300)]
         for p in programs:
-            memo.digest(p)
-        assert len(memo) == 2
-        memo.clear()
-        assert len(memo) == 0
+            program_digest(p)
+        assert len(_shared_program_digests) == 256
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.ir import ArrayRef, Const, FunctionBuilder, Type, Var
 from repro.machine import (
     AddressMap,
-    ExecutableCache,
     ExecutionError,
     Executor,
     PENTIUM4,
@@ -29,6 +28,7 @@ from repro.machine import (
     compile_function,
 )
 from repro.machine.executor import unbox
+from repro.store import Store
 
 from ..strategies import kernel_inputs, kernels
 
@@ -81,7 +81,7 @@ def run_differential(
     exe0 = compile_function(fn, machine, callees=callees)
     exe1 = compile_function(fn, machine, callees=callees)
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=Store())
     if max_steps is not None:
         ex0.MAX_STEPS = max_steps
         ex1.MAX_STEPS = max_steps
@@ -337,7 +337,7 @@ def test_interleaved_functions_share_machine_state():
     exe0a, exe0b = compile_function(fn_a, machine), compile_function(fn_b, machine)
     exe1a, exe1b = compile_function(fn_a, machine), compile_function(fn_b, machine)
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=Store())
     for i in range(8):
         rng0, rng1 = np.random.default_rng(i), np.random.default_rng(i)
         e0 = {"n": 32, "x": rng0.normal(size=32), "y": rng0.normal(size=32)}
@@ -448,7 +448,7 @@ def test_recursive_calls_share_predictor_entries(machine):
     exe1 = compile_function(fn, machine)
     exe1.callees["rec"] = exe1
     ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=ExecutableCache())
+    ex1 = TieredExecutor(machine, code_cache=Store())
     for i in range(4):
         r0 = ex0.run(exe0, unbox(env_fn(i)), count_blocks=i % 2 == 1)
         r1 = ex1.run(exe1, unbox(env_fn(i)), count_blocks=i % 2 == 1)

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.ir import ArrayRef, BinOp, Call, Const, FunctionBuilder, Type, UnOp, Var
 from repro.machine import (
-    ExecutableCache,
     ExecutionError,
     Executor,
     PENTIUM4,
@@ -34,6 +33,7 @@ from repro.machine import (
     compile_function,
 )
 from repro.machine.executor import unbox
+from repro.store import Store
 
 from .test_executor_differential import bits, run_differential
 
@@ -197,7 +197,7 @@ def test_nan_subscript_is_an_execution_error_at_both_tiers(machine, x, as_list):
     fn = nan_subscript_fn()
     env = {"x": x, "a": np.zeros(8), "c": np.arange(8.0)}
     states = []
-    for ex in (Executor(machine), TieredExecutor(machine, code_cache=ExecutableCache())):
+    for ex in (Executor(machine), TieredExecutor(machine, code_cache=Store())):
         run_env = unbox(env) if as_list else dict(env, a=np.zeros(8))
         with pytest.raises(ExecutionError, match="k/entry: runtime error") as info:
             ex.run(compile_function(fn, machine), run_env)
@@ -219,7 +219,7 @@ def test_non_integer_runtime_subscript_is_an_execution_error(machine, as_list):
     b.ret(ArrayRef("a", b.var("j")))
     fn = b.build()
     errors = []
-    for ex in (Executor(machine), TieredExecutor(machine, code_cache=ExecutableCache())):
+    for ex in (Executor(machine), TieredExecutor(machine, code_cache=Store())):
         env = {"j": 2.5, "a": np.zeros(4)}
         with pytest.raises(ExecutionError, match="g/entry: runtime error"):
             ex.run(compile_function(fn, machine), unbox(env) if as_list else env)

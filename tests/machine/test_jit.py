@@ -17,7 +17,6 @@ from repro.ir.stmt import Assign, CondBranch, Return
 from repro.machine import (
     EXEC_TIERS,
     AddressMap,
-    ExecutableCache,
     Executor,
     PENTIUM4,
     SPARC2,
@@ -28,6 +27,7 @@ from repro.machine import (
     global_executable_cache,
 )
 from repro.machine.jit import WholeFunction, _chain_heads
+from repro.store import Store
 from repro.workloads import get_workload
 
 
@@ -72,7 +72,7 @@ class TestTierSelection:
 
 class TestWholeFunctionCompilation:
     def test_first_invocation_runs_compiled(self):
-        ex = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex = TieredExecutor(SPARC2, code_cache=Store())
         exe = compile_function(loop_fn(), SPARC2)
         ex.run(exe, envs()[0])
         assert exe._jit_fn is not None
@@ -87,7 +87,7 @@ class TestWholeFunctionCompilation:
         b = FunctionBuilder("once", [("x", Type.FLOAT)], return_type=Type.FLOAT)
         b.ret(b.var("x") * 2.0)
         exe = compile_function(b.build(), SPARC2)
-        ex = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex = TieredExecutor(SPARC2, code_cache=Store())
         for _ in range(4):
             res = ex.run(exe, {"x": 1.5})
         assert res.return_value == 3.0
@@ -105,7 +105,7 @@ class TestWholeFunctionCompilation:
         b.ret(b.var("acc"))
         callees = {"g": compile_function(cal.build(), SPARC2)}
         exe = compile_function(b.build(), SPARC2, callees=callees)
-        ex = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex = TieredExecutor(SPARC2, code_cache=Store())
         res = ex.run(exe, {"n": 5})
         assert res.return_value == 5.0
         # the caller's frame plus one callee frame per call, all compiled
@@ -123,7 +123,7 @@ class TestWholeFunctionCompilation:
             )
             ds = w.dataset("train")
             rng = np.random.default_rng(0)
-            ex = TieredExecutor(machine, code_cache=ExecutableCache())
+            ex = TieredExecutor(machine, code_cache=Store())
             for i in range(20):
                 ex.run(version.exe, ds.env(rng, i), factors=version.factors,
                        count_blocks=i % 2 == 1)
@@ -155,7 +155,7 @@ class TestLayout:
         exe0 = compile_function(fn, SPARC2)
         exe1 = compile_function(fn, SPARC2)
         ex0 = Executor(SPARC2)
-        ex1 = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex1 = TieredExecutor(SPARC2, code_cache=Store())
         for n in (0, 1):
             r0 = ex0.run(exe0, {"n": n})
             r1 = ex1.run(exe1, {"n": n})
@@ -179,7 +179,7 @@ class TestLayout:
         exe0 = compile_function(fn, SPARC2)
         exe1 = compile_function(fn, SPARC2)
         ex0 = Executor(SPARC2)
-        ex1 = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex1 = TieredExecutor(SPARC2, code_cache=Store())
         for x in range(-1, 8):
             r0 = ex0.run(exe0, {"x": x})
             r1 = ex1.run(exe1, {"x": x})
@@ -188,7 +188,7 @@ class TestLayout:
 
 class TestExecutableCache:
     def test_cache_hit_on_same_ir_and_costs(self):
-        cache = ExecutableCache()
+        cache = Store()
         fn = loop_fn()
         for _ in range(2):
             exe = compile_function(fn, SPARC2)
@@ -215,12 +215,15 @@ class TestExecutableCache:
         assert executable_digest(exe, SPARC2) == executable_digest(exe, SPARC2)
 
     def test_max_entries_evicts(self):
-        cache = ExecutableCache(max_entries=1)
-        cache.put("k1", WholeFunction(compile_function(loop_fn("f1"), SPARC2), SPARC2))
-        cache.put("k2", WholeFunction(compile_function(loop_fn("f2"), SPARC2), SPARC2))
+        """The executor regenerates code its store has evicted."""
+        cache = Store(max_entries=1)
+        ex = TieredExecutor(SPARC2, code_cache=cache)
+        for name in ("f1", "f2", "f1"):
+            exe = compile_function(loop_fn(name), SPARC2)
+            ex.run(exe, envs(count=1)[0])
+            assert exe._jit_fn is cache.get(executable_digest(exe, SPARC2))
         assert len(cache) == 1
-        assert cache.get("k1") is None
-        assert cache.get("k2") is not None
+        assert cache.evictions == 2
 
 
 def _fits(sizes: dict, n_sets: int, line: int) -> bool:
@@ -252,7 +255,7 @@ class TestAddressMapCache:
         exe = compile_function(w.ts, PENTIUM4)
         ds = w.dataset("train")
         rng = np.random.default_rng(0)
-        ex = TieredExecutor(PENTIUM4, code_cache=ExecutableCache())
+        ex = TieredExecutor(PENTIUM4, code_cache=Store())
         shapes = set()
         for i in range(600):
             env = ds.env(rng, i)
@@ -284,7 +287,7 @@ class TestAddressMapCache:
 
 class TestGeneratedCode:
     def test_source_is_regenerated_not_retained(self):
-        ex = TieredExecutor(SPARC2, code_cache=ExecutableCache())
+        ex = TieredExecutor(SPARC2, code_cache=Store())
         exe = compile_function(loop_fn(), SPARC2)
         ex.run(exe, envs()[0])
         wf = exe._jit_fn

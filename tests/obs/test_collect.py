@@ -2,6 +2,7 @@
 
 from repro.obs import Obs, collect_cache, collect_ledger, collect_run, render_report
 from repro.runtime import TuningLedger
+from repro.store import Store
 
 
 def make_ledger() -> TuningLedger:
@@ -47,14 +48,28 @@ class TestCollectors:
         ledger.attach_tracer(obs.tracer)
         with obs.span("tune", "engine"):
             ledger.charge("ts", 40.0)
-        collect_run(obs, ledger=ledger, version_cache=_FakeCache(),
-                    exec_cache=_FakeCache())
+        collect_run(obs, ledger=ledger, version_cache=_FakeCache())
         m = obs.metrics
         # 40 of the 200 charged cycles happened inside a span
         assert m.gauge_value("trace.coverage") == 40.0 / 200.0
         assert m.gauge_value("trace.spans") == 1
         assert m.counter_value("cache.version.local.hits") == 8
-        assert m.counter_value("cache.executable.misses") == 2
+
+    def test_collect_run_reports_version_and_prefix_stores(self):
+        version, prefix = Store(), Store(max_entries=1)
+        version.get_or_build("v", object)
+        version.get_or_build("v", object)
+        prefix.put("a", 1)
+        prefix.put("b", 2)
+        prefix.get("a")
+        obs = Obs.create()
+        collect_run(obs, version_cache=version, prefix_cache=prefix)
+        m = obs.metrics
+        assert [m.counter_value(f"cache.version.local.{c}")
+                for c in ("hits", "misses", "evictions")] == [1, 1, 0]
+        assert [m.counter_value(f"cache.prefix.local.{c}")
+                for c in ("hits", "misses", "evictions")] == [0, 1, 1]
+        assert m.gauge_value("cache.prefix.local.size") == 1
 
     def test_disabled_obs_collects_nothing(self):
         obs = Obs.disabled()

@@ -108,6 +108,13 @@ class TestMetricsDocument:
         misses = m.counter_value("cache.version.local.misses")
         assert hits + misses > 0
 
+    def test_serial_tune_reports_its_prefix_store(self):
+        obs, _ = tune_with_obs()
+        m = obs.metrics
+        assert m.counter_value("cache.prefix.local.hits") > 0
+        assert m.gauge_value("cache.prefix.local.size") > 0
+        assert m.counter_value("cache.prefix.local.evictions") == 0
+
     def test_executable_cache_counts_only_this_tune(self):
         # the JIT's executable cache is process-wide: the second, identical
         # tune finds every function compiled, and must not report the first
