@@ -12,8 +12,9 @@ three-flag search and compares everything it decides and charges against
 * the ledger's cycles by category, invocations and program runs.
 
 The cases cover every rating method (CBR, MBR, RBR, and forced WHL and
-AVG), both machines, both execution tiers, and the switches CBR -> RBR
-and CBR -> MBR.
+AVG), both machines, both execution tiers, the switches CBR -> RBR and
+CBR -> MBR, and forced WHL on a program whose inputs carry a live object
+from one invocation to the next (crafty's ``dirs`` table).
 
 Regenerate the fixture only for an intended change of the serial engine's
 results::
@@ -47,6 +48,8 @@ CASES: dict[str, tuple[str, str, str | None, int, dict]] = {
     "art-p4-rbr-t1": ("art", "pentium4", None, 1, {}),
     "swim-sparc2-whl-t1": ("swim", "sparc2", "WHL", 1, {}),
     "swim-p4-avg-t0": ("swim", "pentium4", "AVG", 0, {}),
+    "swim-p4-whl-t0": ("swim", "pentium4", "WHL", 0, {}),
+    "crafty-p4-whl-t1": ("crafty", "pentium4", "WHL", 1, {}),
     "mgrid-p4-mbr-t0": ("mgrid", "pentium4", None, 0, {}),
     "art-sparc2-rbr-t0": ("art", "sparc2", None, 0, {}),
     "swim-p4-cbr-to-rbr-t1": (
