@@ -2,7 +2,7 @@
 
 Both rate through one rater and one switching loop.  A :class:`_TaskRater`
 compiles and rates versions against a :class:`_WorkerContext` (plan,
-version and pass-prefix caches, the dataset's
+version and pass-prefix caches, the WHL run memo, the dataset's
 :class:`~repro.core.rating.feed.InputReplay`, the RBR save/restore plan),
 with its own ledger, invocation feed and noise stream; :func:`_rate_pair`
 rates one pair and switches to the next applicable method whenever a
@@ -33,7 +33,10 @@ hook the search algorithms call through
   :class:`~repro.store.Store` keyed by
   :func:`~repro.compiler.pipeline.version_key`, and compiles resume from a
   pass-prefix store (both per engine for the serial/thread backends, per
-  worker process for the process backend).
+  worker process for the process backend).  WHL program runs are served
+  from the context's run memo the same way; a replayed run charges, draws
+  noise and leaves the machine exactly as a simulated one, so results do
+  not depend on which task simulated a run first.
   Task ledgers carry cache traffic and per-worker wall-clock time, and
   are absorbed in submission order.
 
@@ -68,6 +71,7 @@ from ..runtime.save_restore import SaveRestorePlan
 from ..store import Store
 from ..workloads.base import Workload
 from .rating.base import RatingResult, RatingSettings
+from .rating.baselines import RUN_MEMO_MAX
 from .rating.consultant import ConsultantLimits, RatingPlan, consult
 from .rating.feed import InputReplay, InvocationFeed
 from .rating.rbr import ReExecutionRating
@@ -116,8 +120,8 @@ class EngineSpec:
 
 class _WorkerContext:
     """Worker-local rating state: workload, plan, the version cache, and
-    what every task of the worker reuses (the dataset replay and the RBR
-    save/restore plan)."""
+    what every task of the worker reuses (the dataset replay, the WHL run
+    memo and the RBR save/restore plan)."""
 
     def __init__(
         self,
@@ -158,6 +162,10 @@ class _WorkerContext:
         self.prefix_cache: Store | None = (
             Store(PREFIX_CACHE_MAX) if spec.use_prefix_cache else None
         )
+        #: WHL program runs by executable, factors, position and entry
+        #: machine state; it lives as long as the context (one tune, or one
+        #: worker), never process-wide
+        self.run_memo = Store(RUN_MEMO_MAX)
 
     @cached_property
     def save_plan(self) -> SaveRestorePlan:
@@ -314,6 +322,7 @@ class _TaskRater:
         rater = self.ctx.plan.rater(
             method, spec.settings, self.timed,
             whl_runs_per_rating=spec.whl_runs_per_rating,
+            run_memo=self.ctx.run_memo,
         )
         result = rater.rate(
             self.version_for(key, instrumented=method == "MBR"), self.feed

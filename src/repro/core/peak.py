@@ -267,6 +267,7 @@ class PeakTuner:
             ledger=engine.ledger,
             version_cache=engine.ctx.cache,
             prefix_cache=engine.ctx.prefix_cache,
+            run_memo=engine.ctx.run_memo,
         )
         if exec_counts is not None:
             hits, misses, evictions = (

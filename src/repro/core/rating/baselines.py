@@ -3,7 +3,10 @@
 * **WHL** averages the TS's execution time over entire application runs —
   "the best that can be achieved by static tuning", and the state of the
   art this paper's methods beat on tuning time: every trial costs a full
-  program run.
+  program run.  A program run is a pure function of the executable, its
+  cost factors, the feed position and the machine state at entry, so a
+  rating context memoizes runs (its *run memo*): a repeat charges, draws
+  noise and leaves the machine exactly as simulating it again would.
 * **AVG** naively averages invocation times regardless of context — fast,
   but not generally consistent: a version whose rating window happened to
   catch light-workload invocations looks better than one rated under heavy
@@ -14,19 +17,35 @@
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import replace
+
 import numpy as np
 
 from ...compiler.version import Version
+from ...machine.jit import executable_digest
 from ...runtime.instrument import TIMER_COST_CYCLES, TimedExecutor
+from ...store import Store
 from .base import Direction, RatingResult, RatingSettings, rating_var
 from .feed import InvocationFeed
 from .outliers import filter_outliers
 
-__all__ = ["WholeProgramRating", "AverageRating"]
+__all__ = ["RUN_MEMO_MAX", "WholeProgramRating", "AverageRating"]
+
+#: program runs a rating context's run memo holds (a 38-flag WHL tune of
+#: art on the Pentium 4 stores 76)
+RUN_MEMO_MAX = 256
 
 
 class WholeProgramRating:
-    """Rates a version by whole-program execution time."""
+    """Rates a version by whole-program execution time.
+
+    *run_memo* maps ``(executable digest, cost factors, feed position in
+    the run, entry MachineState)`` to the run's true cycles per invocation
+    and its exit state (whose counters are the run's increments).  It is
+    bypassed when the feed's replay is live, since then a run's inputs
+    depend on the runs before it.
+    """
 
     name = "WHL"
 
@@ -36,10 +55,12 @@ class WholeProgramRating:
         timed: TimedExecutor,
         *,
         runs_per_rating: int = 1,
+        run_memo: Store | None = None,
     ) -> None:
         self.settings = settings
         self.timed = timed
         self.runs_per_rating = runs_per_rating
+        self.run_memo = run_memo
 
     def rate(self, version: Version, feed: InvocationFeed) -> RatingResult:
         """Execute ``runs_per_rating`` full program runs of *version*.
@@ -50,16 +71,17 @@ class WholeProgramRating:
         noise and a single run per trial rates reliably.  What WHL cannot
         escape is its cost: the *whole* application executes per trial.
         """
-        totals: list[float] = []
-        for _ in range(self.runs_per_rating):
-            measured_total = 0.0
-            for _ in range(feed.n_per_run):
-                env = feed.next_env()
-                res = self.timed.run_untimed(version, env)
-                self.timed.ledger.charge_invocation(res.cycles)
-                measured_total += self.timed.noise.sample(res.cycles, self.timed.rng)
-            measured_total += feed.non_ts_cycles + TIMER_COST_CYCLES
-            totals.append(measured_total)
+        # the executable part of the run memo's key (None: no memo)
+        exe_key = None
+        if self.run_memo is not None and not feed.replay.live:
+            exe_key = (
+                executable_digest(version.exe, self.timed.machine), version.factors
+            )
+        totals = [
+            self._program_run(version, feed, exe_key)
+            + feed.non_ts_cycles + TIMER_COST_CYCLES
+            for _ in range(self.runs_per_rating)
+        ]
         arr = np.asarray(totals)
         return RatingResult(
             method=self.name,
@@ -72,6 +94,51 @@ class WholeProgramRating:
             samples=arr,
             notes=f"{self.runs_per_rating} full program run(s)",
         )
+
+    def _program_run(
+        self, version: Version, feed: InvocationFeed, exe_key: tuple | None
+    ) -> float:
+        """The measured TS time of one program run: simulated, or replayed
+        from the run memo with the same charges and noise draws in the same
+        order."""
+        timed = self.timed
+        ledger, noise, rng, executor = timed.ledger, timed.noise, timed.rng, timed.executor
+        n = feed.n_per_run
+        if exe_key is not None:
+            entry = executor.machine_state()
+            key = (*exe_key, feed.invocations_consumed % n, entry)
+            hit = self.run_memo.get(key)
+            if hit is not None:
+                cycles, exit_state = hit
+                executor.restore_machine_state(replace(
+                    exit_state,
+                    hits=entry.hits + exit_state.hits,
+                    misses=entry.misses + exit_state.misses,
+                ))
+                total = 0.0
+                # the invocations before the next run starts, then the rest
+                split = -feed.invocations_consumed % n
+                for part in (cycles[:split], cycles[split:]):
+                    feed.skip(len(part))
+                    for c in part:
+                        ledger.charge_invocation(c)
+                        total += noise.sample(c, rng)
+                return total
+        cycles = array("d")
+        total = 0.0
+        for _ in range(n):
+            c = timed.run_untimed(version, feed.next_env()).cycles
+            ledger.charge_invocation(c)
+            total += noise.sample(c, rng)
+            cycles.append(c)
+        if exe_key is not None:
+            exit_state = executor.machine_state()
+            self.run_memo.put(key, (cycles, replace(
+                exit_state,
+                hits=exit_state.hits - entry.hits,
+                misses=exit_state.misses - entry.misses,
+            )))
+        return total
 
 
 class AverageRating:

@@ -41,6 +41,7 @@ from ...machine.config import MachineConfig
 from ...machine.profiler import TSProfile
 from ...runtime.counters import instrument_counters
 from ...runtime.instrument import TimedExecutor
+from ...store import Store
 from .base import RatingSettings
 from .baselines import AverageRating, WholeProgramRating
 from .cbr import ContextBasedRating
@@ -96,9 +97,11 @@ class RatingPlan:
         timed: TimedExecutor,
         *,
         whl_runs_per_rating: int = 1,
+        run_memo: Store | None = None,
     ) -> ContextBasedRating | ModelBasedRating | AverageRating | WholeProgramRating:
         """The rater of one version by *method* (anything but RBR, which
-        rates pairs); MBR rates versions compiled from ``instrumented_fn``."""
+        rates pairs); MBR rates versions compiled from ``instrumented_fn``.
+        *run_memo* is the WHL rater's program-run memo."""
         if method == "CBR":
             return ContextBasedRating(self.context, settings, timed)
         if method == "MBR":
@@ -110,7 +113,8 @@ class RatingPlan:
             return AverageRating(settings, timed)
         if method == "WHL":
             return WholeProgramRating(
-                settings, timed, runs_per_rating=whl_runs_per_rating
+                settings, timed, runs_per_rating=whl_runs_per_rating,
+                run_memo=run_memo,
             )
         raise ValueError(f"unknown rating method {method!r}")
 

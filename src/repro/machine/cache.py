@@ -10,6 +10,9 @@ exceeds the cache (EQUAKE's irregular accesses).
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, compress
+
 import numpy as np
 
 __all__ = ["CacheSim", "AddressMap"]
@@ -223,6 +226,35 @@ class CacheSim:
             self._mru[:] = [None] * self.n_sets
         if self._direct is not None:
             self._direct = [None] * self.n_sets
+
+    def contents(self) -> tuple[bytes, bytes]:
+        """The resident lines as ``(ways, lines)``: per set (direct-mapped
+        slot), the number of resident lines, and every resident line index
+        as int64 bytes, set by set, each set least recently used first.
+        :meth:`restore` puts them back."""
+        direct = self._direct
+        if direct is not None:
+            ways = bytes(line is not None for line in direct)
+            return ways, array("q", compress(direct, ways)).tobytes()
+        sets = self._sets
+        return bytes(map(len, sets)), array("q", chain.from_iterable(sets)).tobytes()
+
+    def restore(self, ways: bytes, lines: bytes) -> None:
+        """Make the resident lines what :meth:`contents` returned.
+
+        In place, like :meth:`flush`: compiled code may hold the way
+        lists, the slot array and the MRU table.
+        """
+        resident = array("q", lines).tolist()
+        if self._direct is not None:
+            it = iter(resident)
+            self._direct[:] = [next(it) if w else None for w in ways]
+            return
+        at = 0
+        for w, set_ways in zip(ways, self._sets):
+            set_ways[:] = resident[at:at + w]
+            at += w
+        self._mru[:] = [w[-1] if w else None for w in self._sets]
 
     def reset_stats(self) -> None:
         self.hits = 0

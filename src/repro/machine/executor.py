@@ -53,6 +53,7 @@ __all__ = [
     "ExecutableFunction",
     "InvocationResult",
     "Executor",
+    "MachineState",
     "compile_function",
     "ExecutionError",
     "RUNTIME_ERRORS",
@@ -430,6 +431,26 @@ class InvocationResult:
     branch_miss_cycles: float = 0.0
 
 
+@dataclass(frozen=True)
+class MachineState:
+    """What runs leave behind in the simulated machine, as one value.
+
+    The cache's resident lines (:meth:`CacheSim.contents`), the branch
+    predictor table as its keys in table order and their directions, and
+    the cache's hit and miss counters.  Immutable and hashable, so a state
+    can key a memo.  Equality and the hash cover only what decides the
+    cycles of later runs; the counters are statistics and compare equal
+    whatever their values.
+    """
+
+    ways: bytes
+    lines: bytes
+    branch_keys: tuple[tuple[str, str], ...]
+    branch_taken: bytes
+    hits: int = field(compare=False)
+    misses: int = field(compare=False)
+
+
 class Executor:
     """Executes compiled functions on a simulated machine.
 
@@ -464,6 +485,27 @@ class Executor:
         self.cache.flush()
         self.branch_state.clear()
         self._amap_cache.clear()
+
+    def machine_state(self) -> MachineState:
+        """The cache and predictor state, as :meth:`restore_machine_state`
+        takes it."""
+        cache = self.cache
+        return MachineState(
+            *cache.contents(),
+            tuple(self.branch_state),
+            bytes(self.branch_state.values()),
+            cache.hits,
+            cache.misses,
+        )
+
+    def restore_machine_state(self, state: MachineState) -> None:
+        """Put the machine in *state* (in place, counters included)."""
+        cache = self.cache
+        cache.restore(state.ways, state.lines)
+        cache.hits = state.hits
+        cache.misses = state.misses
+        self.branch_state.clear()
+        self.branch_state.update(zip(state.branch_keys, map(bool, state.branch_taken)))
 
     def _address_map(self, env: dict[str, object]) -> AddressMap:
         # AddressMap.for_env depends only on the arrays' sorted names, their

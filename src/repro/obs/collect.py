@@ -63,13 +63,15 @@ def collect_run(
     ledger: Any = None,
     version_cache: Any = None,
     prefix_cache: Any = None,
+    run_memo: Any = None,
 ) -> None:
     """End-of-run sweep: ledger + in-process cache stores + span coverage.
 
-    ``version_cache`` and ``prefix_cache`` are the parent context's
-    version and pass-prefix stores, reported as ``cache.version.local.*``
-    and ``cache.prefix.local.*`` (worker processes report their traffic
-    through the ledger instead).
+    ``version_cache``, ``prefix_cache`` and ``run_memo`` are the parent
+    context's version, pass-prefix and WHL program-run stores, reported as
+    ``cache.version.local.*``, ``cache.prefix.local.*`` and
+    ``cache.run.local.*`` (worker processes report their version and
+    prefix traffic through the ledger instead).
     """
     if ledger is not None:
         collect_ledger(obs, ledger)
@@ -78,7 +80,11 @@ def collect_run(
                 obs.tracer.coverage(ledger.total_cycles)
             )
             obs.gauge("trace.spans").set(obs.tracer.span_count())
-    for layer, store in (("version.local", version_cache), ("prefix.local", prefix_cache)):
+    for layer, store in (
+        ("version.local", version_cache),
+        ("prefix.local", prefix_cache),
+        ("run.local", run_memo),
+    ):
         if store is not None:
             collect_cache(obs, layer, hits=store.hits, misses=store.misses,
                           evictions=store.evictions, size=len(store))

@@ -71,6 +71,19 @@ class TestCollectors:
                 for c in ("hits", "misses", "evictions")] == [0, 1, 1]
         assert m.gauge_value("cache.prefix.local.size") == 1
 
+    def test_collect_run_reports_the_run_memo(self):
+        memo = Store(max_entries=2)
+        for key in ("a", "b", "c"):
+            memo.put(key, key)
+        memo.get("c")
+        memo.get("a")
+        obs = Obs.create()
+        collect_run(obs, run_memo=memo)
+        m = obs.metrics
+        assert [m.counter_value(f"cache.run.local.{c}")
+                for c in ("hits", "misses", "evictions")] == [1, 1, 1]
+        assert m.gauge_value("cache.run.local.size") == 2
+
     def test_disabled_obs_collects_nothing(self):
         obs = Obs.disabled()
         collect_run(obs, ledger=make_ledger(), version_cache=_FakeCache())

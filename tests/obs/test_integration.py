@@ -115,6 +115,14 @@ class TestMetricsDocument:
         assert m.gauge_value("cache.prefix.local.size") > 0
         assert m.counter_value("cache.prefix.local.evictions") == 0
 
+    def test_whl_tune_reports_its_run_memo(self):
+        # IE candidates that compile to their base's executable repeat a
+        # program run the memo already holds
+        obs, _ = tune_with_obs(method="WHL")
+        m = obs.metrics
+        assert m.counter_value("cache.run.local.hits") > 0
+        assert m.gauge_value("cache.run.local.size") > 0
+
     def test_executable_cache_counts_only_this_tune(self):
         # the JIT's executable cache is process-wide: the second, identical
         # tune finds every function compiled, and must not report the first
