@@ -60,6 +60,9 @@ CASES: dict[str, tuple[str, str, str | None, int, dict]] = {
         "apsi", "sparc2", None, 0,
         {"var_threshold": 1e-7, "max_invocations": 40},
     ),
+    "wupwise-p4-cbr-t1": ("wupwise", "pentium4", None, 1, {}),
+    "mgrid-p4-whl-t1": ("mgrid", "pentium4", "WHL", 1, {}),
+    "applu-sparc2-cbr-t0": ("applu", "sparc2", None, 0, {}),
 }
 
 
