@@ -2,7 +2,8 @@
 
 Both rate through one rater and one switching loop.  A :class:`_TaskRater`
 compiles and rates versions against a :class:`_WorkerContext` (plan,
-version and pass-prefix caches, the WHL run memo, the dataset's
+version and pass-prefix caches, the WHL run memo, the invocation replay
+store, the dataset's
 :class:`~repro.core.rating.feed.InputReplay`, the RBR save/restore plan),
 with its own ledger, invocation feed and noise stream; :func:`_rate_pair`
 rates one pair and switches to the next applicable method whenever a
@@ -62,9 +63,10 @@ from ..compiler.pipeline import compile_version, version_key
 from ..compiler.prefix import PREFIX_CACHE_MAX, PrefixStats
 from ..compiler.version import Version
 from ..machine.config import MachineConfig
+from ..machine.executor import REPLAY_MEMO_MAX
 from ..machine.perturb import NoiseModel
 from ..machine.profiler import profile_tuning_section
-from ..obs import NULL_OBS, Obs, obs_or_null
+from ..obs import NULL_OBS, Obs, collect_executor, obs_or_null
 from ..runtime.instrument import TimedExecutor
 from ..runtime.ledger import TuningLedger
 from ..runtime.save_restore import SaveRestorePlan
@@ -166,6 +168,10 @@ class _WorkerContext:
         #: machine state; it lives as long as the context (one tune, or one
         #: worker), never process-wide
         self.run_memo = Store(RUN_MEMO_MAX)
+        #: invocations of data-oblivious versions by executable, factors,
+        #: scalars, array shapes and entry machine state; like the run
+        #: memo, per context.  None simulates every invocation.
+        self.replay_memo: Store | None = Store(REPLAY_MEMO_MAX)
 
     @cached_property
     def save_plan(self) -> SaveRestorePlan:
@@ -278,6 +284,8 @@ class _TaskRater:
             ledger=self.ledger,
             exec_tier=spec.exec_tier,
             obs=obs,
+            # a live replay hands out objects the invocations write
+            replay=None if ctx.replay.live else ctx.replay_memo,
         )
 
     # -- compilation ---------------------------------------------------- #
@@ -424,6 +432,7 @@ def _run_task(ctx: _WorkerContext, task: _Task) -> _TaskOutcome:
 
     rater.ledger.record_wall(worker, time.perf_counter() - t0)
     obs = rater.obs
+    collect_executor(obs, rater.timed.executor)
     return _TaskOutcome(
         task_id=task.task_id,
         speed=speed,
@@ -480,6 +489,11 @@ class SerialRatingEngine:
     @property
     def n_rated(self) -> int:
         return self._rater.n_rated
+
+    @property
+    def executor(self):
+        """The simulated machine every rating runs on."""
+        return self._rater.timed.executor
 
     def rate(self, candidate: OptConfig, reference: OptConfig) -> float:
         """Speed of *candidate* relative to *reference* (>1 = faster)."""

@@ -36,11 +36,13 @@ import numpy as np
 from ..compiler.options import OptConfig
 from ..compiler.pipeline import compile_version
 from ..machine.config import MachineConfig
+from ..machine.executor import REPLAY_MEMO_MAX
 from ..machine.jit import create_executor, global_executable_cache
 from ..machine.perturb import NoiseModel
 from ..machine.profiler import TSProfile, profile_tuning_section
-from ..obs import Obs, collect_cache, collect_run, obs_or_null
+from ..obs import Obs, collect_cache, collect_executor, collect_run, obs_or_null
 from ..runtime.ledger import TuningLedger
+from ..store import Store
 from ..workloads.base import Workload
 from .engine import BatchRatingEngine, EngineSpec, SerialRatingEngine
 from .rating.base import RatingSettings
@@ -268,7 +270,11 @@ class PeakTuner:
             version_cache=engine.ctx.cache,
             prefix_cache=engine.ctx.prefix_cache,
             run_memo=engine.ctx.run_memo,
+            replay_memo=engine.ctx.replay_memo,
         )
+        if isinstance(engine, SerialRatingEngine):
+            # batch tasks report their executors in their own metrics
+            collect_executor(self.obs, engine.executor)
         if exec_counts is not None:
             hits, misses, evictions = (
                 now - then
@@ -294,19 +300,27 @@ def measure_whole_program(
     seed: int = 1234,
     exec_tier: int = 0,
 ) -> float:
-    """Mean whole-program time (cycles) of *config* on *dataset*."""
+    """Mean whole-program time (cycles) of *config* on *dataset*.
+
+    Invocations of a data-oblivious version are replayed from a store that
+    lives for this call (nothing reads what they write: every invocation
+    gets fresh float arrays from :meth:`Dataset.env`).
+    """
     version = compile_version(
         workload.ts, config, machine, program=workload.program
     )
     ds = workload.dataset(dataset)
     executor = create_executor(machine, exec_tier)
+    replay = Store(REPLAY_MEMO_MAX)
     totals = []
     for r in range(runs):
         rng = np.random.default_rng(seed)  # same input file every run
         total = ds.non_ts_cycles
         for i in range(ds.n_invocations):
             env = ds.env(rng, i)
-            total += executor.run(version.exe, env, factors=version.factors).cycles
+            total += executor.run(
+                version.exe, env, factors=version.factors, replay=replay
+            ).cycles
         totals.append(total)
     return float(np.mean(totals))
 
@@ -320,16 +334,28 @@ def evaluate_speedup(
     runs: int = 2,
     seed: int = 1234,
     exec_tier: int = 0,
+    measured: dict[tuple[str, ...], float] | None = None,
 ) -> float:
     """Percent improvement of *tuned_config* over ``-O3`` on *dataset*.
 
     This is the quantity plotted in Fig. 7(a)/(b): performance is always
     measured with the ref data set; tuning may have used train or ref.
+
+    *measured*, when given, memoizes whole-program times by configuration
+    key; the caller keeps one per (workload, machine, dataset, runs, seed),
+    so each configuration is measured once.
     """
-    t_o3 = measure_whole_program(workload, OptConfig.o3(), machine, dataset,
-                                 runs=runs, seed=seed, exec_tier=exec_tier)
-    t_tuned = measure_whole_program(workload, tuned_config, machine, dataset,
-                                    runs=runs, seed=seed, exec_tier=exec_tier)
+    def measure(config: OptConfig) -> float:
+        if measured is not None and config.key() in measured:
+            return measured[config.key()]
+        t = measure_whole_program(workload, config, machine, dataset,
+                                  runs=runs, seed=seed, exec_tier=exec_tier)
+        if measured is not None:
+            measured[config.key()] = t
+        return t
+
+    t_o3 = measure(OptConfig.o3())
+    t_tuned = measure(tuned_config)
     if t_tuned <= 0:
         return 0.0
     return (t_o3 / t_tuned - 1.0) * 100.0

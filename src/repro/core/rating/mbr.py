@@ -147,7 +147,8 @@ class ModelBasedRating:
                 env = feed.next_env()
                 env = dict(env)
                 env[COUNTER_ARRAY] = fresh_counter_buffer(self.n_counters)
-                sample = self.timed.invoke(version, env)
+                # the counters are read back from the env
+                sample = self.timed.invoke(version, env, reads_writes=True)
                 consumed += 1
                 ys.append(sample.measured_cycles)
                 cols.append(read_counters(env))

@@ -109,7 +109,10 @@ class ReExecutionRating:
             before = {
                 name: copy_array(env[name]) for name in self.plan.inspector_arrays
             }
-            pre = self.timed.run_untimed(base, env)
+            # the inspector diffs what the precondition run wrote
+            pre = self.timed.run_untimed(
+                base, env, reads_writes=bool(self.plan.inspector_arrays)
+            )
             ledger.charge("precondition", pre.cycles)
             self.plan.observe_writes(before, env, snap, ledger)
             self.plan.restore(env, snap, ledger)

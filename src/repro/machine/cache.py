@@ -245,16 +245,48 @@ class CacheSim:
         In place, like :meth:`flush`: compiled code may hold the way
         lists, the slot array and the MRU table.
         """
+        resident = self._unpack(ways, lines)
+        if self._direct is not None:
+            self._direct[:] = resident
+            return
+        for set_ways, now in zip(self._sets, resident):
+            set_ways[:] = now
+        self._mru[:] = [w[-1] if w else None for w in self._sets]
+
+    def _unpack(self, ways: bytes, lines: bytes) -> list:
+        """:meth:`contents` as slots (direct-mapped) or way lists."""
         resident = array("q", lines).tolist()
         if self._direct is not None:
             it = iter(resident)
-            self._direct[:] = [next(it) if w else None for w in ways]
-            return
+            return [next(it) if w else None for w in ways]
+        out = []
         at = 0
-        for w, set_ways in zip(ways, self._sets):
-            set_ways[:] = resident[at:at + w]
+        for w in ways:
+            out.append(resident[at:at + w])
             at += w
-        self._mru[:] = [w[-1] if w else None for w in self._sets]
+        return out
+
+    def changes_since(self, ways: bytes, lines: bytes) -> tuple:
+        """What turns a cache whose :meth:`contents` were ``(ways, lines)``
+        into this one: ``(set, lines)`` for every set that differs, as
+        :meth:`apply_changes` takes them."""
+        then = self._unpack(ways, lines)
+        if self._direct is not None:
+            now = self._direct
+            return tuple((s, x) for s, (a, x) in enumerate(zip(then, now)) if a != x)
+        return tuple((s, tuple(x)) for s, (a, x) in enumerate(zip(then, self._sets)) if a != x)
+
+    def apply_changes(self, changes: tuple) -> None:
+        """Apply :meth:`changes_since`'s changes, in place."""
+        direct = self._direct
+        if direct is not None:
+            for s, line in changes:
+                direct[s] = line
+            return
+        sets, mru = self._sets, self._mru
+        for s, ways in changes:
+            sets[s][:] = ways
+            mru[s] = ways[-1] if ways else None
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -34,6 +34,7 @@ at both tiers.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,9 +44,11 @@ from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ..ir.function import Function
 from ..ir.stmt import Assign, CallStmt, CondBranch, Jump, Return
 from ..ir.types import Type
+from ..store import Store
 from .cache import AddressMap, CacheSim
 from .config import MachineConfig
 from .cost import block_static_costs, infer_type
+from .oblivious import oblivious_reason
 
 __all__ = [
     "CostFactors",
@@ -54,6 +57,7 @@ __all__ = [
     "InvocationResult",
     "Executor",
     "MachineState",
+    "REPLAY_MEMO_MAX",
     "compile_function",
     "ExecutionError",
     "RUNTIME_ERRORS",
@@ -297,6 +301,10 @@ class ExecutableFunction:
     _count_keys: tuple[str, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``(oblivious_reason,)`` once computed
+    _oblivious: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def count_keys(self) -> tuple[str, ...]:
         """Every block-count key one invocation can touch.
@@ -451,6 +459,53 @@ class MachineState:
     misses: int = field(compare=False)
 
 
+#: invocations a replay store holds (a rating operation records at most a
+#: few hundred: mgrid's 38-flag WHL tune records 517)
+REPLAY_MEMO_MAX = 1024
+
+#: scalar types a replay key holds exactly (floats are keyed by their bits)
+_EXACT_SCALARS = (int, bool, np.integer)
+_FLOAT_SCALARS = (float, np.float64)
+
+
+@dataclass(frozen=True, slots=True)
+class _Replay:
+    """One recorded invocation of *exe* on *machine*: its result, the
+    machine state it left (None: the one it found) with the cache sets and
+    predictor entries it changed, and its cache counter increments."""
+
+    exe: ExecutableFunction
+    machine: MachineConfig
+    cycles: float
+    mem_cycles: float
+    branch_miss_cycles: float
+    counts: dict[str, int] | None
+    return_value: object
+    exit: MachineState | None
+    lines: tuple | None
+    branches: tuple | None
+    hits: int
+    misses: int
+
+
+def _layout_of(names: tuple[str, ...], types: tuple[type, ...]) -> tuple:
+    """The :meth:`Executor._layout` of an env with these names and value
+    types."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    arrays = tuple(i for i in order if hasattr(types[i], "__len__"))
+    exact: tuple[int, ...] | None = tuple(
+        i for i, t in enumerate(types)
+        if i not in arrays and issubclass(t, _EXACT_SCALARS)
+    )
+    floats = tuple(i for i, t in enumerate(types) if t in _FLOAT_SCALARS)
+    if len(arrays) + len(exact) + len(floats) != len(names):
+        exact = None
+    return (
+        tuple(names[i] for i in arrays), arrays, exact, floats,
+        struct.Struct(f"<{len(floats)}d").pack,
+    )
+
+
 class Executor:
     """Executes compiled functions on a simulated machine.
 
@@ -473,10 +528,16 @@ class Executor:
         #: 1-bit branch predictor: (fn_name, label) -> last direction
         self.branch_state: dict[tuple[str, str], bool] = {}
         self._amap_cache: dict[tuple, AddressMap] = {}
-        #: (env names, value types) -> (sorted array names, their positions)
+        #: (env names, value types) -> layout (see :meth:`_layout`)
         self._array_layout: dict[tuple, tuple] = {}
         #: blocks completed by the dispatch loop (:meth:`_interpret`)
         self.interpreted_blocks = 0
+        #: the machine state (with stale counters) as the last run left it,
+        #: when that run was recorded into or replayed from a replay store;
+        #: None after any other run, a reset or a restore.  It spares a
+        #: replay the entry snapshot, so code that changes ``cache`` or
+        #: ``branch_state`` directly must clear it.
+        self._known: MachineState | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -485,6 +546,7 @@ class Executor:
         self.cache.flush()
         self.branch_state.clear()
         self._amap_cache.clear()
+        self._known = None
 
     def machine_state(self) -> MachineState:
         """The cache and predictor state, as :meth:`restore_machine_state`
@@ -500,6 +562,7 @@ class Executor:
 
     def restore_machine_state(self, state: MachineState) -> None:
         """Put the machine in *state* (in place, counters included)."""
+        self._known = None
         cache = self.cache
         cache.restore(state.ways, state.lines)
         cache.hits = state.hits
@@ -507,23 +570,25 @@ class Executor:
         self.branch_state.clear()
         self.branch_state.update(zip(state.branch_keys, map(bool, state.branch_taken)))
 
-    def _address_map(self, env: dict[str, object]) -> AddressMap:
-        # AddressMap.for_env depends only on the arrays' sorted names, their
-        # lengths and which names share one object, so that shape is the
-        # key: a dataset whose invocations all bind same-shaped arrays
-        # builds one map.  Which values are arrays (have __len__) and their
-        # sorted order depend only on the names and value types, so that
-        # part is memoized per (names, types).
+    def _layout(self, env: dict[str, object]) -> tuple:
+        """``(values, sig, layout, shape)`` of *env*.
+
+        *sig* is the names and value types; *layout* is memoized per sig:
+        the sorted array names, their positions, and for the replay key the
+        positions of the exact scalars and of the float scalars (keyed by
+        their bits, so -0.0 and NaN payloads stay apart) and a packer, or
+        None for the scalars when some scalar cannot key a replay.  Which
+        values are arrays (have ``__len__``) and their sorted order depend
+        only on the sig.  *shape* is what the address map depends on: the
+        arrays' sorted names, their lengths and which names share one
+        object.
+        """
         values = tuple(env.values())
         sig = (tuple(env), tuple(map(type, values)))
         layout = self._array_layout.get(sig)
         if layout is None:
-            order = sorted(range(len(values)), key=sig[0].__getitem__)
-            idx = tuple(i for i in order if hasattr(values[i], "__len__"))
-            layout = self._array_layout[sig] = (
-                tuple(sig[0][i] for i in idx), idx,
-            )
-        names, idx = layout
+            layout = self._array_layout[sig] = _layout_of(*sig)
+        names, idx = layout[0], layout[1]
         arrays = [values[i] for i in idx]
         if len({id(a) for a in arrays}) == len(arrays):
             aliases = None
@@ -532,11 +597,17 @@ class Executor:
             aliases = tuple(
                 canonical.setdefault(id(a), name) for name, a in zip(names, arrays)
             )
-        key = (names, tuple(map(len, arrays)), aliases)
-        amap = self._amap_cache.get(key)
+        return values, sig, layout, (names, tuple(map(len, arrays)), aliases)
+
+    def _address_map(self, env: dict[str, object], shape: tuple | None = None) -> AddressMap:
+        # a dataset whose invocations all bind same-shaped arrays builds one
+        # map
+        if shape is None:
+            shape = self._layout(env)[3]
+        amap = self._amap_cache.get(shape)
         if amap is None:
             amap = AddressMap.for_env(env, line=self.machine.cache_line)
-            self._amap_cache[key] = amap
+            self._amap_cache[shape] = amap
         return amap
 
     def run(
@@ -546,6 +617,7 @@ class Executor:
         *,
         factors: CostFactors = CostFactors.IDENTITY,
         count_blocks: bool = False,
+        replay: Store | None = None,
     ) -> InvocationResult:
         """Execute one invocation of *exe* with the given environment.
 
@@ -553,21 +625,85 @@ class Executor:
         caller owns save/restore if it needs the input back).  Locals are
         initialised to zero.  Returns true (noise-free) cycles; measurement
         noise is applied by the timing instrumentation layer on top.
+
+        With a *replay* store, an invocation of a data-oblivious *exe*
+        (:func:`~repro.machine.oblivious.oblivious_reason`) whose
+        executable, factors, scalars, array shapes and entry machine state
+        were recorded before is not simulated: the machine is put in the
+        recorded exit state and the recorded result is returned.  Its
+        writes to *env*'s arrays are then skipped, so pass a store only
+        when nothing reads them afterwards.
         """
         for p in exe.param_names:
             if p not in env:
                 raise ExecutionError(f"{exe.name}: missing argument {p!r}")
+        values, sig, layout, shape = self._layout(env)
+        key = None
+        if replay is not None and layout[2] is not None and oblivious_reason(exe) is None:
+            entry = self._known
+            if entry is None:
+                entry = self.machine_state()
+            _, _, exact, floats, pack = layout
+            # the entry holds exe, so its id is not reused while the entry
+            # lives
+            key = (
+                id(exe), factors, count_blocks, self.MAX_STEPS, sig, shape,
+                tuple(map(values.__getitem__, exact)),
+                pack(*map(values.__getitem__, floats)),
+                entry,
+            )
+            rec = replay.get(key)
+            if rec is not None and rec.machine is self.machine:
+                return self._replayed(rec, entry)
+            hits0, misses0 = self.cache.hits, self.cache.misses
+        self._known = None
         local_env = dict(env)
         local_env.update(exe.local_defaults)
 
-        amap = self._address_map(env)
+        amap = self._address_map(env, shape)
         counts: dict[str, int] | None = (
             dict.fromkeys(exe.count_keys(), 0) if count_blocks else None
         )
         result = InvocationResult(0.0, block_counts=counts)
         self._run_cfg(exe, local_env, amap, factors, counts, result, depth=0)
         result.return_value = local_env.get("<ret>")
+        if key is not None:
+            cache = self.cache
+            exit_state = self.machine_state()
+            if exit_state == entry:
+                exit_state = lines = branches = None
+            else:
+                lines = cache.changes_since(entry.ways, entry.lines)
+                before = dict(zip(entry.branch_keys, entry.branch_taken))
+                branches = tuple(
+                    (k, t) for k, t in self.branch_state.items() if before.get(k) != t
+                )
+            self._known = exit_state or entry
+            replay.put(key, _Replay(
+                exe, self.machine, result.cycles, result.mem_cycles, result.branch_miss_cycles,
+                dict(counts) if counts is not None else None, result.return_value,
+                exit_state, lines, branches, cache.hits - hits0, cache.misses - misses0,
+            ))
         return result
+
+    def _replayed(self, rec: "_Replay", entry: MachineState) -> InvocationResult:
+        """A recorded invocation's result, with the machine left as it left
+        it."""
+        cache = self.cache
+        cache.hits += rec.hits
+        cache.misses += rec.misses
+        if rec.exit is None:
+            self._known = entry
+        else:
+            # the machine is in the entry state: change what the run changed
+            cache.apply_changes(rec.lines)
+            self.branch_state.update(rec.branches)
+            self._known = rec.exit
+        return InvocationResult(
+            rec.cycles, rec.return_value,
+            dict(rec.counts) if rec.counts is not None else None,
+            rec.mem_cycles, rec.branch_miss_cycles,
+        )
 
     def _run_cfg(
         self,

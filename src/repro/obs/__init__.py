@@ -15,7 +15,13 @@ See ``DESIGN.md`` §9.  The two surfaces:
 :data:`NULL_OBS` makes every instrumentation site a near-free no-op.
 """
 
-from .collect import collect_cache, collect_ledger, collect_run, render_report
+from .collect import (
+    collect_cache,
+    collect_executor,
+    collect_ledger,
+    collect_run,
+    render_report,
+)
 from .context import NULL_OBS, Obs, obs_or_null
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -48,6 +54,7 @@ __all__ = [
     "Tracer",
     "collect_cache",
     "collect_ledger",
+    "collect_executor",
     "collect_run",
     "obs_or_null",
     "render_report",

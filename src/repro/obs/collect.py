@@ -15,7 +15,9 @@ from typing import Any
 from .context import Obs
 from .trace import Span
 
-__all__ = ["collect_ledger", "collect_cache", "collect_run", "render_report"]
+__all__ = [
+    "collect_ledger", "collect_cache", "collect_executor", "collect_run", "render_report",
+]
 
 
 def collect_ledger(obs: Obs, ledger: Any) -> None:
@@ -57,6 +59,19 @@ def collect_cache(
     m.gauge(f"cache.{layer}.size").set(size)
 
 
+def collect_executor(obs: Obs, executor: Any) -> None:
+    """Record whether Tier 1 engaged: the blocks an executor's dispatch
+    loop ran (``exec.interpreted_blocks``) and, at tier 1, the frames that
+    ran compiled (``exec.compiled_frames``)."""
+    m = obs.metrics
+    if not m.enabled:
+        return
+    m.counter("exec.interpreted_blocks").inc(executor.interpreted_blocks)
+    frames = getattr(executor, "compiled_frames", None)
+    if frames is not None:
+        m.counter("exec.compiled_frames").inc(frames)
+
+
 def collect_run(
     obs: Obs,
     *,
@@ -64,13 +79,15 @@ def collect_run(
     version_cache: Any = None,
     prefix_cache: Any = None,
     run_memo: Any = None,
+    replay_memo: Any = None,
 ) -> None:
     """End-of-run sweep: ledger + in-process cache stores + span coverage.
 
-    ``version_cache``, ``prefix_cache`` and ``run_memo`` are the parent
-    context's version, pass-prefix and WHL program-run stores, reported as
-    ``cache.version.local.*``, ``cache.prefix.local.*`` and
-    ``cache.run.local.*`` (worker processes report their version and
+    ``version_cache``, ``prefix_cache``, ``run_memo`` and ``replay_memo``
+    are the parent context's version, pass-prefix, WHL program-run and
+    invocation replay stores, reported as ``cache.version.local.*``,
+    ``cache.prefix.local.*``, ``cache.run.local.*`` and
+    ``cache.invocation.local.*`` (worker processes report their version and
     prefix traffic through the ledger instead).
     """
     if ledger is not None:
@@ -84,6 +101,7 @@ def collect_run(
         ("version.local", version_cache),
         ("prefix.local", prefix_cache),
         ("run.local", run_memo),
+        ("invocation.local", replay_memo),
     ):
         if store is not None:
             collect_cache(obs, layer, hits=store.hits, misses=store.misses,

@@ -5,6 +5,11 @@ timer instrumentation wraps a tuning section: it runs one invocation,
 applies the measurement-noise model to the true cycle count, optionally adds
 counter overhead (MBR's surviving block counters cost a couple of cycles per
 increment), and charges the ledger.
+
+A ``TimedExecutor`` built with a *replay* store replays invocations of
+data-oblivious versions (:meth:`repro.machine.executor.Executor.run`),
+which leaves the env's arrays unwritten: a caller that reads what an
+invocation writes passes ``reads_writes=True``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from ..machine.executor import InvocationResult
 from ..machine.jit import create_executor
 from ..machine.perturb import NoiseModel
 from ..obs import Obs, obs_or_null
+from ..store import Store
 from .ledger import TuningLedger
 
 __all__ = ["TimedExecutor", "TimedSample", "COUNTER_COST_CYCLES", "TIMER_COST_CYCLES"]
@@ -51,8 +57,11 @@ class TimedExecutor:
         ledger: TuningLedger | None = None,
         exec_tier: int = 0,
         obs: Obs | None = None,
+        replay: Store | None = None,
     ) -> None:
         self.machine = machine
+        #: the invocation replay store (None: simulate every invocation)
+        self.replay = replay
         # Tier 0 = closure interpreter, Tier 1 = compiled functions (bit-identical
         # results — see repro.machine.jit — so ratings are unaffected)
         self.executor = create_executor(machine, exec_tier)
@@ -74,6 +83,7 @@ class TimedExecutor:
         counter_blocks: tuple[str, ...] = (),
         count_blocks: bool = False,
         timed: bool = True,
+        reads_writes: bool = False,
     ) -> TimedSample:
         """Execute one invocation of *version* and measure it.
 
@@ -89,6 +99,7 @@ class TimedExecutor:
                 env,
                 factors=version.factors,
                 count_blocks=want_counts,
+                replay=None if reads_writes else self.replay,
             )
             counter_overhead = 0.0
             if counter_blocks and res.block_counts is not None:
@@ -111,7 +122,11 @@ class TimedExecutor:
             return_value=res.return_value,
         )
 
-    def run_untimed(self, version: Version, env: dict[str, object]) -> InvocationResult:
+    def run_untimed(
+        self, version: Version, env: dict[str, object], *, reads_writes: bool = False
+    ) -> InvocationResult:
         """Run without measurement (e.g. RBR's precondition execution)."""
-        res = self.executor.run(version.exe, env, factors=version.factors)
-        return res
+        return self.executor.run(
+            version.exe, env, factors=version.factors,
+            replay=None if reads_writes else self.replay,
+        )

@@ -70,6 +70,32 @@ class TestOptConfig:
         many_off = OptConfig.o3().without(*[f.name for f in ALL_FLAGS[:10]])
         assert "minus 10 flags" in many_off.describe()
 
+    def test_any_iterable_of_names_constructs(self):
+        names = ["gcse", "peephole2", "defer-pop"]
+        configs = [
+            OptConfig(frozenset(names)), OptConfig(set(names)), OptConfig(tuple(names)),
+            OptConfig(n for n in reversed(names)), OptConfig.of(*names),
+        ]
+        assert all(c == configs[0] and hash(c) == hash(configs[0]) for c in configs)
+        assert configs[0].enabled == frozenset(names)
+        assert configs[0].is_enabled("gcse") and not configs[0].is_enabled("regmove")
+        with pytest.raises(ValueError, match="turbo-mode"):
+            OptConfig(n for n in ["gcse", "turbo-mode"])
+        with pytest.raises(ValueError):
+            OptConfig.o0().with_("turbo-mode")
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for cfg in (OptConfig.o0(), OptConfig.o3(), OptConfig.o3().without("gcse")):
+            back = pickle.loads(pickle.dumps(cfg))
+            assert back == cfg and hash(back) == hash(cfg)
+            assert back.key() == cfg.key() and back.describe() == cfg.describe()
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            OptConfig.o3().enabled = frozenset()
+
     def test_key_is_canonical(self):
         a = OptConfig.of("gcse", "peephole2")
         b = OptConfig.of("peephole2", "gcse")

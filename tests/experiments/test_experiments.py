@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.compiler import OptConfig
+from repro.core import peak
+from repro.core.peak import measure_whole_program
 from repro.experiments import (
     consistency_experiment,
     figure7_experiment,
@@ -97,11 +100,22 @@ class TestConsistencyExperiment:
 
 
 class TestFigure7Harness:
-    def test_single_benchmark_single_dataset(self):
+    def test_single_benchmark_single_dataset(self, monkeypatch):
+        measured = []
+
+        def measure(workload, config, *args, **kwargs):
+            measured.append(config)
+            return measure_whole_program(workload, config, *args, **kwargs)
+
+        monkeypatch.setattr(peak, "measure_whole_program", measure)
         entries = figure7_experiment(
             PENTIUM4, benchmarks=("swim",), datasets=("train",), seed=1,
             exec_tier=1,
         )
+        # each distinct configuration is measured on ref once: -O3 and the
+        # configurations the methods chose
+        assert len(measured) == len(set(measured))
+        assert set(measured) == {OptConfig.o3()} | {e.best_config for e in entries}
         methods = {e.method for e in entries}
         assert {"CBR", "RBR", "WHL", "AVG"} <= methods
         whl = next(e for e in entries if e.method == "WHL")

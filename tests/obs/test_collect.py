@@ -1,6 +1,13 @@
 """Collector tests: ledger/cache folding and the human report."""
 
-from repro.obs import Obs, collect_cache, collect_ledger, collect_run, render_report
+from repro.obs import (
+    Obs,
+    collect_cache,
+    collect_executor,
+    collect_ledger,
+    collect_run,
+    render_report,
+)
 from repro.runtime import TuningLedger
 from repro.store import Store
 
@@ -83,6 +90,37 @@ class TestCollectors:
         assert [m.counter_value(f"cache.run.local.{c}")
                 for c in ("hits", "misses", "evictions")] == [1, 1, 1]
         assert m.gauge_value("cache.run.local.size") == 2
+
+    def test_collect_run_reports_the_replay_memo(self):
+        memo = Store(max_entries=1)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        memo.get("b")
+        memo.get("a")
+        obs = Obs.create()
+        collect_run(obs, replay_memo=memo)
+        m = obs.metrics
+        assert [m.counter_value(f"cache.invocation.local.{c}")
+                for c in ("hits", "misses", "evictions")] == [1, 1, 1]
+        assert m.gauge_value("cache.invocation.local.size") == 1
+
+    def test_collect_executor_reports_tier_engagement(self):
+        class Tier0:
+            interpreted_blocks = 7
+
+        class Tier1(Tier0):
+            compiled_frames = 3
+
+        obs = Obs.create()
+        collect_executor(obs, Tier0())
+        m = obs.metrics
+        assert m.counter_value("exec.interpreted_blocks") == 7
+        assert "exec.compiled_frames" not in {
+            e["name"] for e in m.to_dict()["counters"]
+        }
+        collect_executor(obs, Tier1())
+        assert m.counter_value("exec.interpreted_blocks") == 14
+        assert m.counter_value("exec.compiled_frames") == 3
 
     def test_disabled_obs_collects_nothing(self):
         obs = Obs.disabled()

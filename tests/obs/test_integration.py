@@ -123,6 +123,17 @@ class TestMetricsDocument:
         assert m.counter_value("cache.run.local.hits") > 0
         assert m.gauge_value("cache.run.local.size") > 0
 
+    def test_swim_tune_reports_replayed_invocations(self):
+        # swim's tuning section is data-oblivious: repeats of an invocation
+        # (same executable, scalars, shapes and entry state) are replayed
+        obs, _ = tune_with_obs(exec_tier=1)
+        m = obs.metrics
+        assert m.counter_value("cache.invocation.local.hits") > 0
+        assert m.gauge_value("cache.invocation.local.size") > 0
+        # Tier 1 ran every simulated frame compiled
+        assert m.counter_value("exec.compiled_frames") > 0
+        assert m.counter_value("exec.interpreted_blocks") == 0
+
     def test_executable_cache_counts_only_this_tune(self):
         # the JIT's executable cache is process-wide: the second, identical
         # tune finds every function compiled, and must not report the first
