@@ -361,6 +361,58 @@ def test_ref_evaluation_is_identical_with_and_without_replay(monkeypatch, machin
 
 
 # --------------------------------------------------------------------------- #
+# the key
+
+
+def _halve_fn():
+    """An oblivious kernel whose result type follows its scalars' types and
+    whose fault follows its arrays' value types."""
+    b = FunctionBuilder(
+        "halve", [("n", Type.INT), ("s", Type.FLOAT), ("a", Type.FLOAT_ARRAY)],
+        return_type=Type.INT,
+    )
+    b.store("a", Const(0), ArrayRef("a", Const(1)) / Var("s"))
+    b.ret(Var("n") // 2)
+    return b.build()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("tier", (0, 1))
+def test_scalar_and_array_value_types_key_the_replay(tier):
+    # 7, np.int64(7), True-ish and 7.0 are equal but return different
+    # types; a float divided by 0.0 raises in a list but not in an ndarray
+    exe = compile_function(_halve_fn(), PENTIUM4)
+    assert oblivious_reason(exe) is None
+    envs = [
+        {"n": 7, "s": 0.0, "a": np.ones(4)},
+        {"n": 7, "s": 0.0, "a": [1.0] * 4},
+        {"n": np.int64(7), "s": 2.0, "a": [1.0] * 4},
+        {"n": 7, "s": 2.0, "a": [1.0] * 4},
+        {"n": 7.0, "s": 2.0, "a": [1.0] * 4},
+        {"n": 1, "s": 2.0, "a": [1.0] * 4},
+        {"n": True, "s": 2.0, "a": [1.0] * 4},
+    ]
+    # -0.0 and 0.0 compare equal but return different bits
+    b = FunctionBuilder("scale", [("s", Type.FLOAT), ("a", Type.FLOAT_ARRAY)],
+                        return_type=Type.FLOAT)
+    b.store("a", Const(0), ArrayRef("a", Const(1)) * Var("s"))
+    b.ret(Var("s") * 2.0)
+    scale = compile_function(b.build(), PENTIUM4)
+    runs = [(exe, env) for env in envs] + [
+        (scale, {"s": s, "a": [1.0] * 4}) for s in (0.0, -0.0, float("nan"), 0.0)
+    ]
+    ex, twin = executor(PENTIUM4, tier), executor(PENTIUM4, tier)
+    store = Store()
+    for fn, env in runs:
+        ex.reset()
+        twin.reset()
+        copy = {k: list(v) if isinstance(v, list) else v for k, v in env.items()}
+        assert outcome(ex, fn, env, replay=store) == outcome(twin, fn, copy)
+    # only the last run repeats an earlier one
+    assert store.hits == 1
+
+
+# --------------------------------------------------------------------------- #
 # the known state
 
 
