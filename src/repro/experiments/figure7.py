@@ -78,8 +78,8 @@ def figure7_experiment(
     Returns one entry per (benchmark, method, dataset) with improvement and
     normalised tuning time filled in.  Honouring the paper's methodology,
     *performance is always measured on ref*, whichever dataset tuned, and
-    each distinct configuration once per benchmark.  *exec_tier* selects the simulated-execution tier; every tier gives
-    bit-identical entries.
+    each distinct configuration once per benchmark.  *exec_tier* selects
+    the simulated-execution tier; every tier gives bit-identical entries.
     """
     entries: list[Figure7Entry] = []
     for bench in benchmarks:

@@ -205,7 +205,8 @@ def float_kernels(draw, max_stmts=5):
                     with b.orelse():
                         emit_block(depth + 1)
             elif kind == 4:
-                with b.for_(f"i{depth}", 0, Var("n") if draw(st.booleans()) else draw(st.integers(0, 5))):
+                trip = Var("n") if draw(st.booleans()) else draw(st.integers(0, 5))
+                with b.for_(f"i{depth}", 0, trip):
                     emit_block(depth + 1)
             else:
                 b.assign("k", BinOp("+", Var("k"), Const(draw(st.integers(-2, 3)))))
