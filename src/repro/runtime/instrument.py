@@ -90,7 +90,9 @@ class TimedExecutor:
         *counter_blocks* — the MBR counters left after pruning; their
         increments are charged as instrumentation overhead and included in
         the measured (but not the true) time, mirroring the paper's remark
-        that the counters slightly perturb measurements.
+        that the counters slightly perturb measurements.  *reads_writes*
+        — the caller reads what the invocation writes into *env*, so it is
+        simulated, never replayed.
         """
         want_counts = count_blocks or bool(counter_blocks)
         with self.obs.span("invoke", "exec"):
