@@ -21,6 +21,7 @@ from .executor import (
 from .jit import (
     EXEC_TIERS,
     TieredExecutor,
+    code_key,
     create_executor,
     executable_digest,
     global_executable_cache,
@@ -47,6 +48,7 @@ __all__ = [
     "TSProfile",
     "TieredExecutor",
     "block_static_costs",
+    "code_key",
     "compile_function",
     "create_executor",
     "executable_digest",

@@ -189,11 +189,15 @@ class StaticCost:
     mem_ops: int
 
 
-def block_static_costs(fn: Function, table: CostTable) -> dict[str, StaticCost]:
-    """Compute the static (compute, mem-op) cost of every block of *fn*."""
+def block_static_costs(
+    fn: Function, table: CostTable, labels: list[str] | None = None
+) -> dict[str, StaticCost]:
+    """Compute the static (compute, mem-op) cost of every block of *fn*, or
+    of the blocks named in *labels*."""
     types = fn.all_vars()
     out: dict[str, StaticCost] = {}
-    for label, blk in fn.cfg.blocks.items():
+    for label in fn.cfg.blocks if labels is None else labels:
+        blk = fn.cfg.blocks[label]
         cycles = 0.0
         mem = 0
         for s in blk.stmts:

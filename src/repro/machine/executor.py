@@ -12,7 +12,8 @@ The executor plays the role of the paper's hardware platform.  It
   last-direction predictor, and register-spill traffic.
 
 Expressions are compiled to Python closures once per version ("code
-generation"); the hot interpreter loop then only dispatches closures.
+generation"), on the version's first interpreted frame; the hot interpreter
+loop then only dispatches closures.
 
 **Value representation.**  A ``FLOAT_ARRAY`` reaches the machine as a
 Python ``list`` of ``float`` (:func:`unbox` converts a 1-D ``float64``
@@ -267,23 +268,24 @@ _RETURN = "<return>"
 
 @dataclass
 class CompiledBlock:
-    """One basic block compiled to closures plus its static cost."""
+    """One basic block: its static cost, what dispatch needs to know about
+    it, and its closures once built (:meth:`ExecutableFunction.build_closures`)."""
 
     label: str
-    steps: list
     has_calls: bool
-    #: terminator closure: returns (next_label, taken_flag_or_None)
-    term: Callable
     compute_cycles: float
     spill_cycles: float = 0.0
     is_branch: bool = False
-    #: generated whole-block function (call-free blocks only):
-    #: ``fastrun(env, mem) -> (next_label, taken)``
-    fastrun: Callable | None = None
     #: interned branch-predictor key ``(fn_name, label)`` (branch blocks only)
     branch_key: tuple[str, str] | None = None
     #: interned block-count key for nested (callee) frames: ``fn::label``
     qual_key: str = ""
+    steps: list | None = None
+    #: terminator closure: returns (next_label, taken_flag_or_None)
+    term: Callable | None = None
+    #: generated whole-block function (call-free blocks only):
+    #: ``fastrun(env, mem) -> (next_label, taken)``
+    fastrun: Callable | None = None
 
 
 @dataclass
@@ -305,6 +307,12 @@ class ExecutableFunction:
     _oblivious: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: digest of the rendered IR once computed (``machine.jit._ir_digest``)
+    _ir_digest: bytes | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: whether the blocks' closures are built
+    _closures: bool = field(default=False, init=False, repr=False, compare=False)
 
     def count_keys(self) -> tuple[str, ...]:
         """Every block-count key one invocation can touch.
@@ -328,11 +336,32 @@ class ExecutableFunction:
             self._count_keys = tuple(keys)
         return self._count_keys
 
+    def build_closures(self) -> None:
+        """Build every block's ``steps``, ``term`` and ``fastrun``.
+
+        The Tier-0 dispatch loop needs them, Tier 1 only for its calls and
+        for frames its step-budget guard hands back, so they are built on
+        first use rather than by :func:`compile_function`.  Threads that
+        race here build equal closures; the flag is set after every block
+        has its own, so a reader that sees it finds them all.
+        """
+        if self._closures:
+            return
+        from .codegen import compile_block_fn
+
+        types = self.source.all_vars()
+        for label, blk in self.source.cfg.blocks.items():
+            cb = self.blocks[label]
+            cb.steps = [_compile_stmt(s, types) for s in blk.stmts]
+            cb.term = _compile_terminator(blk.terminator, types)
+            cb.fastrun = None if cb.has_calls else compile_block_fn(blk, types)
+        self._closures = True
+
 
 def _compile_terminator(term, types):
     if isinstance(term, Jump):
         target = term.target
-        return (lambda env, mem, target=target: (target, None)), False
+        return lambda env, mem, target=target: (target, None)
     if isinstance(term, CondBranch):
         cond = compile_expr(term.cond, types)
         then, orelse = term.then, term.orelse
@@ -340,16 +369,16 @@ def _compile_terminator(term, types):
         def branch(env, mem, cond=cond, then=then, orelse=orelse):
             taken = bool(cond(env, mem))
             return (then if taken else orelse, taken)
-        return branch, True
+        return branch
     if isinstance(term, Return):
         if term.value is None:
-            return (lambda env, mem: (_RETURN, None)), False
+            return lambda env, mem: (_RETURN, None)
         value = compile_expr(term.value, types)
 
         def ret(env, mem, value=value):
             env["<ret>"] = value(env, mem)
             return (_RETURN, None)
-        return ret, False
+        return ret
     raise ExecutionError(f"cannot compile terminator {term!r}")  # pragma: no cover
 
 
@@ -365,35 +394,26 @@ def compile_function(
 
     *block_compute_cycles* / *block_spill_cycles* override the default static
     costs — this is the hook through which the optimizing compiler's effect
-    model prices each version's blocks.
+    model prices each version's blocks.  Only blocks the override lacks
+    are priced by :func:`block_static_costs`.  The blocks' closures are
+    built on first use (:meth:`ExecutableFunction.build_closures`).
     """
-    from .codegen import compile_block_fn
-
-    types = fn.all_vars()
-    default_costs = block_static_costs(fn, machine.cost)
+    compute = dict(block_compute_cycles or {})
+    missing = [label for label in fn.cfg.blocks if label not in compute]
+    if missing:
+        for label, cost in block_static_costs(fn, machine.cost, missing).items():
+            compute[label] = cost.compute_cycles
     blocks: dict[str, CompiledBlock] = {}
     for label, blk in fn.cfg.blocks.items():
-        steps = [_compile_stmt(s, types) for s in blk.stmts]
-        term, is_branch = _compile_terminator(blk.terminator, types)
-        has_calls = any(isinstance(s, _CallStep) for s in steps)
-        fastrun = None if has_calls else compile_block_fn(blk, types)
-        compute = (
-            block_compute_cycles[label]
-            if block_compute_cycles is not None and label in block_compute_cycles
-            else default_costs[label].compute_cycles
-        )
-        spill = (
-            block_spill_cycles.get(label, 0.0) if block_spill_cycles else 0.0
-        )
+        is_branch = isinstance(blk.terminator, CondBranch)
         blocks[label] = CompiledBlock(
             label=label,
-            steps=steps,
-            has_calls=has_calls,
-            term=term,
-            compute_cycles=compute,
-            spill_cycles=spill,
+            has_calls=any(isinstance(s, CallStmt) for s in blk.stmts),
+            compute_cycles=compute[label],
+            spill_cycles=(
+                block_spill_cycles.get(label, 0.0) if block_spill_cycles else 0.0
+            ),
             is_branch=is_branch,
-            fastrun=fastrun,
             branch_key=(fn.name, label) if is_branch else None,
             qual_key=f"{fn.name}::{label}",
         )
@@ -744,6 +764,7 @@ class Executor:
         _do_call writes callee contributions into *result* directly).
         Tier 1 resumes here when its step-budget guard fails.
         """
+        exe.build_closures()
         blocks = exe.blocks
         cache_access = self.cache.access
         elem = AddressMap.ELEM_SIZE

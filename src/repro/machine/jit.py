@@ -22,32 +22,35 @@ inline:
   label and returns to the dispatch loop
   (``while _L >= 0: if _L == 0: ... elif _L == 1: ...``).
 * **Code generation** — scalars are promoted to locals, branch-predictor
-  entries are held in locals, block cycle costs are folded to float
-  literals, and the cache line check is emitted at each access site (see
-  :class:`_InlineCache`): one compare against the set's most recently used
-  line, read from the direct-mapped slot array or from the associative
-  cache's MRU table (:attr:`CacheSim._mru`), which ``CacheSim`` keeps for
-  every access it simulates and the generated slow path keeps for its
-  own.  When the frame's arrays fit the cache window
+  entries are held in locals, block cycle costs arrive as one tuple
+  argument that the prologue unpacks into locals (so versions of equal IR
+  share the code), and the cache line check is emitted at each access
+  site (see :class:`_InlineCache`): one compare against the set's most
+  recently used line, read from the direct-mapped slot array or from the
+  associative cache's MRU table (:attr:`CacheSim._mru`), which
+  ``CacheSim`` keeps for every access it simulates and the generated slow
+  path keeps for its own.  When the frame's arrays fit the cache window
   (:attr:`AddressMap.window_lines`), a variant with a last-line memo per
   array and elided repeated accesses runs instead.  A block with a call
   writes the promoted scalars back to ``env`` and goes through
   :meth:`Executor._do_call`, which runs the callee's own compiled
   function.
 * **Caching** — compiled functions land in a :class:`~repro.store.Store`
-  keyed by :func:`executable_digest`, a digest of the function's rendered
-  IR, its per-block cycle costs, and the machine (the same scheme as the
-  compiler pipeline's :func:`~repro.compiler.pipeline.version_key`), so
-  re-rating a version across consistency windows, search rounds, and
-  worker tasks never regenerates code.  The store is process-wide
-  (:func:`global_executable_cache`) and unbounded.
+  keyed by :func:`code_key`, a digest of the function's rendered IR and
+  the machine.  Block costs are not part of the key: most flags act only
+  through the effect model, which changes costs but not IR, so the many
+  versions of a tuning section that differ only in cost share one
+  :class:`WholeFunction`, and re-rating a version across consistency
+  windows, search rounds, and worker tasks never regenerates code.  The
+  store is process-wide (:func:`global_executable_cache`) and unbounded.
 
 **Exactness.**  Results are bit-identical to Tier 0.  Per block the
 generated code performs the same float operations in the same order —
-``cycles += compute+spill`` (one pre-folded literal), the block's memory
-drain, then the branch-miss charge — and runtime cost factors and the
-branch-miss cost are call arguments, never baked into code.  Tier 0 only
-simulates a block's accesses after the block completes, so every inline
+``cycles += compute+spill`` (one pre-folded cost, taken from the
+executable's own blocks), the block's memory drain, then the branch-miss
+charge — and block costs, runtime cost factors and the branch-miss cost
+are call arguments, never baked into code.  Tier 0 only simulates a
+block's accesses after the block completes, so every inline
 cache mutation logs an undo entry that is rolled back if the block
 raises; the log is emptied at the end of every block.  The step budget is
 checked once per chain pass: when it cannot cover the longest path of
@@ -85,6 +88,7 @@ from .executor import (
 __all__ = [
     "WholeFunction",
     "TieredExecutor",
+    "code_key",
     "create_executor",
     "executable_digest",
     "global_executable_cache",
@@ -106,18 +110,38 @@ _MAX_PATH = 24
 # content-addressed executable cache
 
 
+def _ir_digest(exe: ExecutableFunction) -> bytes:
+    """Digest of *exe*'s rendered IR, computed once per executable."""
+    digest = exe._ir_digest
+    if digest is None:
+        digest = exe._ir_digest = hashlib.sha256(str(exe.source).encode()).digest()
+    return digest
+
+
+def code_key(exe: ExecutableFunction, machine: MachineConfig) -> str:
+    """Key of *exe*'s generated code in the code store.
+
+    Covers the rendered IR and the machine, nothing else: block costs,
+    runtime cost factors, cache and predictor state are call arguments of
+    the generated code.
+    """
+    h = hashlib.sha256(_ir_digest(exe))
+    h.update(repr(machine).encode())
+    return h.hexdigest()
+
+
 def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
-    """Digest identifying the generated code for one compiled function.
+    """Digest of everything that decides one compiled function's timing.
 
     Covers the rendered IR, every per-block static cost (the channel
     through which the optimizing compiler's effect model differentiates
     versions of identical IR), and the machine — mirroring the compiler
-    pipeline's ``version_key``.  Runtime inputs (cost factors, cache and
-    predictor state) are call arguments of the generated code and
-    deliberately not part of the key.
+    pipeline's ``version_key``.  It keys whole-program run memos; the
+    generated code is keyed without the costs (:func:`code_key`).
+    Runtime inputs (cost factors, cache and predictor state) are not part
+    of it.
     """
-    h = hashlib.sha256()
-    h.update(str(exe.source).encode())
+    h = hashlib.sha256(_ir_digest(exe))
     h.update(b"\x00")
     h.update(repr(machine).encode())
     for label in sorted(exe.blocks):
@@ -129,7 +153,7 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
 
 
 #: every rating task, consistency window, and search round that touches a
-#: version with the same IR and costs reuses one set of code objects (worker
+#: version with the same IR reuses one set of code objects (worker
 #: processes each hold their own store, like the version cache)
 _GLOBAL_CACHE: Store[WholeFunction] = Store()
 
@@ -591,6 +615,7 @@ class _Generator:
             if n in self.scalar_sym
         ]
         self.index = {label: i for i, label in enumerate(exe.blocks)}
+        self.cost_sym = {label: f"_k{i}" for i, label in enumerate(wf.labels)}
         self.count_key = {
             label: label if depth0 else exe.blocks[label].qual_key
             for label in wf.labels
@@ -746,7 +771,7 @@ class _Generator:
         em.begin_block(None if has_cond or deferred else n_acc, deferred)
         if self.counting:
             em.emit(f"_n{self.index[label]} += 1")
-        em.emit(f"_cyc += {blk.compute_cycles + blk.spill_cycles!r}")
+        em.emit(f"_cyc += {self.cost_sym[label]}")
         for j, s in enumerate(src.stmts):
             if isinstance(s, CallStmt):
                 self._emit_call(label, j, s)
@@ -812,7 +837,8 @@ class _Generator:
 
     def source(self) -> str:
         exe, em, inline = self.exe, self.em, self.inline
-        prologue = []
+        # the per-block costs compute+spill, in wf.labels order
+        prologue = [f"({', '.join(self.cost_sym.values())},) = _kc"]
         for name, sym in self.scalar_sym.items():
             prologue.append(f"{sym} = env[{name!r}]")
         for name, (arr, base) in self.array_sym.items():
@@ -867,8 +893,8 @@ class _Generator:
             else []
         )
         lines = [
-            "def _fn(env, _bases, _bs, _counts, _mf, _bmc, _bgt, _ch, _dt, _am,"
-            " _res, _call):",
+            "def _fn(env, _kc, _bases, _bs, _counts, _mf, _bmc, _bgt, _ch, _dt,"
+            " _am, _res, _call):",
             *[f"    {line}" for line in prologue],
             "    try:",
             "        while _L >= 0:",
@@ -911,7 +937,8 @@ class TieredExecutor(Executor):
     Drop-in subclass of :class:`Executor`; identical machine state
     (cache, predictor) and bit-identical :class:`InvocationResult`\\ s.
     Every function runs through its :class:`WholeFunction`, served from a
-    shared code store, from its first invocation on.
+    shared code store, from its first invocation on; the executable's own
+    block costs (``exe._jit_costs``) are passed in at every call.
     """
 
     def __init__(
@@ -935,8 +962,13 @@ class TieredExecutor(Executor):
             wf = getattr(exe, "_jit_fn", None)
             if wf is None or wf.machine != self.machine:
                 wf, _ = self.code_cache.get_or_build(
-                    executable_digest(exe, self.machine),
+                    code_key(exe, self.machine),
                     lambda: WholeFunction(exe, self.machine),
+                )
+                blocks = exe.blocks
+                exe._jit_costs = tuple(
+                    blocks[label].compute_cycles + blocks[label].spill_cycles
+                    for label in wf.labels
                 )
                 exe._jit_fn = wf
         return wf
@@ -964,6 +996,8 @@ class TieredExecutor(Executor):
         )
         call = None
         if wf.has_calls:
+            exe.build_closures()
+
             def call(label: str, j: int, frame_env: dict) -> None:
                 self._do_call(
                     exe.blocks[label].steps[j], exe, frame_env, amap, factors,
@@ -972,6 +1006,7 @@ class TieredExecutor(Executor):
         cache = self.cache
         bail = fn(
             env,
+            exe._jit_costs,
             amap.bases,
             self.branch_state,
             counts,

@@ -127,8 +127,11 @@ class TestCodegenEquivalence:
     def test_codegen_matches_interpreter_values_and_cycles(self, fn, env):
         exe_fast = compile_function(fn, SPARC2)
         exe_slow = compile_function(fn, SPARC2)
+        # closures are built on first use: build them now, then drop the
+        # generated block functions to force the closure-interpreter path
+        exe_slow.build_closures()
         for blk in exe_slow.blocks.values():
-            blk.fastrun = None  # force the closure-interpreter path
+            blk.fastrun = None
 
         def run(exe):
             e = {
@@ -141,6 +144,8 @@ class TestCodegenEquivalence:
 
         fast, env_fast = run(exe_fast)
         slow, env_slow = run(exe_slow)
+        assert all(blk.fastrun is None for blk in exe_slow.blocks.values())
+        assert any(blk.fastrun is not None for blk in exe_fast.blocks.values())
         assert fast.return_value == slow.return_value
         assert fast.cycles == pytest.approx(slow.cycles)
         assert fast.mem_cycles == pytest.approx(slow.mem_cycles)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.machine.executor as executor_mod
 from repro.ir import ArrayRef, FunctionBuilder, Type, Var, eq
+from repro.ir.stmt import CallStmt, CondBranch
 from repro.machine import (
     AddressMap,
     CostFactors,
@@ -226,6 +228,72 @@ class TestCycleAccounting:
         ex.reset()
         r_cheap = ex.run(cheap, env())
         assert r_cheap.cycles < r_full.cycles
+
+    def test_only_blocks_without_override_are_priced(self, monkeypatch):
+        fn = saxpy_fn()
+        priced = []
+        real = executor_mod.block_static_costs
+
+        def spy(f, table, labels=None):
+            priced.append(labels)
+            return real(f, table, labels)
+
+        monkeypatch.setattr(executor_mod, "block_static_costs", spy)
+        full = {label: 1.0 for label in fn.cfg.blocks}
+        compile_function(fn, SPARC2, block_compute_cycles=full)
+        assert priced == []
+        body = [l for l in fn.cfg.blocks if l.startswith("loop_body")][0]
+        partial = compile_function(fn, SPARC2, block_compute_cycles={body: 0.5})
+        assert priced == [[l for l in fn.cfg.blocks if l != body]]
+        default = real(fn, SPARC2.cost)
+        for label, blk in partial.blocks.items():
+            expected = 0.5 if label == body else default[label].compute_cycles
+            assert blk.compute_cycles == expected
+
+
+class TestClosures:
+    def test_built_on_the_first_frame(self):
+        exe = compile_function(saxpy_fn(), SPARC2)
+        blocks = exe.blocks.values()
+        assert all(b.steps is None and b.term is None for b in blocks)
+        assert all(b.fastrun is None for b in blocks)
+        res0, _, _ = run_saxpy()
+        ex = Executor(SPARC2)
+        env = {"n": 8, "a": 2.0, "x": np.arange(8, dtype=float), "y": np.ones(8)}
+        assert ex.run(exe, env).cycles == res0.cycles
+        assert all(b.term is not None and b.fastrun is not None for b in blocks)
+        assert all(len(b.steps) == len(exe.source.cfg.blocks[b.label].stmts)
+                   for b in blocks)
+
+    def test_built_once(self):
+        exe = compile_function(saxpy_fn(), SPARC2)
+        exe.build_closures()
+        fastruns = [b.fastrun for b in exe.blocks.values()]
+        exe.build_closures()
+        Executor(SPARC2).run(
+            exe, {"n": 4, "a": 1.0, "x": np.zeros(4), "y": np.zeros(4)}
+        )
+        assert [b.fastrun for b in exe.blocks.values()] == fastruns
+
+    def test_compile_records_dispatch_facts_from_the_ir(self):
+        cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)
+        cal.ret(cal.var("v") + 1.0)
+        callee = compile_function(cal.build(), SPARC2)
+        b = FunctionBuilder("f", [("x", Type.FLOAT)], return_type=Type.FLOAT)
+        b.local("r", Type.FLOAT)
+        with b.if_(Var("x") > 0.0):
+            b.call("g", [Var("x")], target="r")
+        b.ret(b.var("r"))
+        exe = compile_function(b.build(), SPARC2, callees={"g": callee})
+        for label, blk in exe.source.cfg.blocks.items():
+            cb = exe.blocks[label]
+            assert cb.has_calls == any(isinstance(s, CallStmt) for s in blk.stmts)
+            assert cb.is_branch == isinstance(blk.terminator, CondBranch)
+            assert cb.branch_key == (("f", label) if cb.is_branch else None)
+            assert cb.qual_key == f"f::{label}"
+        assert any(cb.has_calls for cb in exe.blocks.values())
+        assert any(cb.is_branch for cb in exe.blocks.values())
+        assert Executor(SPARC2).run(exe, {"x": 2.0}).return_value == 3.0
 
 
 class TestCalls:

@@ -10,6 +10,9 @@ feeds and datasets hand them out) or as ndarrays.  These tests enforce that cont
 hand-written adversarial kernels and on random IR programs.  After every
 invocation both executors' Pentium 4 caches must also keep their MRU table
 (``CacheSim._mru``, which compiled code trusts) in step with the way lists.
+Generated code is keyed on IR and machine, with block costs as call
+arguments, so the random programs also run a cost-perturbed twin that
+shares the first executable's code and must still equal Tier 0 on itself.
 """
 
 import numpy as np
@@ -64,7 +67,7 @@ def bits(value):
 
 def run_differential(
     fn, env_fn, machine, *, invocations=6, max_steps=None, callees=None,
-    lists_only=False,
+    lists_only=False, twin_scale=None,
 ):
     """Run the same invocation sequence through both tiers and compare.
 
@@ -74,19 +77,30 @@ def run_differential(
     are bound as feeds and datasets hand them out, unboxed to lists, except
     that every second pair of invocations keeps the ndarrays (an input a
     feed shares across positions) unless *lists_only*.  Values compare by
-    :func:`bits`.  Returns the Tier-1 executor (for engagement assertions)
-    and Tier 0's outcome per invocation: ``(error text or None, bits of
-    the return value, env)``.
+    :func:`bits`.  With *twin_scale*, each invocation is followed by one
+    of a twin executable whose block costs are perturbed
+    (:func:`cost_twin`), on the same two executors; Tier 1 must run it
+    through the first executable's code.  Returns the Tier-1 executor (for
+    engagement assertions) and Tier 0's outcome per invocation of the
+    first executable: ``(error text or None, bits of the return value,
+    env)``.
     """
     exe0 = compile_function(fn, machine, callees=callees)
     exe1 = compile_function(fn, machine, callees=callees)
+    pairs = [(exe0, exe1)]
+    if twin_scale is not None:
+        pairs.append((
+            cost_twin(exe0, machine, twin_scale), cost_twin(exe1, machine, twin_scale)
+        ))
     ex0 = Executor(machine)
     ex1 = TieredExecutor(machine, code_cache=Store())
     if max_steps is not None:
         ex0.MAX_STEPS = max_steps
         ex1.MAX_STEPS = max_steps
     outcomes = []
-    for i in range(invocations):
+    for k in range(invocations * len(pairs)):
+        # invocation i of the first executable, then of its twin
+        i, (exe0, exe1) = k // len(pairs), pairs[k % len(pairs)]
         bind = unbox if lists_only or i // 2 % 2 == 0 else dict
         env0, env1 = bind(env_fn(i)), bind(env_fn(i))
         count = i % 2 == 1
@@ -116,8 +130,27 @@ def run_differential(
         assert machine_state(ex0) == machine_state(ex1)
         assert_mru_in_step(ex0)
         assert_mru_in_step(ex1)
-        outcomes.append((err0, r0 and bits(r0.return_value), env0))
+        if exe0 is pairs[0][0]:
+            outcomes.append((err0, r0 and bits(r0.return_value), env0))
+    if twin_scale is not None:
+        assert pairs[1][1]._jit_fn is pairs[0][1]._jit_fn
     return ex1, outcomes
+
+
+def cost_twin(exe, machine, scale):
+    """An executable of *exe*'s IR and callees whose block costs differ:
+    each compute cost scaled by *scale*, plus a spill cost that varies by
+    block."""
+    return compile_function(
+        exe.source, machine,
+        block_compute_cycles={
+            label: blk.compute_cycles * scale for label, blk in exe.blocks.items()
+        },
+        block_spill_cycles={
+            label: 0.125 * (i % 5) + scale for i, label in enumerate(exe.blocks)
+        },
+        callees=exe.callees,
+    )
 
 
 def fully_compiled(ex1: TieredExecutor) -> bool:
@@ -537,11 +570,18 @@ def test_call_arguments_and_drain_move_the_mru_line():
 # property-based: random IR programs
 
 
+TWIN_SCALES = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
+
+
 @settings(max_examples=40, deadline=None)
-@given(fn=kernels(), env=kernel_inputs(), machine=st.sampled_from(MACHINES))
-def test_random_kernels_differential(fn, env, machine):
+@given(
+    fn=kernels(), env=kernel_inputs(), machine=st.sampled_from(MACHINES),
+    twin_scale=TWIN_SCALES,
+)
+def test_random_kernels_differential(fn, env, machine, twin_scale):
     """Random structured kernels: both tiers agree invocation by
-    invocation, including every piece of persistent machine state."""
+    invocation, including every piece of persistent machine state, on the
+    kernel and on a cost-perturbed twin that shares its generated code."""
 
     def env_fn(i):
         e = dict(env)
@@ -550,7 +590,7 @@ def test_random_kernels_differential(fn, env, machine):
         e["k"] = env["k"] + i  # vary inputs so branches flip across calls
         return e
 
-    run_differential(fn, env_fn, machine, invocations=5)
+    run_differential(fn, env_fn, machine, invocations=5, twin_scale=twin_scale)
 
 
 @settings(max_examples=25, deadline=None)
@@ -559,11 +599,13 @@ def test_random_kernels_differential(fn, env, machine):
     env=kernel_inputs(),
     machine=st.sampled_from(MACHINES),
     max_steps=st.integers(min_value=1, max_value=60),
+    twin_scale=TWIN_SCALES,
 )
-def test_random_kernels_exhaust_at_tier0_block(fn, env, machine, max_steps):
+def test_random_kernels_exhaust_at_tier0_block(fn, env, machine, max_steps, twin_scale):
     """Random kernels under a tiny step budget: the budget guard hands
     each frame to Tier 0 wherever the remaining budget cannot cover a
-    chain, so exhaustion (or completion) matches Tier 0 exactly."""
+    chain, so exhaustion (or completion) matches Tier 0 exactly, also for
+    a cost-perturbed twin that resumes from shared code."""
 
     def env_fn(i):
         e = dict(env)
@@ -572,5 +614,8 @@ def test_random_kernels_exhaust_at_tier0_block(fn, env, machine, max_steps):
         e["k"] = env["k"] + i
         return e
 
-    run_differential(fn, env_fn, machine, invocations=3, max_steps=max_steps)
+    run_differential(
+        fn, env_fn, machine, invocations=3, max_steps=max_steps,
+        twin_scale=twin_scale,
+    )
 

@@ -21,6 +21,7 @@ from repro.machine import (
     PENTIUM4,
     SPARC2,
     TieredExecutor,
+    code_key,
     compile_function,
     create_executor,
     executable_digest,
@@ -29,6 +30,8 @@ from repro.machine import (
 from repro.machine.jit import WholeFunction, _chain_heads
 from repro.store import Store
 from repro.workloads import get_workload
+
+from .test_executor_differential import cost_twin
 
 
 def loop_fn(name="loop"):
@@ -78,6 +81,9 @@ class TestWholeFunctionCompilation:
         assert exe._jit_fn is not None
         assert ex.compiled_frames == 1
         assert ex.interpreted_blocks == 0
+        # no Tier-0 closures: only the dispatch loop and calls need them
+        assert not exe._closures
+        assert all(b.fastrun is None for b in exe.blocks.values())
         # the loop header heads its own chain, which runs as a while loop
         assert exe._jit_fn.heads == ("entry", "loop_header1")
         src = exe._jit_fn.source(counting=False, depth0=True, windowed=False)
@@ -111,6 +117,9 @@ class TestWholeFunctionCompilation:
         # the caller's frame plus one callee frame per call, all compiled
         assert ex.compiled_frames == 6
         assert ex.interpreted_blocks == 0
+        # the caller's calls go through its closures; the callee needs none
+        assert exe._closures
+        assert not callees["g"]._closures
 
     @pytest.mark.parametrize("name", ["gzip", "bzip2", "swim"])
     def test_paper_kernels_never_interpret(self, name):
@@ -214,6 +223,17 @@ class TestExecutableCache:
         exe = compile_function(loop_fn(), SPARC2)
         assert executable_digest(exe, SPARC2) == executable_digest(exe, SPARC2)
 
+    def test_code_key_covers_ir_and_machine_not_costs(self):
+        fn = loop_fn()
+        exe = compile_function(fn, SPARC2)
+        other = cost_twin(exe, SPARC2, 1.5)
+        assert code_key(exe, SPARC2) == code_key(other, SPARC2)
+        assert executable_digest(exe, SPARC2) != executable_digest(other, SPARC2)
+        assert code_key(exe, SPARC2) != code_key(exe, PENTIUM4)
+        assert code_key(exe, SPARC2) != code_key(
+            compile_function(loop_fn("f2"), SPARC2), SPARC2
+        )
+
     def test_max_entries_evicts(self):
         """The executor regenerates code its store has evicted."""
         cache = Store(max_entries=1)
@@ -221,9 +241,43 @@ class TestExecutableCache:
         for name in ("f1", "f2", "f1"):
             exe = compile_function(loop_fn(name), SPARC2)
             ex.run(exe, envs(count=1)[0])
-            assert exe._jit_fn is cache.get(executable_digest(exe, SPARC2))
+            assert exe._jit_fn is cache.get(code_key(exe, SPARC2))
         assert len(cache) == 1
         assert cache.evictions == 2
+
+    @pytest.mark.parametrize("machine", (SPARC2, PENTIUM4), ids=lambda m: m.name)
+    def test_versions_differing_only_in_cost_share_code(self, machine):
+        """Two executables of one IR with different block costs run one
+        WholeFunction, generated once; each times exactly as Tier 0 times
+        that same executable."""
+        cache = Store()
+        fn = loop_fn()
+        exe_a = compile_function(fn, machine)
+        exe_b = cost_twin(exe_a, machine, 1.5)
+        ex = TieredExecutor(machine, code_cache=cache)
+        cycles = {}
+        for exe in (exe_a, exe_b):
+            ex0 = Executor(machine)
+            ex.reset()
+            for count in (False, True):
+                for env in envs(count=3):
+                    r1 = ex.run(exe, dict(env), count_blocks=count)
+                    r0 = ex0.run(exe, dict(env), count_blocks=count)
+                    assert (r1.cycles, r1.mem_cycles, r1.branch_miss_cycles) == (
+                        r0.cycles, r0.mem_cycles, r0.branch_miss_cycles,
+                    )
+                    assert r1.block_counts == r0.block_counts
+            cycles[id(exe)] = r1.cycles
+        assert exe_a._jit_fn is exe_b._jit_fn
+        assert len(cache) == 1
+        assert cache.misses == 1
+        assert exe_a._jit_costs != exe_b._jit_costs
+        assert cycles[id(exe_a)] != cycles[id(exe_b)]
+        for key in ((False, True, False), (True, True, True), (True, False, False)):
+            kw = dict(zip(("counting", "depth0", "windowed"), key))
+            assert WholeFunction(exe_a, machine).source(**kw) == WholeFunction(
+                exe_b, machine
+            ).source(**kw)
 
 
 def _fits(sizes: dict, n_sets: int, line: int) -> bool:
