@@ -191,51 +191,36 @@ def _run_pipeline(
     obs = obs_or_null(obs)
     steps = effective_steps(config, has_program=program is not None)
 
-    if prefix_cache is None:
-        out = fn.copy()
-        am = AnalysisManager(out)
-        for step in steps:
-            before = out.ir_stamp
-            with obs.span(f"pass.{step}", "compiler") as sp:
-                changed = _apply_step(step, out, program, am)
-                sp.set("changed", changed)
-            if changed and out.ir_stamp == before:
-                # the pass did not self-report its mutations; commit for it
-                traits = _STEP_TRAITS[step]
-                am.commit(traits.mutates, traits.preserves)
-            if checked:
-                validate_function(out)
-        return out, am, None
-
-    context = program_digest(program)
-
-    # chain walk: follow memoized steps from the pristine IR's digest,
-    # remembering the deepest materialized snapshot along the way
-    cur = cached_ir_digest(fn)
     hit_depth = 0
     resume_from: _StepEntry | None = None
-    for step in steps:
-        entry = prefix_cache.get((context, cur, step))
-        if entry is None:
-            break
-        cur = entry.out_digest
-        hit_depth += 1
-        if entry.snapshot is not None:
-            resume_from = entry
+    if prefix_cache is not None:
+        context = program_digest(program)
 
-    if prefix_stats is not None:
-        prefix_stats.compiles += 1
-        prefix_stats.steps_total += len(steps)
-        prefix_stats.steps_saved += hit_depth
-        prefix_stats.steps_run += len(steps) - hit_depth
-        if steps and hit_depth == len(steps):
-            prefix_stats.full_hits += 1
+        # chain walk: follow memoized steps from the pristine IR's digest,
+        # remembering the deepest materialized snapshot along the way
+        cur = cached_ir_digest(fn)
+        for step in steps:
+            entry = prefix_cache.get((context, cur, step))
+            if entry is None:
+                break
+            cur = entry.out_digest
+            hit_depth += 1
+            if entry.snapshot is not None:
+                resume_from = entry
 
-    # annotate the enclosing compile span with the resume depth
-    enclosing = obs.tracer.current()
-    if enclosing is not None:
-        enclosing.attrs["steps"] = len(steps)
-        enclosing.attrs["resumed"] = hit_depth
+        if prefix_stats is not None:
+            prefix_stats.compiles += 1
+            prefix_stats.steps_total += len(steps)
+            prefix_stats.steps_saved += hit_depth
+            prefix_stats.steps_run += len(steps) - hit_depth
+            if steps and hit_depth == len(steps):
+                prefix_stats.full_hits += 1
+
+        # annotate the enclosing compile span with the resume depth
+        enclosing = obs.tracer.current()
+        if enclosing is not None:
+            enclosing.attrs["steps"] = len(steps)
+            enclosing.attrs["resumed"] = hit_depth
 
     if resume_from is not None:
         # all steps between the snapshot and hit_depth were no-ops, so the
@@ -248,18 +233,21 @@ def _run_pipeline(
 
     owner = resume_from
     for step in steps[hit_depth:]:
-        step_in = cur
         before = out.ir_stamp
         with obs.span(f"pass.{step}", "compiler") as sp:
             changed = _apply_step(step, out, program, am)
             sp.set("changed", changed)
         if changed and out.ir_stamp == before:
+            # the pass did not self-report its mutations; commit for it
             traits = _STEP_TRAITS[step]
             am.commit(traits.mutates, traits.preserves)
         if checked:
             # validate before memoizing: an invalid intermediate state must
             # never be served to a later compile
             validate_function(out)
+        if prefix_cache is None:
+            continue
+        step_in = cur
         if changed:
             cur = ir_digest(out)
             entry = _StepEntry(cur, out.copy(), am.export())
@@ -357,7 +345,6 @@ def compile_version(
     *,
     program: Program | None = None,
     checked: bool = True,
-    callees: dict[str, ExecutableFunction] | None = None,
     cache: Store[Version] | None = None,
     prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
@@ -366,23 +353,21 @@ def compile_version(
     """Compile tuning section *fn* under *config* for *machine*.
 
     With *cache*, the compile is served from / recorded into that version
-    store under :func:`version_key` (explicit *callees* bypass it: they are
-    caller-specific and not part of the content key).  With *prefix_cache*,
-    a cache miss resumes the pass pipeline from the deepest memoized IR
-    snapshot instead of starting cold.
+    store under :func:`version_key`.  With *prefix_cache*, a cache miss
+    resumes the pass pipeline from the deepest memoized IR snapshot
+    instead of starting cold.
     """
-    if cache is not None and callees is None:
+    if cache is not None:
         version, _ = cache.get_or_build(
             version_key(fn, config, machine, program=program, checked=checked),
             lambda: _compile_uncached(
                 fn, config, machine, program=program, checked=checked,
-                callees=None, prefix_cache=prefix_cache,
-                prefix_stats=prefix_stats, obs=obs,
+                prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
             ),
         )
         return version
     return _compile_uncached(
-        fn, config, machine, program=program, checked=checked, callees=callees,
+        fn, config, machine, program=program, checked=checked,
         prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
     )
 
@@ -394,7 +379,6 @@ def _compile_uncached(
     *,
     program: Program | None = None,
     checked: bool = True,
-    callees: dict[str, ExecutableFunction] | None = None,
     prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
     obs: Obs | None = None,
@@ -403,8 +387,7 @@ def _compile_uncached(
     with obs.span("compile", "compiler", fn=fn.name, flags=len(config.key())):
         return _compile_spanned(
             fn, config, machine, program=program, checked=checked,
-            callees=callees, prefix_cache=prefix_cache,
-            prefix_stats=prefix_stats, obs=obs,
+            prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
         )
 
 
@@ -415,7 +398,6 @@ def _compile_spanned(
     *,
     program: Program | None,
     checked: bool,
-    callees: dict[str, ExecutableFunction] | None,
     prefix_cache: Store[_StepEntry] | None,
     prefix_stats: PrefixStats | None,
     obs: Obs,
@@ -444,7 +426,7 @@ def _compile_spanned(
         owner.analyses = am.export()
         if checked:
             owner.validated = True
-    resolved_callees = dict(callees or {})
+    resolved_callees: dict[str, ExecutableFunction] = {}
     if program is not None:
         # compile remaining callees (un-inlined calls) at -O3-equivalent
         from ..ir.stmt import CallStmt
@@ -455,7 +437,7 @@ def _compile_spanned(
             for s in blk.stmts
             if isinstance(s, CallStmt)
         }
-        for name in needed - set(resolved_callees):
+        for name in needed:
             callee_fn = program.functions.get(name)
             if callee_fn is not None and name != fn.name:
                 resolved_callees[name] = compile_function(callee_fn, machine)

@@ -74,7 +74,7 @@ from ..store import Store
 from ..workloads.base import Workload
 from .rating.base import RatingResult, RatingSettings
 from .rating.baselines import RUN_MEMO_MAX
-from .rating.consultant import ConsultantLimits, RatingPlan, consult
+from .rating.consultant import RatingPlan, consult
 from .rating.feed import InputReplay, InvocationFeed
 from .rating.rbr import ReExecutionRating
 from .search.parallel import ParallelEvaluator
@@ -99,11 +99,7 @@ class EngineSpec:
     machine: MachineConfig
     dataset: str
     settings: RatingSettings
-    limits: ConsultantLimits
     noise: NoiseModel | None
-    rbr_improved: bool
-    whl_runs_per_rating: int
-    checked: bool
     profile_limit: int | None
     base_seed: int
     use_cache: bool
@@ -151,7 +147,6 @@ class _WorkerContext:
                 workload.ts,
                 profile,
                 spec.machine,
-                limits=spec.limits,
                 pointer_seeds=workload.pointer_seeds,
             )
         self.plan = plan
@@ -301,7 +296,7 @@ class _TaskRater:
             stats = PrefixStats()
             version = compile_version(
                 fn, config, spec.machine,
-                program=ctx.workload.program, checked=spec.checked,
+                program=ctx.workload.program, checked=False,
                 prefix_cache=ctx.prefix_cache, prefix_stats=stats, obs=self.obs,
             )
             self.ledger.record_prefix(
@@ -313,8 +308,7 @@ class _TaskRater:
             return build()
         version, hit = ctx.cache.get_or_build(
             version_key(
-                fn, config, spec.machine,
-                program=ctx.workload.program, checked=spec.checked,
+                fn, config, spec.machine, program=ctx.workload.program, checked=False
             ),
             build,
         )
@@ -328,9 +322,7 @@ class _TaskRater:
             return self.memo[key, method]
         spec = self.ctx.spec
         rater = self.ctx.plan.rater(
-            method, spec.settings, self.timed,
-            whl_runs_per_rating=spec.whl_runs_per_rating,
-            run_memo=self.ctx.run_memo,
+            method, spec.settings, self.timed, run_memo=self.ctx.run_memo,
         )
         result = rater.rate(
             self.version_for(key, instrumented=method == "MBR"), self.feed
@@ -344,9 +336,7 @@ class _TaskRater:
         self, candidate: tuple[str, ...], reference: tuple[str, ...]
     ) -> RatingResult:
         ctx, spec = self.ctx, self.ctx.spec
-        rater = ReExecutionRating(
-            ctx.save_plan, spec.settings, self.timed, improved=spec.rbr_improved
-        )
+        rater = ReExecutionRating(ctx.save_plan, spec.settings, self.timed)
         result = rater.rate_pair(
             self.version_for(candidate, instrumented=False),
             self.version_for(reference, instrumented=False),

@@ -46,7 +46,7 @@ from ..store import Store
 from ..workloads.base import Workload
 from .engine import BatchRatingEngine, EngineSpec, SerialRatingEngine
 from .rating.base import RatingSettings
-from .rating.consultant import ConsultantLimits, RatingPlan, consult
+from .rating.consultant import RatingPlan, consult
 from .search.base import SearchAlgorithm, SearchResult
 from .search.iterative_elimination import IterativeElimination
 
@@ -85,11 +85,7 @@ class PeakTuner:
         seed: int = 0,
         settings: RatingSettings = RatingSettings(),
         search: SearchAlgorithm | None = None,
-        limits: ConsultantLimits = ConsultantLimits(),
-        rbr_improved: bool = True,
-        whl_runs_per_rating: int = 1,
         noise: NoiseModel | None = None,
-        checked: bool = False,
         profile_limit: int | None = None,
         jobs: int | None = None,
         parallel_backend: str = "auto",
@@ -102,11 +98,7 @@ class PeakTuner:
         self.seed = seed
         self.settings = settings
         self.search = search if search is not None else IterativeElimination()
-        self.limits = limits
-        self.rbr_improved = rbr_improved
-        self.whl_runs_per_rating = whl_runs_per_rating
         self.noise = noise
-        self.checked = checked
         self.profile_limit = profile_limit
         #: None → the paper-faithful serial engine; an int (0 = all cores)
         #: → the parallel batch engine with that many workers
@@ -141,7 +133,6 @@ class PeakTuner:
             workload.ts,
             profile,
             self.machine,
-            limits=self.limits,
             pointer_seeds=workload.pointer_seeds,
         )
 
@@ -217,11 +208,7 @@ class PeakTuner:
             machine=self.machine,
             dataset=dataset,
             settings=self.settings,
-            limits=self.limits,
             noise=self.noise,
-            rbr_improved=self.rbr_improved,
-            whl_runs_per_rating=self.whl_runs_per_rating,
-            checked=self.checked,
             profile_limit=self.profile_limit,
             base_seed=self.seed,
             use_cache=self.use_version_cache,

@@ -96,7 +96,6 @@ class RatingPlan:
         settings: RatingSettings,
         timed: TimedExecutor,
         *,
-        whl_runs_per_rating: int = 1,
         run_memo: Store | None = None,
     ) -> ContextBasedRating | ModelBasedRating | AverageRating | WholeProgramRating:
         """The rater of one version by *method* (anything but RBR, which
@@ -112,10 +111,7 @@ class RatingPlan:
         if method == "AVG":
             return AverageRating(settings, timed)
         if method == "WHL":
-            return WholeProgramRating(
-                settings, timed, runs_per_rating=whl_runs_per_rating,
-                run_memo=run_memo,
-            )
+            return WholeProgramRating(settings, timed, run_memo=run_memo)
         raise ValueError(f"unknown rating method {method!r}")
 
 

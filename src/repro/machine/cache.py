@@ -13,13 +13,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, compress
 
-import numpy as np
-
 __all__ = ["CacheSim", "AddressMap"]
-
-#: batches at least this long take the vectorized direct-mapped drain;
-#: below it, numpy call overhead beats the savings
-VECTOR_MIN_BATCH = 48
 
 
 class CacheSim:
@@ -106,117 +100,6 @@ class CacheSim:
         self.hits += 1
         ways.append(line_idx)
         return self.hit_cycles
-
-    def access_many(self, addrs) -> float:
-        """Access a sequence of addresses; returns total cycles.
-
-        Bit-identical to calling :meth:`access` per address and summing
-        left-to-right — the Tier-1 executor drains each block's memory
-        trace through this in one call.  The loop bodies are inlined (no
-        per-access method call); long direct-mapped batches additionally
-        go through a numpy path when both access costs are integral, in
-        which case any summation order is exact.
-        """
-        hc = self.hit_cycles
-        mc = self.miss_cycles
-        line = self.line
-        n_sets = self.n_sets
-        total = 0.0
-        hits = 0
-        misses = 0
-        if not hasattr(addrs, "__len__"):  # accept any iterable
-            addrs = list(addrs)
-        direct = self._direct
-        if direct is not None:  # direct-mapped fast path
-            if (
-                len(addrs) >= VECTOR_MIN_BATCH
-                and self._costs_integral
-            ):
-                return self._access_many_direct_vec(addrs)
-            for addr in addrs:
-                line_idx = addr // line
-                set_idx = line_idx % n_sets
-                if direct[set_idx] == line_idx:
-                    hits += 1
-                    total += hc
-                else:
-                    direct[set_idx] = line_idx
-                    misses += 1
-                    total += mc
-            self.hits += hits
-            self.misses += misses
-            return total
-        sets = self._sets
-        mru = self._mru
-        assoc = self.assoc
-        for addr in addrs:
-            line_idx = addr // line
-            set_idx = line_idx % n_sets
-            ways = sets[set_idx]
-            if ways and ways[-1] == line_idx:  # MRU fast path
-                hits += 1
-                total += hc
-                continue
-            mru[set_idx] = line_idx
-            try:
-                ways.remove(line_idx)
-            except ValueError:
-                misses += 1
-                total += mc
-                ways.append(line_idx)
-                if len(ways) > assoc:
-                    ways.pop(0)
-                continue
-            hits += 1
-            total += hc
-            ways.append(line_idx)
-        self.hits += hits
-        self.misses += misses
-        return total
-
-    @property
-    def _costs_integral(self) -> bool:
-        return self.hit_cycles.is_integer() and self.miss_cycles.is_integer()
-
-    def _access_many_direct_vec(self, addrs) -> float:
-        """Vectorized direct-mapped batch access.
-
-        Within a batch, an access hits iff the nearest previous access to
-        the same set (in batch order) touched the same line — accesses to
-        other sets cannot evict a direct-mapped slot.  A stable sort by set
-        index turns that into a shifted-compare per run; the first access
-        of each run compares against the stored line array, and the last
-        access of each run writes the slot back.  Exactness: hit/miss
-        outcomes are integer logic, and with integral per-access costs the
-        total ``n_hits*hit + n_miss*miss`` equals the sequential float sum.
-        """
-        a = np.asarray(addrs, dtype=np.int64)
-        line_idx = a // self.line
-        set_idx = line_idx % self.n_sets
-        order = np.argsort(set_idx, kind="stable")
-        s_set = set_idx[order]
-        s_line = line_idx[order]
-        n = a.shape[0]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(s_set[1:], s_set[:-1], out=first[1:])
-        hit = np.empty(n, dtype=bool)
-        np.equal(s_line[1:], s_line[:-1], out=hit[1:])
-        hit[first] = False  # run heads: resolved against the stored lines
-        direct = self._direct
-        head_idx = np.flatnonzero(first)
-        for i in head_idx:
-            hit[i] = direct[s_set[i]] == s_line[i]
-        # run tails leave their line in the slot (shift `first` left by one);
-        # stored as Python ints so the JIT's int compares stay fast
-        tail_idx = np.flatnonzero(np.append(first[1:], True))
-        for i in tail_idx:
-            direct[s_set[i]] = int(s_line[i])
-        n_hits = int(np.count_nonzero(hit))
-        n_misses = n - n_hits
-        self.hits += n_hits
-        self.misses += n_misses
-        return n_hits * self.hit_cycles + n_misses * self.miss_cycles
 
     def flush(self) -> None:
         """Invalidate the entire cache (cold start)."""
@@ -331,8 +214,8 @@ class AddressMap:
         #: cache lines spanned by every reachable address of the arrays;
         #: when this is below the cache's set count, no access can evict a
         #: line another access touched (Tier 1's windowed code relies on
-        #: it).  ``None`` for callee frames, which are never windowed.
-        self.window_lines: int | None = hi // line - lo // line if sizes else 0
+        #: it).  Only depth-0 frames read it: callee frames run at Tier 0.
+        self.window_lines = hi // line - lo // line if sizes else 0
 
     def address(self, array: str, index: int) -> int:
         """Byte address of ``array[index]``."""
@@ -375,7 +258,6 @@ class AddressMap:
         out after this map's arrays.  This map is left unchanged.
         """
         frame = AddressMap({}, line=self.line, base=self.end)
-        frame.window_lines = None
         line = self.line
         for pname, value in args.items():
             base = next(

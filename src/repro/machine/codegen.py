@@ -17,7 +17,9 @@ closure interpreter:
 * the generated function returns ``(next_label, taken)`` exactly like the
   interpreted terminator.
 
-Blocks containing calls keep the interpreter path (see executor).
+Blocks containing calls get no generated function: the dispatch loop runs
+their closures step by step so each call goes through ``Executor._do_call``
+(Tier 1 never compiles a function with calls, see ``jit``).
 """
 
 from __future__ import annotations

@@ -339,11 +339,12 @@ class ExecutableFunction:
     def build_closures(self) -> None:
         """Build every block's ``steps``, ``term`` and ``fastrun``.
 
-        The Tier-0 dispatch loop needs them, Tier 1 only for its calls and
-        for frames its step-budget guard hands back, so they are built on
-        first use rather than by :func:`compile_function`.  Threads that
-        race here build equal closures; the flag is set after every block
-        has its own, so a reader that sees it finds them all.
+        Only the Tier-0 dispatch loop needs them: every frame Tier 1
+        declines runs there, and so does the rest of a frame its
+        step-budget guard hands back, so they are built on first use rather
+        than by :func:`compile_function`.  Threads that race here build
+        equal closures; the flag is set after every block has its own, so
+        a reader that sees it finds them all.
         """
         if self._closures:
             return

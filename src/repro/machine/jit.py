@@ -11,6 +11,13 @@ Tier 1 compiles each :class:`ExecutableFunction`, on first use, into
 **one** Python function (``compile()``/``exec``) with every block body
 inline:
 
+* **Rule** — Tier 1 compiles a frame only when it is at depth 0, its
+  function makes no call, and every array it touches gets an inline cache
+  check (the machine's cache qualifies, see :class:`_InlineCache`, and
+  every array is a parameter that no scalar shares a name with).  The
+  rule is decided once per function (:attr:`WholeFunction.compiles`);
+  every other frame runs at Tier 0, the oracle.  The tuning sections of
+  every workload qualify at ``-O3`` on both paper machines.
 * **Layout** — blocks are grouped into *chains*.  A chain starts at a
   *head*: the entry, the target of every retreating CFG edge (the header
   of every natural loop), and any block the layout cuts off to bound code
@@ -31,10 +38,7 @@ inline:
   ``CacheSim`` keeps for every access it simulates and the generated slow
   path keeps for its own.  When the frame's arrays fit the cache window
   (:attr:`AddressMap.window_lines`), a variant with a last-line memo per
-  array and elided repeated accesses runs instead.  A block with a call
-  writes the promoted scalars back to ``env`` and goes through
-  :meth:`Executor._do_call`, which runs the callee's own compiled
-  function.
+  array and elided repeated accesses runs instead.
 * **Caching** — compiled functions land in a :class:`~repro.store.Store`
   keyed by :func:`code_key`, a digest of the function's rendered IR and
   the machine.  Block costs are not part of the key: most flags act only
@@ -70,7 +74,7 @@ from typing import Callable
 from ..ir.block import BasicBlock
 from ..ir.cfg import CFG
 from ..ir.expr import ArrayRef, BinOp, Call, Const, UnOp, Var, walk
-from ..ir.stmt import CallStmt, CondBranch, Jump, Return
+from ..ir.stmt import CondBranch, Jump, Return
 from ..ir.types import Type
 from ..store import Store
 from .cache import AddressMap
@@ -233,7 +237,7 @@ class _FunctionEmitter(ExprEmitter):
         types: dict[str, Type],
         scalar_sym: dict[str, str],
         array_sym: dict[str, tuple[str, str]],
-        inline: _InlineCache | None,
+        inline: _InlineCache,
         memo_sym: dict[str, str],
     ) -> None:
         super().__init__(types)
@@ -243,19 +247,15 @@ class _FunctionEmitter(ExprEmitter):
         self.memo_sym = memo_sym
         # per-block state (see begin_block)
         self.block_static: int | None = None
-        self.deferred = inline is None
         self.base_indent = self.indent
         self._cse: dict[str, str] = {}
         self._elide: set[tuple[str, str]] = set()
 
-    def begin_block(self, static_accesses: int | None, deferred: bool) -> None:
+    def begin_block(self, static_accesses: int | None) -> None:
         """Start a block.  *static_accesses* is its unconditional access
         count, or ``None`` when some access executes conditionally (which
-        forces dynamic hit counting).  A *deferred* block appends byte
-        addresses to ``_mem`` for one ``access_many`` drain, Tier 0's own
-        order (blocks with calls, and functions without inline checks)."""
+        forces dynamic hit counting)."""
         self.block_static = static_accesses
-        self.deferred = deferred
         self.base_indent = self.indent
 
     def save(self) -> tuple[dict, set]:
@@ -286,8 +286,7 @@ class _FunctionEmitter(ExprEmitter):
         return super().subscript(index)
 
     def array(self, name: str) -> str:
-        sym = self.array_sym.get(name)
-        return sym[0] if sym is not None else super().array(name)
+        return self.array_sym[name][0]
 
     def _shifted(self, idx: str) -> str:
         """Line offset ``idx >> idx_shift``, CSE'd while *idx* is unchanged."""
@@ -306,19 +305,14 @@ class _FunctionEmitter(ExprEmitter):
         return shifted
 
     def access(self, name: str, idx: str) -> None:
-        """Record one element access for the cache simulation.
+        """Check one element access against the cache on the spot.
 
-        Deferred blocks append the address for the per-block
-        ``access_many`` drain; otherwise the cache check happens on the
-        spot (state mutations log an undo entry to ``_u`` so an exception
-        later in the block can restore the exact Tier-0 cache state).
-        With a per-array memo (the windowed variant) the common case is
-        one compare, and a repeated ``(array, index)`` access cannot miss
+        State mutations log an undo entry to ``_u`` so an exception later
+        in the block can restore the exact Tier-0 cache state.  With a
+        per-array memo (the windowed variant) the common case is one
+        compare, and a repeated ``(array, index)`` access cannot miss
         while the window precondition holds, so it is elided entirely.
         """
-        if self.deferred:
-            self.emit(f"_ap(_bases[{name!r}] + {idx}*{_ELEM})")
-            return
         static = self.block_static is not None
         memo = self.memo_sym.get(name)
         if memo is not None:
@@ -414,16 +408,11 @@ def _scan_names(blocks) -> tuple[set, set, set]:
 
     for blk in blocks:
         for s in blk.stmts:
-            if isinstance(s, CallStmt):
-                for a in s.args:
-                    scan_expr(a)
+            scan_expr(s.expr)
+            if isinstance(s.target, ArrayRef):
+                arrays.add(s.target.array)
+                scan_expr(s.target.index)
             else:
-                scan_expr(s.expr)
-                if isinstance(s.target, ArrayRef):
-                    arrays.add(s.target.array)
-                    scan_expr(s.target.index)
-                    continue
-            if s.target is not None:
                 scalars.add(s.target.name)
                 assigned.add(s.target.name)
         term = blk.terminator
@@ -440,7 +429,6 @@ def _scan_accesses(blk: BasicBlock) -> tuple[int, bool]:
 
     An access inside the right operand of ``&&``/``||`` executes only when
     the left side demands it, so its block cannot use a static hit count.
-    Call arguments are simulated by the call itself, not the block drain.
     """
     total = 0
     conditional = False
@@ -466,8 +454,6 @@ def _scan_accesses(blk: BasicBlock) -> tuple[int, bool]:
                 scan(a, in_cond)
 
     for s in blk.stmts:
-        if isinstance(s, CallStmt):
-            continue
         if isinstance(s.target, ArrayRef):
             total += 1
             scan(s.target.index, False)
@@ -524,10 +510,13 @@ def _chain_heads(cfg: CFG) -> list[str]:
 class WholeFunction:
     """One function's chain layout plus its lazily compiled variants.
 
-    A variant is selected per frame by ``(counting, depth0, windowed)``:
-    whether block counts are collected (and under which keys), and whether
-    the frame's arrays fit the cache window.  Generated source is not
-    kept; :meth:`source` regenerates it.
+    :attr:`compiles` says whether Tier 1 runs the function at all: it
+    makes no call, the machine's cache supports inline checks, and every
+    array it touches is a parameter that no scalar shares a name with.  A
+    variant is selected per frame by ``(counting, windowed)``: whether
+    block counts are collected, and whether the frame's arrays fit the
+    cache window.  Generated source is not kept; :meth:`source`
+    regenerates it.
     """
 
     def __init__(self, exe: ExecutableFunction, machine: MachineConfig) -> None:
@@ -536,13 +525,18 @@ class WholeFunction:
         cfg = exe.source.cfg
         self.heads = tuple(_chain_heads(cfg))
         self.labels = tuple(cfg.rpo())
-        self.has_calls = any(exe.blocks[label].has_calls for label in self.labels)
+        self.compiles = False
+        if _InlineCache.supports(machine) and not any(
+            exe.blocks[label].has_calls for label in self.labels
+        ):
+            scalars, _, arrays = _scan_names(cfg.blocks[label] for label in self.labels)
+            self.compiles = arrays <= set(exe.param_names) - scalars
         self._lock = threading.Lock()
-        self._fns: dict[tuple[bool, bool, bool], Callable] = {}
+        self._fns: dict[tuple[bool, bool], Callable] = {}
 
-    def fn_for(self, counting: bool, depth0: bool, windowed: bool) -> Callable:
+    def fn_for(self, counting: bool, windowed: bool) -> Callable:
         """The compiled variant for one calling context."""
-        key = (counting, depth0 or not counting, windowed)
+        key = (counting, windowed)
         fn = self._fns.get(key)
         if fn is None:
             with self._lock:
@@ -552,8 +546,8 @@ class WholeFunction:
                     self._fns[key] = fn
         return fn
 
-    def _compile(self, counting: bool, depth0: bool, windowed: bool) -> Callable:
-        src = self.source(counting=counting, depth0=depth0, windowed=windowed)
+    def _compile(self, counting: bool, windowed: bool) -> Callable:
+        src = self.source(counting=counting, windowed=windowed)
         namespace = exec_namespace(
             _EE=ExecutionError,
             _RTE=RUNTIME_ERRORS,
@@ -566,16 +560,15 @@ class WholeFunction:
 
     # -- source generation ---------------------------------------------- #
 
-    def source(self, *, counting: bool, depth0: bool, windowed: bool) -> str:
-        return _Generator(self, counting, depth0, windowed).source()
+    def source(self, *, counting: bool, windowed: bool) -> str:
+        return _Generator(self, counting, windowed).source()
 
 
 class _Generator:
-    """Emits the Python source of one :class:`WholeFunction` variant."""
+    """Emits the Python source of one variant of a :class:`WholeFunction`
+    that :attr:`~WholeFunction.compiles`."""
 
-    def __init__(
-        self, wf: WholeFunction, counting: bool, depth0: bool, windowed: bool
-    ) -> None:
+    def __init__(self, wf: WholeFunction, counting: bool, windowed: bool) -> None:
         exe = wf._exe
         self.exe = exe
         self.wf = wf
@@ -588,24 +581,15 @@ class _Generator:
         self.heads = {label: i for i, label in enumerate(wf.heads)}
         scalars, assigned, arrays = _scan_names(self.src_blocks.values())
         # Only names every frame binds are promoted (parameters and
-        # locals); a name used both as a scalar and as an array is left in
-        # env.  Inline cache checks need every array promoted with its
-        # line-index base, otherwise all blocks drain through access_many.
+        # locals); every array is a parameter, promoted with its
+        # line-index base for the inline cache checks.
         declared = set(exe.param_names) | set(exe.local_defaults)
-        clash = scalars & arrays
-        promoted_scalars = sorted((scalars - clash) & declared)
-        promoted_arrays = sorted((arrays - clash) & set(exe.param_names))
-        self.scalar_sym = {n: f"_v{i}" for i, n in enumerate(promoted_scalars)}
+        promoted_arrays = sorted(arrays)
+        self.scalar_sym = {n: f"_v{i}" for i, n in enumerate(sorted(scalars & declared))}
         self.array_sym = {
             n: (f"_a{i}", f"_b{i}") for i, n in enumerate(promoted_arrays)
         }
-        machine = wf.machine
-        self.inline = (
-            _InlineCache(machine)
-            if _InlineCache.supports(machine) and len(promoted_arrays) == len(arrays)
-            else None
-        )
-        windowed = windowed and self.inline is not None
+        self.inline = _InlineCache(wf.machine)
         memo_sym = (
             {n: f"_m{i}" for i, n in enumerate(promoted_arrays)} if windowed else {}
         )
@@ -616,10 +600,6 @@ class _Generator:
         ]
         self.index = {label: i for i, label in enumerate(exe.blocks)}
         self.cost_sym = {label: f"_k{i}" for i, label in enumerate(wf.labels)}
-        self.count_key = {
-            label: label if depth0 else exe.blocks[label].qual_key
-            for label in wf.labels
-        }
         self.branch_sym = {
             label: f"_pb{i}"
             for i, label in enumerate(wf.labels)
@@ -629,42 +609,23 @@ class _Generator:
             exe.source.all_vars(), self.scalar_sym, self.array_sym, self.inline,
             memo_sym,
         )
-        self.any_deferred = self.inline is None or wf.has_calls
         # per-chain state (see _emit_chain)
         self.head = ""
         self.loop = False
 
     # -- per-exit snippets ---------------------------------------------- #
 
-    def _predictor_writeback(self) -> list[str]:
-        return [
+    def _state_flush(self) -> list[str]:
+        """Cache statistics and predictor entries back to the machine."""
+        return ["_ch.hits += _nh", "_ch.misses += _nm"] + [
             f"if {sym} is not None: _bs[{self.exe.blocks[label].branch_key!r}] = {sym}"
             for label, sym in self.branch_sym.items()
         ]
 
-    def _predictor_reload(self) -> list[str]:
-        return [
-            f"{sym} = _bs.get({self.exe.blocks[label].branch_key!r})"
-            for label, sym in self.branch_sym.items()
-        ]
-
-    def _state_flush(self) -> list[str]:
-        """Cache statistics and predictor entries back to the machine."""
-        stats = ["_ch.hits += _nh", "_ch.misses += _nm"] if self.inline is not None else []
-        return stats + self._predictor_writeback()
-
-    def _drain(self, n_acc: int, has_cond: bool, deferred: bool) -> list[str]:
+    def _drain(self, n_acc: int, has_cond: bool) -> list[str]:
         """The block's memory drain: exactly Tier 0's ``if mem:`` flush."""
         if n_acc == 0:
             return []
-        if deferred:
-            return [
-                "if _mem:",
-                "    _d = _am(_mem) * _mf",
-                "    _memc += _d",
-                "    _cyc += _d",
-                "    del _mem[:]",
-            ]
         p = self.inline
         # Per-block hit/miss counters make the drain two multiplies; with
         # integral costs the count-based total equals Tier 0's sequential
@@ -742,47 +703,25 @@ class _Generator:
         else:
             self._emit_block(target, done)
 
-    def _emit_call(self, label: str, j: int, s: CallStmt) -> None:
-        # the call evaluates its arguments from env and may re-enter this
-        # function (recursion shares predictor keys): write locals back,
-        # then reload what the call can change
-        em = self.em
-        for line in self.writebacks + self._predictor_writeback():
-            em.emit(line)
-        em.emit(f"_call({label!r}, {j}, env)")
-        for line in self._predictor_reload():
-            em.emit(line)
-        for memo in em.memo_sym.values():
-            em.emit(f"{memo} = None")
-        em.forget()
-        if s.target is not None:
-            sym = self.scalar_sym.get(s.target.name)
-            if sym is not None:
-                em.emit(f"{sym} = env[{s.target.name!r}]")
-
     def _emit_block(self, label: str, done: int) -> None:
         em = self.em
         exe = self.exe
         blk = exe.blocks[label]
         src = self.src_blocks[label]
-        deferred = self.inline is None or blk.has_calls
         n_acc, has_cond = _scan_accesses(src)
         em.emit(f"_lbl = {label!r}")
-        em.begin_block(None if has_cond or deferred else n_acc, deferred)
+        em.begin_block(None if has_cond else n_acc)
         if self.counting:
             em.emit(f"_n{self.index[label]} += 1")
         em.emit(f"_cyc += {self.cost_sym[label]}")
-        for j, s in enumerate(src.stmts):
-            if isinstance(s, CallStmt):
-                self._emit_call(label, j, s)
-            else:
-                em.stmt(s)
+        for s in src.stmts:
+            em.stmt(s)
         term = src.terminator
         if isinstance(term, CondBranch):
             em.emit(f"_t = bool({em.expr(term.cond)})")
         elif isinstance(term, Return) and term.value is not None:
             em.emit(f"env['<ret>'] = {em.expr(term.value)}")
-        for line in self._drain(n_acc, has_cond, deferred):
+        for line in self._drain(n_acc, has_cond):
             em.emit(line)
         if blk.is_branch:
             sym = self.branch_sym[label]
@@ -843,17 +782,16 @@ class _Generator:
             prologue.append(f"{sym} = env[{name!r}]")
         for name, (arr, base) in self.array_sym.items():
             prologue.append(f"{arr} = env[{name!r}]")
-            if inline is not None:
-                # promoted line-index base: (base + i*8) >> shift splits
-                prologue.append(f"{base} = _bases[{name!r}] >> {inline.line_shift}")
-        prologue += self._predictor_reload()
+            # promoted line-index base: (base + i*8) >> shift splits
+            prologue.append(f"{base} = _bases[{name!r}] >> {inline.line_shift}")
+        prologue += [
+            f"{sym} = _bs.get({exe.blocks[label].branch_key!r})"
+            for label, sym in self.branch_sym.items()
+        ]
         prologue += ["_cyc = 0.0", "_memc = 0.0", "_missc = 0.0"]
-        if inline is not None:
-            prologue += ["_nh = 0", "_nm = 0", "_bh = 0", "_bm = 0", "_u = []"]
-            if inline.assoc > 1:
-                prologue.append("_mru = _ch._mru")
-        if self.any_deferred:
-            prologue += ["_mem = []", "_ap = _mem.append"]
+        prologue += ["_nh = 0", "_nm = 0", "_bh = 0", "_bm = 0", "_u = []"]
+        if inline.assoc > 1:
+            prologue.append("_mru = _ch._mru")
         prologue += [f"{memo} = None" for memo in em.memo_sym.values()]
         if self.counting:
             prologue += [f"_n{self.index[label]} = 0" for label in self.wf.labels]
@@ -872,9 +810,7 @@ class _Generator:
         # entries are (way list, pre-image), restored in reverse so repeated
         # mutations of one set end at the oldest snapshot, after which the
         # MRU table is re-synced from the restored way lists in place.
-        if inline is None:
-            rollback = []
-        elif inline.assoc == 1:
+        if inline.assoc == 1:
             rollback = ["while _u:", "    _rs, _rt = _u.pop()", "    _dt[_rs] = _rt"]
         else:
             rollback = [
@@ -886,15 +822,14 @@ class _Generator:
         flush = self._state_flush()
         counts = (
             [
-                f"_counts[{self.count_key[label]!r}] += _n{self.index[label]}"
+                f"_counts[{label!r}] += _n{self.index[label]}"
                 for label in self.wf.labels
             ]
             if self.counting
             else []
         )
         lines = [
-            "def _fn(env, _kc, _bases, _bs, _counts, _mf, _bmc, _bgt, _ch, _dt,"
-            " _am, _res, _call):",
+            "def _fn(env, _kc, _bases, _bs, _counts, _mf, _bmc, _bgt, _ch, _dt, _res):",
             *[f"    {line}" for line in prologue],
             "    try:",
             "        while _L >= 0:",
@@ -905,12 +840,6 @@ class _Generator:
             " + ': runtime error ' + type(_e).__name__ + ': ' + str(_e))"
             " from _e",
         ]
-        if self.wf.has_calls:
-            lines += [
-                "    except _EE:",
-                *[f"        {line}" for line in flush],
-                "        raise",
-            ]
         lines += [f"    {line}" for line in flush + counts]
         lines += [
             "    if _L == -1:",
@@ -936,9 +865,12 @@ class TieredExecutor(Executor):
 
     Drop-in subclass of :class:`Executor`; identical machine state
     (cache, predictor) and bit-identical :class:`InvocationResult`\\ s.
-    Every function runs through its :class:`WholeFunction`, served from a
-    shared code store, from its first invocation on; the executable's own
-    block costs (``exe._jit_costs``) are passed in at every call.
+    A frame at depth 0 whose function :attr:`~WholeFunction.compiles`
+    runs through its :class:`WholeFunction`, served from a shared code
+    store, from its first invocation on; the executable's own block costs
+    (``exe._jit_costs``) are passed in at every call.  Every other frame
+    (callees, functions with calls, functions whose arrays cannot all be
+    checked inline) runs at Tier 0.
     """
 
     def __init__(
@@ -949,7 +881,6 @@ class TieredExecutor(Executor):
     ) -> None:
         super().__init__(machine)
         self.code_cache = code_cache if code_cache is not None else _GLOBAL_CACHE
-        self._inline_ok = _InlineCache.supports(machine)
         self._win_sets = machine.cache_size // (
             machine.cache_line * machine.cache_assoc
         )
@@ -983,26 +914,13 @@ class TieredExecutor(Executor):
         result: InvocationResult,
         depth: int,
     ) -> None:
-        if depth > 32:
-            raise ExecutionError("call depth limit exceeded (recursive IR?)")
         wf = getattr(exe, "_jit_fn", None)
         if wf is None or wf.machine is not self.machine:
             wf = self._whole_function(exe)
-        window = amap.window_lines
-        fn = wf.fn_for(
-            counts is not None,
-            depth == 0,
-            self._inline_ok and window is not None and window < self._win_sets,
-        )
-        call = None
-        if wf.has_calls:
-            exe.build_closures()
-
-            def call(label: str, j: int, frame_env: dict) -> None:
-                self._do_call(
-                    exe.blocks[label].steps[j], exe, frame_env, amap, factors,
-                    counts, result, depth,
-                )
+        if depth or not wf.compiles:
+            super()._run_cfg(exe, env, amap, factors, counts, result, depth)
+            return
+        fn = wf.fn_for(counts is not None, amap.window_lines < self._win_sets)
         cache = self.cache
         bail = fn(
             env,
@@ -1017,9 +935,7 @@ class TieredExecutor(Executor):
             # the generated code's `_dt`: the direct-mapped slot array, or
             # the per-set way lists for associative machines
             cache._direct if cache._direct is not None else cache._sets,
-            cache.access_many,
             result,
-            call,
         )
         self.compiled_frames += 1
         if bail is not None:
@@ -1030,12 +946,7 @@ class TieredExecutor(Executor):
 # tier selection
 
 
-def create_executor(
-    machine: MachineConfig,
-    tier: int = 0,
-    *,
-    code_cache: Store[WholeFunction] | None = None,
-) -> Executor:
+def create_executor(machine: MachineConfig, tier: int = 0) -> Executor:
     """Build the executor for one execution tier.
 
     Tier 0 is the paper-faithful interpreter; Tier 1 runs each function
@@ -1045,5 +956,5 @@ def create_executor(
     if tier == 0:
         return Executor(machine)
     if tier == 1:
-        return TieredExecutor(machine, code_cache=code_cache)
+        return TieredExecutor(machine)
     raise ValueError(f"unknown execution tier {tier!r} (expected one of {EXEC_TIERS})")

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ir.function import Function
 from .config import MachineConfig
-from .executor import CostFactors, Executor, compile_function
+from .executor import CostFactors, compile_function
 
 __all__ = ["TSProfile", "profile_tuning_section"]
 
@@ -66,7 +66,6 @@ def profile_tuning_section(
     invocations: Iterable[Mapping[str, object]],
     machine: MachineConfig,
     *,
-    executor: Executor | None = None,
     exec_tier: int = 0,
 ) -> TSProfile:
     """Run *fn* once per invocation environment, recording counts and times.
@@ -74,16 +73,13 @@ def profile_tuning_section(
     The profile run executes the baseline (un-tuned) version with block
     counting enabled; inputs are consumed from the *invocations* iterable
     (each a fresh environment — the caller's workload generator owns input
-    regeneration semantics).  *exec_tier* selects the execution tier when
-    no *executor* is supplied (tier 1 profiles faster, identically).
+    regeneration semantics).  *exec_tier* selects the execution tier
+    (tier 1 profiles faster, identically).
     """
-    exe = compile_function(fn, machine)
-    if executor is not None:
-        execu = executor
-    else:
-        from .jit import create_executor
+    from .jit import create_executor
 
-        execu = create_executor(machine, exec_tier)
+    exe = compile_function(fn, machine)
+    execu = create_executor(machine, exec_tier)
     times: list[float] = []
     counts_acc: dict[str, list[int]] = {}
     scalars: list[dict[str, object]] = []

@@ -62,8 +62,10 @@ class TimedExecutor:
         self.machine = machine
         #: the invocation replay store (None: simulate every invocation)
         self.replay = replay
-        # Tier 0 = closure interpreter, Tier 1 = compiled functions (bit-identical
-        # results — see repro.machine.jit — so ratings are unaffected)
+        # Tier 0 = the block-dispatch interpreter, Tier 1 = one compiled
+        # function per call-free tuning section, every other frame at Tier 0
+        # (bit-identical results — see repro.machine.jit — so ratings are
+        # unaffected)
         self.executor = create_executor(machine, exec_tier)
         self.noise = noise if noise is not None else NoiseModel.for_machine(machine)
         self.rng = np.random.default_rng(seed)
@@ -81,7 +83,6 @@ class TimedExecutor:
         env: dict[str, object],
         *,
         counter_blocks: tuple[str, ...] = (),
-        count_blocks: bool = False,
         timed: bool = True,
         reads_writes: bool = False,
     ) -> TimedSample:
@@ -94,13 +95,12 @@ class TimedExecutor:
         — the caller reads what the invocation writes into *env*, so it is
         simulated, never replayed.
         """
-        want_counts = count_blocks or bool(counter_blocks)
         with self.obs.span("invoke", "exec"):
             res: InvocationResult = self.executor.run(
                 version.exe,
                 env,
                 factors=version.factors,
-                count_blocks=want_counts,
+                count_blocks=bool(counter_blocks),
                 replay=None if reads_writes else self.replay,
             )
             counter_overhead = 0.0
@@ -120,7 +120,7 @@ class TimedExecutor:
         return TimedSample(
             measured_cycles=measured,
             true_cycles=res.cycles,
-            block_counts=res.block_counts if want_counts else None,
+            block_counts=res.block_counts,
             return_value=res.return_value,
         )
 

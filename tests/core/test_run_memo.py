@@ -291,8 +291,8 @@ def test_machine_state_round_trip_keeps_a_plain_lru(machine, seed):
     saved = []
     for step in range(300):
         addrs = [int(a) for a in rng.integers(-span // 4, span, size=rng.integers(1, 80))]
-        cache.access_many(addrs)
         for a in addrs:
+            cache.access(a)
             ref.access(a)
         ex.branch_state[("f", f"b{int(rng.integers(6))}")] = bool(rng.random() < 0.5)
         if step % 37 == 0:
@@ -315,10 +315,11 @@ def test_machine_state_round_trip_keeps_a_plain_lru(machine, seed):
 
 def test_machine_state_compares_contents_not_counters():
     ex = create_executor(PENTIUM4, 0)
-    ex.cache.access_many([0, 64, 128])
+    for a in (0, 64, 128):
+        ex.cache.access(a)
     ex.branch_state[("f", "b")] = True
     a = ex.machine_state()
-    ex.cache.access_many([0])  # a hit: counters move, contents do not
+    ex.cache.access(0)  # a hit: counters move, contents do not
     b = ex.machine_state()
     assert a == b and hash(a) == hash(b) and a.hits != b.hits
     ex.branch_state[("f", "b")] = False

@@ -130,7 +130,7 @@ class TestCacheAccounting:
         rng = np.random.default_rng(seed)
         cache = CacheSim(1024, 64, assoc, 1.0, 30.0)
         addrs = rng.integers(0, 1 << 16, size=n_accesses)
-        total = cache.access_many(int(a) for a in addrs)
+        total = sum(cache.access(int(a)) for a in addrs)
         assert cache.hits + cache.misses == n_accesses
         assert total == pytest.approx(cache.hits * 1.0 + cache.misses * 30.0)
 

@@ -66,18 +66,31 @@ class TestCacheSim:
         with pytest.raises(ValueError):
             CacheSim(size=100, line=64, assoc=2, hit_cycles=1, miss_cycles=10)
 
-    def test_access_many(self):
-        c = small_cache()
-        total = c.access_many([0, 8, 16])
-        assert total == 52.0  # miss + 2 hits on the same line
-
     def test_working_set_larger_than_cache_thrashes(self):
         c = small_cache(assoc=1)  # 8 sets, direct-mapped, 512 B
         addrs = list(range(0, 4096, 64))  # 64 lines round-robin
-        c.access_many(addrs)
+        for a in addrs:
+            c.access(a)
         c.reset_stats()
-        c.access_many(addrs)  # second sweep still misses everywhere
+        for a in addrs:
+            c.access(a)  # second sweep still misses everywhere
         assert c.miss_rate() == 1.0
+
+    def test_negative_addresses(self):
+        """Negative addresses (Python wraparound indexes) floor-divide to
+        negative line indices; slot compares must still be exact."""
+        c = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
+                     miss_cycles=28.0)
+        assert c.access(-1) == 28.0
+        assert c.access(-1) == 1.0  # same (negative) line hits
+        assert c.access(-33) == 28.0  # previous line, different slot
+
+    def test_empty_slot_never_matches_any_line(self):
+        """Fresh slots are None, which no line index (even -1) equals."""
+        c = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
+                     miss_cycles=28.0)
+        # line index of addr -32 .. -1 is -1; a fresh cache must miss
+        assert c.access(-32) == 28.0
 
 
 class _ReferenceLRU:
@@ -110,8 +123,8 @@ class _ReferenceLRU:
 
 
 class TestAgainstReferenceLRU:
-    """``access``, ``access_many`` and ``flush`` in random interleavings
-    keep the way lists, the MRU table and the counters of a plain LRU."""
+    """``access`` and ``flush`` in random interleavings keep the way
+    lists, the MRU table and the counters of a plain LRU."""
 
     @pytest.mark.parametrize("assoc", [2, 4])
     @pytest.mark.parametrize("seed", range(4))
@@ -127,12 +140,9 @@ class TestAgainstReferenceLRU:
             if op < 0.03:
                 c.flush()
                 ref.flush()
-            elif op < 0.5:
-                cost = c.access(addrs[0])
-                assert cost == (1.0 if ref.access(addrs[0]) else 50.0)
             else:
-                cost = c.access_many(addrs)
-                assert cost == sum(1.0 if ref.access(a) else 50.0 for a in addrs)
+                for a in addrs:
+                    assert c.access(a) == (1.0 if ref.access(a) else 50.0)
             assert c._sets == ref.sets
             assert c._mru == [w[-1] if w else None for w in ref.sets]
             assert (c.hits, c.misses) == (ref.hits, ref.misses)
@@ -140,7 +150,8 @@ class TestAgainstReferenceLRU:
     def test_flush_clears_the_mru_table_in_place(self):
         c = small_cache(assoc=2)
         table = c._mru
-        c.access_many([0, 64, 4 * 64])
+        for a in (0, 64, 4 * 64):
+            c.access(a)
         assert table == [4, 1, None, None]
         c.flush()
         assert c._mru is table and table == [None] * 4
@@ -199,70 +210,3 @@ class TestAddressMap:
         # deterministic: independent of where the objects live in memory
         assert frame.bases["v"] == frame.bases["w"] == amap.end
         assert frame.bases["x"] == amap.end + 2 * 32
-        assert frame.window_lines is None
-
-
-class TestVectorizedBatch:
-    """The direct-mapped batch path must be access-for-access identical to
-    the sequential loop — the Tier-1 JIT drains blocks through it."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_vectorized_matches_sequential(self, seed):
-        rng = np.random.default_rng(seed)
-        addrs = [int(a) for a in rng.integers(0, 1 << 16, size=200)]
-        ref = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                       miss_cycles=28.0)
-        vec = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                       miss_cycles=28.0)
-        total_ref = sum(ref.access(a) for a in addrs)
-        total_vec = vec.access_many(addrs)  # len >= VECTOR_MIN_BATCH
-        assert total_vec == total_ref
-        assert (vec.hits, vec.misses) == (ref.hits, ref.misses)
-        assert vec._direct == ref._direct
-
-    def test_short_batches_take_scalar_loop(self):
-        from repro.machine.cache import VECTOR_MIN_BATCH
-
-        addrs = list(range(0, 32 * (VECTOR_MIN_BATCH - 1), 32))
-        ref = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                       miss_cycles=28.0)
-        vec = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                       miss_cycles=28.0)
-        assert vec.access_many(addrs) == sum(ref.access(a) for a in addrs)
-
-    def test_fractional_costs_stay_sequential(self):
-        """Non-integral costs must not take the count-based total."""
-        rng = np.random.default_rng(3)
-        addrs = [int(a) for a in rng.integers(0, 1 << 14, size=100)]
-        ref = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.5,
-                       miss_cycles=28.25)
-        vec = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.5,
-                       miss_cycles=28.25)
-        assert vec.access_many(addrs) == sum(ref.access(a) for a in addrs)
-
-    @pytest.mark.parametrize("assoc", [2, 4])
-    def test_assoc_access_many_matches_sequential(self, assoc, seed=11):
-        rng = np.random.default_rng(seed)
-        addrs = [int(a) for a in rng.integers(0, 1 << 14, size=300)]
-        ref = CacheSim(size=4096, line=64, assoc=assoc, hit_cycles=1.0,
-                       miss_cycles=60.0)
-        batch = CacheSim(size=4096, line=64, assoc=assoc, hit_cycles=1.0,
-                         miss_cycles=60.0)
-        assert batch.access_many(addrs) == sum(ref.access(a) for a in addrs)
-        assert [list(w) for w in batch._sets] == [list(w) for w in ref._sets]
-
-    def test_negative_addresses(self):
-        """Negative addresses (Python wraparound indexes) floor-divide to
-        negative line indices; slot compares must still be exact."""
-        c = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                     miss_cycles=28.0)
-        assert c.access(-1) == 28.0
-        assert c.access(-1) == 1.0  # same (negative) line hits
-        assert c.access(-33) == 28.0  # previous line, different slot
-
-    def test_empty_slot_never_matches_any_line(self):
-        """Fresh slots are None, which no line index (even -1) equals."""
-        c = CacheSim(size=4096, line=32, assoc=1, hit_cycles=1.0,
-                     miss_cycles=28.0)
-        # line index of addr -32 .. -1 is -1; a fresh cache must miss
-        assert c.access(-32) == 28.0

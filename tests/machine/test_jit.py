@@ -29,9 +29,9 @@ from repro.machine import (
 )
 from repro.machine.jit import WholeFunction, _chain_heads
 from repro.store import Store
-from repro.workloads import get_workload
+from repro.workloads import WORKLOAD_NAMES, get_workload
 
-from .test_executor_differential import cost_twin
+from .test_executor_differential import cost_twin, run_differential, tier0_only
 
 
 def loop_fn(name="loop"):
@@ -81,12 +81,12 @@ class TestWholeFunctionCompilation:
         assert exe._jit_fn is not None
         assert ex.compiled_frames == 1
         assert ex.interpreted_blocks == 0
-        # no Tier-0 closures: only the dispatch loop and calls need them
+        # no Tier-0 closures: only the dispatch loop needs them
         assert not exe._closures
         assert all(b.fastrun is None for b in exe.blocks.values())
         # the loop header heads its own chain, which runs as a while loop
         assert exe._jit_fn.heads == ("entry", "loop_header1")
-        src = exe._jit_fn.source(counting=False, depth0=True, windowed=False)
+        src = exe._jit_fn.source(counting=False, windowed=False)
         assert "while True:" in src
 
     def test_straight_line_function_compiles(self):
@@ -101,43 +101,86 @@ class TestWholeFunctionCompilation:
         assert ex.compiled_frames == 4
         assert ex.interpreted_blocks == 0
 
-    def test_call_blocks_run_compiled(self):
-        cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)
-        cal.ret(cal.var("v") + 1.0)
-        b = FunctionBuilder("f", [("n", Type.INT)], return_type=Type.FLOAT)
-        b.local("acc", Type.FLOAT)
-        with b.for_("i", 0, b.var("n")):
-            b.call("g", [b.var("acc")], target="acc")
-        b.ret(b.var("acc"))
-        callees = {"g": compile_function(cal.build(), SPARC2)}
-        exe = compile_function(b.build(), SPARC2, callees=callees)
-        ex = TieredExecutor(SPARC2, code_cache=Store())
-        res = ex.run(exe, {"n": 5})
-        assert res.return_value == 5.0
-        # the caller's frame plus one callee frame per call, all compiled
-        assert ex.compiled_frames == 6
-        assert ex.interpreted_blocks == 0
-        # the caller's calls go through its closures; the callee needs none
-        assert exe._closures
-        assert not callees["g"]._closures
+    def test_calls_run_at_tier0(self):
+        """A function with calls declines Tier 1: the caller and every
+        callee frame run at Tier 0, exactly as a plain Executor runs them."""
 
-    @pytest.mark.parametrize("name", ["gzip", "bzip2", "swim"])
-    def test_paper_kernels_never_interpret(self, name):
-        """Tier 1 engages from the first invocation on: no block of the
-        call-free tuning sections goes through the dispatch loop."""
-        w = get_workload(name)
-        for machine in (SPARC2, PENTIUM4):
-            version = compile_version(
-                w.ts, OptConfig.o3(), machine, program=w.program
+        def build():
+            cal = FunctionBuilder(
+                "g", [("v", Type.FLOAT_ARRAY), ("i", Type.INT)],
+                return_type=Type.FLOAT,
             )
-            ds = w.dataset("train")
-            rng = np.random.default_rng(0)
-            ex = TieredExecutor(machine, code_cache=Store())
-            for i in range(20):
-                ex.run(version.exe, ds.env(rng, i), factors=version.factors,
-                       count_blocks=i % 2 == 1)
-            assert ex.compiled_frames == 20
-            assert ex.interpreted_blocks == 0
+            cal.ret(ArrayRef("v", cal.var("i")) + 1.0)
+            b = FunctionBuilder(
+                "f", [("n", Type.INT), ("x", Type.FLOAT_ARRAY)],
+                return_type=Type.FLOAT,
+            )
+            b.local("acc", Type.FLOAT)
+            b.local("t", Type.FLOAT)
+            with b.for_("i", 0, b.var("n")) as i:
+                b.call("g", [b.var("x"), i], target="t")
+                b.assign("acc", b.var("acc") + b.var("t"))
+            b.ret(b.var("acc"))
+            callees = {"g": compile_function(cal.build(), SPARC2)}
+            return compile_function(b.build(), SPARC2, callees=callees)
+
+        exe0, exe1 = build(), build()
+        ex0 = Executor(SPARC2)
+        ex1 = TieredExecutor(SPARC2, code_cache=Store())
+        for count in (False, True, False):
+            r0 = ex0.run(exe0, {"n": 5, "x": [0.5] * 8}, count_blocks=count)
+            r1 = ex1.run(exe1, {"n": 5, "x": [0.5] * 8}, count_blocks=count)
+            assert (r1.cycles, r1.mem_cycles, r1.branch_miss_cycles) == (
+                r0.cycles, r0.mem_cycles, r0.branch_miss_cycles,
+            )
+            assert r1.return_value == r0.return_value == 7.5
+            assert r1.block_counts == r0.block_counts
+            assert ex1.machine_state() == ex0.machine_state()
+        assert exe1._jit_fn.compiles is False
+        assert ex1.compiled_frames == 0
+        assert ex1.interpreted_blocks == ex0.interpreted_blocks > 0
+
+    @pytest.mark.parametrize("machine", (SPARC2, PENTIUM4), ids=lambda m: m.name)
+    def test_name_clash_declines(self, machine):
+        """An array the IR also reads as a scalar gets no promoted base, so
+        its accesses could not be checked inline: the function declines
+        and runs at Tier 0."""
+        b = FunctionBuilder(
+            "clash", [("n", Type.INT), ("x", Type.FLOAT_ARRAY)],
+            return_type=Type.FLOAT_ARRAY,
+        )
+        with b.for_("i", 0, b.var("n")) as i:
+            b.store("x", i, ArrayRef("x", i) * 2.0)
+        b.ret(b.var("x"))
+
+        def env_fn(i):
+            return {"n": 6, "x": [1.0 + i] * 6}
+
+        ex1, _ = run_differential(b.build(), env_fn, machine, invocations=4)
+        assert tier0_only(ex1)
+        (wf,) = ex1.code_cache._entries.values()
+        assert wf.compiles is False
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_paper_kernels_never_interpret(self, name):
+        """Every workload's tuning section compiles at Tier 1, with and
+        without inlining, on both machines: no block goes through the
+        dispatch loop from the first invocation on.  A workload whose
+        tuning section made a call would fail here rather than silently
+        run at Tier 0."""
+        w = get_workload(name)
+        ds = w.dataset("train")
+        for machine in (SPARC2, PENTIUM4):
+            for config in (OptConfig.o3(), OptConfig.o3().without("inline-functions")):
+                version = compile_version(w.ts, config, machine, program=w.program)
+                rng = np.random.default_rng(0)
+                ex = TieredExecutor(machine, code_cache=Store())
+                for i in range(8):
+                    ex.run(version.exe, ds.env(rng, i), factors=version.factors,
+                           count_blocks=i % 2 == 1)
+                assert version.exe._jit_fn.compiles
+                assert ex.compiled_frames == 8
+                assert ex.interpreted_blocks == 0
 
 
 class TestLayout:
@@ -273,16 +316,15 @@ class TestExecutableCache:
         assert cache.misses == 1
         assert exe_a._jit_costs != exe_b._jit_costs
         assert cycles[id(exe_a)] != cycles[id(exe_b)]
-        for key in ((False, True, False), (True, True, True), (True, False, False)):
-            kw = dict(zip(("counting", "depth0", "windowed"), key))
+        for key in ((False, False), (True, True), (True, False)):
+            kw = dict(zip(("counting", "windowed"), key))
             assert WholeFunction(exe_a, machine).source(**kw) == WholeFunction(
                 exe_b, machine
             ).source(**kw)
 
 
 def _fits(sizes: dict, n_sets: int, line: int) -> bool:
-    window = AddressMap(sizes, line=line).window_lines
-    return window is not None and window < n_sets
+    return AddressMap(sizes, line=line).window_lines < n_sets
 
 
 class TestWindowPredicate:
@@ -345,15 +387,15 @@ class TestGeneratedCode:
         exe = compile_function(loop_fn(), SPARC2)
         ex.run(exe, envs()[0])
         wf = exe._jit_fn
-        src = wf.source(counting=False, depth0=True, windowed=True)
+        src = wf.source(counting=False, windowed=True)
         assert "def _fn(" in src
         assert "while True:" in src  # the loop chain
-        assert not hasattr(wf.fn_for(False, True, True), "__source__")
+        assert not hasattr(wf.fn_for(False, True), "__source__")
 
     def test_variants_are_cached_per_key(self):
         exe = compile_function(loop_fn(), SPARC2)
         wf = WholeFunction(exe, SPARC2)
-        assert wf.fn_for(False, True, True) is wf.fn_for(False, True, True)
-        assert wf.fn_for(False, True, True) is not wf.fn_for(False, True, False)
-        # depth only matters for counting variants (it picks the count keys)
-        assert wf.fn_for(False, True, False) is wf.fn_for(False, False, False)
+        assert wf.fn_for(False, True) is wf.fn_for(False, True)
+        assert wf.fn_for(False, True) is not wf.fn_for(False, False)
+        assert wf.fn_for(True, True) is not wf.fn_for(False, True)
+        assert set(wf._fns) == {(False, True), (False, False), (True, True)}
