@@ -134,8 +134,7 @@ class AdaptiveTuner:
         while i < n_invocations:
             # ---- production phase -------------------------------------- #
             for _ in range(min(self.production_phase, n_invocations - i)):
-                env = feed.next_env()
-                res = timed.run_untimed(table.best, env)
+                res = timed.run_untimed(table.best, feed.next_env())
                 ledger.charge_invocation(res.cycles)
                 result.production_cycles += res.cycles
                 i += 1
@@ -156,13 +155,14 @@ class AdaptiveTuner:
             for k in range(2 * self.sampling_window):
                 if i >= n_invocations:
                     break
-                env = feed.next_env()
+                inputs = feed.next_env()
                 version = table.best if k % 2 == 0 else table.experimental
-                sample = timed.invoke(version, env)
+                sample = timed.invoke(version, inputs)
                 result.sampling_cycles += sample.true_cycles
                 sink = best_t if k % 2 == 0 else exp_t
                 if self._analysis.applicable:
-                    sink.setdefault(context_key(self._analysis, env), []).append(  # type: ignore[union-attr]
+                    key = context_key(self._analysis, inputs.env)
+                    sink.setdefault(key, []).append(  # type: ignore[union-attr]
                         sample.measured_cycles
                     )
                 else:

@@ -25,6 +25,8 @@ from typing import Protocol
 
 import numpy as np
 
+from ...machine.executor import Inputs
+
 __all__ = [
     "Direction",
     "RatingResult",
@@ -127,10 +129,12 @@ class RatingSettings:
 
 
 class InvocationSource(Protocol):
-    """Supplies fresh invocation environments (the running application).
+    """Supplies fresh invocation inputs (the running application).
 
-    Implementations charge program-run boundaries to the tuning ledger; see
+    ``next_env`` returns an :class:`~repro.machine.executor.Inputs` handle
+    (a plain env works too: every rater accepts both).  Implementations
+    charge program-run boundaries to the tuning ledger; see
     :class:`repro.core.rating.feed.InvocationFeed`.
     """
 
-    def next_env(self) -> dict: ...
+    def next_env(self) -> Inputs | dict: ...

@@ -6,6 +6,10 @@ version by the average execution time of same-context invocations.  Each
 context represents one workload, so same-context timings are directly
 comparable across versions.
 
+A position of the input file has one context: CBR computes it once per
+position (reading the position's values without copying them), unless
+the replay is live.
+
 The rating of a version is the EVAL of its *most important* context (the
 one holding the largest share of execution time), matching the experiments
 in the paper's Section 5; all per-context ratings are also reported for
@@ -20,6 +24,7 @@ import numpy as np
 
 from ...analysis.context import ContextAnalysis, context_key
 from ...compiler.version import Version
+from ...machine.executor import Inputs
 from ...runtime.instrument import TimedExecutor
 from .base import Direction, RatingResult, RatingSettings, rating_var
 from .feed import InvocationFeed
@@ -61,9 +66,9 @@ class ContextBasedRating:
         with self.timed.obs.span("cbr.rate", "rating"):
             growth = WindowGrowth(s, self.timed.obs, "cbr.window")
             while consumed < s.max_invocations:
-                env = feed.next_env()
-                key = context_key(self.analysis, env)
-                sample = self.timed.invoke(version, env)
+                inputs = feed.next_env()
+                key = self._context(inputs)
+                sample = self.timed.invoke(version, inputs)
                 consumed += 1
                 b = buckets.get(key)
                 if b is None:
@@ -91,6 +96,25 @@ class ContextBasedRating:
             return self._result(buckets, dom, clean, consumed, False)
 
     # ------------------------------------------------------------------ #
+
+    def _context(self, inputs: Inputs | dict) -> tuple:
+        """The context key of *inputs*, computed once per input position
+        (the memo of the position's
+        :class:`~repro.machine.executor.InputFacts`, which a live
+        replay or a plain env does not share across hand-outs)."""
+        analysis = self.analysis
+        if not isinstance(inputs, Inputs):
+            return context_key(analysis, inputs)
+        facts = inputs.facts
+        memo = facts.memo
+        if memo is None:
+            memo = facts.memo = {}
+        hit = memo.get(id(analysis))
+        # the entry holds the analysis, so its id is not reused while the
+        # entry lives
+        if hit is None or hit[0] is not analysis:
+            hit = memo[id(analysis)] = (analysis, context_key(analysis, inputs.peek()))
+        return hit[1]
 
     @staticmethod
     def _dominant(buckets: dict[tuple, _Bucket]) -> tuple:

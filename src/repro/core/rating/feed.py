@@ -1,8 +1,8 @@
 """Invocation feeds: the "running application" abstraction.
 
 During tuning, the instrumented application runs and its TS gets invoked
-with the inputs the dataset dictates.  A feed yields those invocation
-environments in order; when a program run's invocations are exhausted, a new
+with the inputs the dataset dictates.  A feed yields those invocations'
+inputs in order; when a program run's invocations are exhausted, a new
 run starts (charged to the ledger — tuning that needs more invocations than
 one run provides costs extra whole-program executions, which is exactly the
 accounting behind Fig. 7(c)/(d)).
@@ -11,7 +11,18 @@ Every program run replays the same input file: its input RNG is re-seeded
 from the same seed, so run *k* sees exactly the environments of run 1.  An
 :class:`InputReplay` therefore calls the generator for one run only, the
 first time an input is needed, and keeps those environments as the pristine
-copy of the input file.  Every hand-out is a fresh copy, so a rating that
+copy of the input file.
+
+The unit a feed hands out is an input *position*: an
+:class:`~repro.machine.executor.Inputs` handle.  Its
+:class:`~repro.machine.executor.InputFacts` (names, value types, array
+shapes and the exact and float scalars: the env's part of the invocation
+replay key) are computed once per position, from the pristine copy typed
+as a hand-out binds it, and shared by every handle of that position;
+equal names, sigs and shapes are stored once across positions.  Its env
+is built on first access, so an invocation the machine replays builds
+none, and :meth:`InputReplay.peek` reads a position's values (CBR's
+context) without building one.  An env is a fresh copy, so a rating that
 mutates its arrays (every TS writes some) never changes a later run's
 inputs.  The copies follow what the generator's own output does, bound as
 the machine binds inputs (:func:`~repro.machine.executor.unbox`):
@@ -30,12 +41,15 @@ the machine binds inputs (:func:`~repro.machine.executor.unbox`):
 
 A replay that hands out such a shared object is :attr:`~InputReplay.live`:
 what one invocation writes into it, a later position reads, so a run's
-inputs depend on everything that ran before them.
+inputs depend on everything that ran before them.  A live replay's handles
+carry the env, built at hand-out, and facts derived from it alone, so
+nothing is kept per position.
 
 The contract this relies on: the generator's output depends only on its RNG
 and the position, and every object it returns at only one position of a run
 is new on each call.  One replay may serve many feeds, also from several
 threads: the batch engine gives every task of a worker the same replay.
+Threads that race on a position's first handle compute equal facts.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ...machine.executor import is_float_vector
+from ...machine.executor import InputFacts, Inputs, input_facts, is_float_vector
 from ...runtime.ledger import TuningLedger
 
 __all__ = ["InputReplay", "InvocationFeed"]
@@ -84,6 +98,11 @@ class InputReplay:
         self._positions: list[tuple[tuple, bool]] | None = None
         self._live = False
         self._lock = threading.Lock()
+        #: per position: its InputFacts once it has a handle (never when live)
+        self._facts: list[InputFacts | None] = [None] * n_per_run
+        #: layouts and interned names, sigs and shapes (see ``input_facts``)
+        self._layouts: dict = {}
+        self._intern: dict = {}
 
     def _generate(self) -> list[tuple[tuple, bool]]:
         rng = np.random.default_rng(self.seed)
@@ -142,6 +161,33 @@ class InputReplay:
         self._generated()
         return self._live
 
+    def inputs(self, pos: int) -> Inputs:
+        """The inputs at position *pos* of the run: a handle whose env is a
+        fresh copy, built on first access."""
+        facts = self._facts[pos]
+        if facts is None:
+            entries, _ = self._generated()[pos]
+            if self._live:
+                env = self.env(pos)
+                return Inputs(input_facts(env, self._layouts), env)
+            # the pristine values with the types a hand-out binds them as
+            facts = self._facts[pos] = input_facts(
+                {name: value for name, value, _ in entries},
+                self._layouts,
+                self._intern,
+                tuple(list if _unboxed(v, make) else type(v) for _, v, make in entries),
+            )
+        return Inputs(facts, None, self, pos)
+
+    def peek(self, pos: int) -> dict:
+        """The values at position *pos* for reading only, as a hand-out
+        binds them, without copying: a float vector reads as floats."""
+        entries, _ = self._generated()[pos]
+        return {
+            name: _Floats(value) if _unboxed(value, make) else value
+            for name, value, make in entries
+        }
+
     def env(self, pos: int) -> dict:
         """A fresh copy of the environment at position *pos* of the run."""
         positions = self._positions
@@ -163,8 +209,29 @@ class InputReplay:
         return env
 
 
+def _unboxed(value: object, make: Callable | None) -> bool:
+    """Whether a hand-out binds the pristine *value* as a list of floats."""
+    return make is not None and is_float_vector(value)
+
+
+class _Floats:
+    """Read access to a pristine float vector as the list of floats a
+    hand-out binds (``ndarray.tolist``), element by element."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self._array = array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, i: int) -> float:
+        return float(self._array[i])
+
+
 class InvocationFeed:
-    """Sequentially yields invocation environments from a dataset.
+    """Sequentially yields invocations' inputs from a dataset.
 
     Parameters
     ----------
@@ -216,12 +283,13 @@ class InvocationFeed:
     def invocations_consumed(self) -> int:
         return self._index
 
-    def next_env(self) -> dict:
+    def next_env(self) -> Inputs:
+        """The next invocation's inputs (see :meth:`InputReplay.inputs`)."""
         pos = self._index % self.n_per_run
         if pos == 0:
             self.ledger.start_program_run(self.non_ts_cycles)
         self._index += 1
-        return self.replay.env(pos)
+        return self.replay.inputs(pos)
 
     def skip(self, n: int) -> None:
         """Advance past *n* invocations, charging the program runs they
@@ -234,6 +302,6 @@ class InvocationFeed:
         for _ in range(-(-start // npr) * npr, self._index, npr):
             self.ledger.start_program_run(self.non_ts_cycles)
 
-    def iter(self, n: int) -> Iterator[dict]:
+    def iter(self, n: int) -> Iterator[Inputs]:
         for _ in range(n):
             yield self.next_env()

@@ -21,6 +21,7 @@ import numpy as np
 
 from ...analysis.components import ComponentModel
 from ...compiler.version import Version
+from ...machine.executor import env_of
 from ...runtime.counters import COUNTER_ARRAY, fresh_counter_buffer, read_counters
 from ...runtime.instrument import TimedExecutor
 from .base import Direction, RatingResult, RatingSettings
@@ -144,8 +145,7 @@ class ModelBasedRating:
         with obs.span("mbr.rate", "rating", dominant=self.dominant):
             win = obs.start("mbr.window", "rating")
             while consumed < s.max_invocations:
-                env = feed.next_env()
-                env = dict(env)
+                env = dict(env_of(feed.next_env()))
                 env[COUNTER_ARRAY] = fresh_counter_buffer(self.n_counters)
                 # the counters are read back from the env
                 sample = self.timed.invoke(version, env, reads_writes=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...compiler.version import Version
+from ...machine.executor import Inputs, env_of
 from ...runtime.instrument import TimedExecutor
 from ...runtime.save_restore import SaveRestorePlan, copy_array
 from .base import Direction, RatingResult, RatingSettings, rating_var
@@ -69,9 +70,9 @@ class ReExecutionRating:
         with self.timed.obs.span("rbr.rate", "rating", improved=self.improved):
             growth = WindowGrowth(s, self.timed.obs, "rbr.window")
             while consumed < s.max_invocations:
-                env = feed.next_env()
+                inputs = feed.next_env()
                 consumed += 1
-                ratio = self._one_invocation(experimental, base, env)
+                ratio = self._one_invocation(experimental, base, inputs)
                 if ratio is None:
                     # degenerate measurement (non-positive time): one such
                     # sample used to poison the whole window with inf/NaN
@@ -88,9 +89,13 @@ class ReExecutionRating:
     # ------------------------------------------------------------------ #
 
     def _one_invocation(
-        self, experimental: Version, base: Version, env: dict
+        self, experimental: Version, base: Version, inputs: Inputs | dict
     ) -> float | None:
         """One A/B re-execution; returns the ratio or None if degenerate.
+
+        Save, restore and the inspector work on the env of *inputs*; the
+        three runs get *inputs* itself, so a timed run the machine replays
+        derives no replay key.
 
         A non-positive measured time (noise can drive a tiny measurement
         to or below zero) yields no meaningful ratio — returning ``inf``
@@ -98,6 +103,7 @@ class ReExecutionRating:
         sample and accounts it as ``degenerate_samples``.
         """
         ledger = self.timed.ledger
+        env = env_of(inputs)
         if self.improved:
             # Fig. 4: 1. swap  2. save  3. precondition  4. restore
             #         5. time A  6. restore  7. time B
@@ -111,14 +117,14 @@ class ReExecutionRating:
             }
             # the inspector diffs what the precondition run wrote
             pre = self.timed.run_untimed(
-                base, env, reads_writes=bool(self.plan.inspector_arrays)
+                base, inputs, reads_writes=bool(self.plan.inspector_arrays)
             )
             ledger.charge("precondition", pre.cycles)
             self.plan.observe_writes(before, env, snap, ledger)
             self.plan.restore(env, snap, ledger)
-            t_first = self.timed.invoke(first, env).measured_cycles
+            t_first = self.timed.invoke(first, inputs).measured_cycles
             self.plan.restore(env, snap, ledger)
-            t_second = self.timed.invoke(second, env).measured_cycles
+            t_second = self.timed.invoke(second, inputs).measured_cycles
             if self._swap:
                 t_exp, t_base = t_first, t_second
             else:
@@ -126,9 +132,9 @@ class ReExecutionRating:
         else:
             # Fig. 3: save, time base, restore, time experimental
             snap = self.plan.save(env, ledger)
-            t_base = self.timed.invoke(base, env).measured_cycles
+            t_base = self.timed.invoke(base, inputs).measured_cycles
             self.plan.restore(env, snap, ledger)
-            t_exp = self.timed.invoke(experimental, env).measured_cycles
+            t_exp = self.timed.invoke(experimental, inputs).measured_cycles
         if t_exp <= 0 or t_base <= 0:
             self._degenerate += 1
             self.timed.obs.counter(

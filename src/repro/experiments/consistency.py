@@ -141,9 +141,9 @@ def consistency_experiment(
         per_context: dict[tuple, list[float]] = {}
         budget = needed * max(1, plan.n_contexts) + max_w
         for _ in range(budget):
-            env = feed.next_env()
-            key = context_key(plan.context, env)
-            t = timed.invoke(version, env).measured_cycles
+            inputs = feed.next_env()
+            key = context_key(plan.context, inputs.env)
+            t = timed.invoke(version, inputs).measured_cycles
             per_context.setdefault(key, []).append(t)
             if per_context and min(len(v) for v in per_context.values()) >= needed:
                 break
@@ -166,7 +166,7 @@ def consistency_experiment(
         ys: list[float] = []
         cols: list[np.ndarray] = []
         for _ in range(needed):
-            env = dict(feed.next_env())
+            env = dict(feed.next_env().env)
             env[COUNTER_ARRAY] = fresh_counter_buffer(n_counters)
             ys.append(timed.invoke(version, env).measured_cycles)
             cols.append(read_counters(env))

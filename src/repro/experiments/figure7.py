@@ -51,13 +51,14 @@ class Figure7Entry:
 
 
 def methods_for(
-    workload: Workload, machine: MachineConfig, *, seed: int = 0
+    workload: Workload, machine: MachineConfig, *, seed: int = 0, exec_tier: int = 0
 ) -> tuple[list[str], str]:
     """Applicable rating methods for the workload (paper: "IF CBR is
     applicable, then MBR is also applicable; if MBR is applicable, RBR is
     also applicable" — our consultant computes the actual list) plus the
-    WHL and AVG comparison methods, and the consultant's suggestion."""
-    tuner = PeakTuner(machine, seed=seed, profile_limit=60)
+    WHL and AVG comparison methods, and the consultant's suggestion.
+    *exec_tier* runs the profile; every tier gives the same answer."""
+    tuner = PeakTuner(machine, seed=seed, profile_limit=60, exec_tier=exec_tier)
     profile = tuner.profile(workload)
     plan = tuner.plan(workload, profile)
     return list(plan.applicable) + ["WHL", "AVG"], plan.chosen
@@ -84,7 +85,7 @@ def figure7_experiment(
     entries: list[Figure7Entry] = []
     for bench in benchmarks:
         workload = get_workload(bench)
-        methods, chosen = methods_for(workload, machine, seed=seed)
+        methods, chosen = methods_for(workload, machine, seed=seed, exec_tier=exec_tier)
         whl_cycles: dict[str, float] = {}
         bench_entries: list[Figure7Entry] = []
         # ref times by configuration: -O3 and a configuration several

@@ -35,9 +35,10 @@ at both tiers.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import AbstractSet as Set, Callable, Mapping
 
 import numpy as np
 
@@ -55,11 +56,15 @@ __all__ = [
     "CostFactors",
     "CompiledBlock",
     "ExecutableFunction",
+    "InputFacts",
+    "Inputs",
     "InvocationResult",
     "Executor",
     "MachineState",
     "REPLAY_MEMO_MAX",
     "compile_function",
+    "env_of",
+    "input_facts",
     "ExecutionError",
     "RUNTIME_ERRORS",
     "unbox",
@@ -307,12 +312,25 @@ class ExecutableFunction:
     _oblivious: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: digest of the rendered IR once computed (``machine.jit._ir_digest``)
+    #: digest of the rendered IR once computed (:meth:`ir_digest`)
     _ir_digest: bytes | None = field(
         default=None, init=False, repr=False, compare=False
     )
     #: whether the blocks' closures are built
     _closures: bool = field(default=False, init=False, repr=False, compare=False)
+    #: ``param_names`` as a set (the parameter check of :meth:`Executor.run`)
+    param_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.param_set = frozenset(self.param_names)
+
+    def ir_digest(self) -> bytes:
+        """Digest of the rendered IR (parameter and local types included),
+        computed once per executable."""
+        digest = self._ir_digest
+        if digest is None:
+            digest = self._ir_digest = hashlib.sha256(str(self.source).encode()).digest()
+        return digest
 
     def count_keys(self) -> tuple[str, ...]:
         """Every block-count key one invocation can touch.
@@ -510,8 +528,8 @@ class _Replay:
 
 
 def _layout_of(names: tuple[str, ...], types: tuple[type, ...]) -> tuple:
-    """The :meth:`Executor._layout` of an env with these names and value
-    types."""
+    """The layout of an env with these names and value types (see
+    :func:`input_facts`)."""
     order = sorted(range(len(names)), key=names.__getitem__)
     arrays = tuple(i for i in order if hasattr(types[i], "__len__"))
     exact: tuple[int, ...] | None = tuple(
@@ -525,6 +543,126 @@ def _layout_of(names: tuple[str, ...], types: tuple[type, ...]) -> tuple:
         tuple(names[i] for i in arrays), arrays, exact, floats,
         struct.Struct(f"<{len(floats)}d").pack,
     )
+
+
+class InputFacts:
+    """What an invocation's inputs decide besides their array data.
+
+    * *names*: the env's names, as a set or a dict's keys (the parameter
+      check);
+    * *sig*: the names in order and the value types;
+    * *shape*: what the address map depends on: the arrays' sorted names,
+      their lengths and which names share one object (None: none do);
+    * *key*: the env's part of the replay key, ``(sig, shape, exact
+      scalars, float scalars as packed bits)`` (floats by their bits, so
+      -0.0 and NaN payloads stay apart), or None when some scalar cannot
+      key a replay;
+    * *memo*: what consumers derive from these inputs (CBR's context key),
+      None until a consumer adds some.  One object per input position of
+      a feed whose replay is not live, so the memo holds per position; a
+      plain env gets its own.
+    """
+
+    __slots__ = ("names", "sig", "shape", "key", "memo")
+
+    def __init__(
+        self, names: Set[str], sig: tuple, shape: tuple, key: tuple | None
+    ) -> None:
+        self.names = names
+        self.sig = sig
+        self.shape = shape
+        self.key = key
+        self.memo: dict | None = None
+
+
+def input_facts(
+    env: dict,
+    layouts: dict,
+    intern: dict | None = None,
+    types: tuple[type, ...] | None = None,
+) -> InputFacts:
+    """The :class:`InputFacts` of *env*.
+
+    *layouts* memoizes per sig which values are arrays (have ``__len__``),
+    their sorted order, the positions of the exact and the float scalars
+    and a packer.  With an *intern* table, equal names, sigs and shapes
+    are stored once.  *types* (default: the values' own) are the types
+    the env's values take when bound: the facts of a copy of *env* whose
+    values have those types, the same lengths and the same sharing.
+    """
+    values = tuple(env.values())
+    sig = (tuple(env), tuple(map(type, values)) if types is None else types)
+    layout = layouts.get(sig)
+    if layout is None:
+        layout = layouts[sig] = _layout_of(*sig)
+    names, idx, exact, floats, pack = layout
+    arrays = [values[i] for i in idx]
+    if len({id(a) for a in arrays}) == len(arrays):
+        aliases = None
+    else:
+        canonical: dict[int, str] = {}
+        aliases = tuple(
+            canonical.setdefault(id(a), name) for name, a in zip(names, arrays)
+        )
+    shape = (names, tuple(map(len, arrays)), aliases)
+    if intern is None:
+        name_set: Set[str] = env.keys()
+    else:
+        sig = intern.setdefault(sig, sig)
+        shape = intern.setdefault(shape, shape)
+        name_set = frozenset(sig[0])
+        name_set = intern.setdefault(name_set, name_set)
+    key = None
+    if exact is not None:
+        key = (
+            sig, shape, tuple(map(values.__getitem__, exact)),
+            pack(*map(values.__getitem__, floats)),
+        )
+    return InputFacts(name_set, sig, shape, key)
+
+
+class Inputs:
+    """One invocation's inputs as a feed hands them out.
+
+    *facts* are the :class:`InputFacts`; :attr:`env` is the environment
+    itself: *env*, or else ``source.env(pos)``, built on first access (at
+    most once), so an invocation that is replayed never builds it.
+    :meth:`peek` reads the values without building it.
+    :meth:`Executor.run` takes an ``Inputs`` or a plain env.
+    """
+
+    __slots__ = ("facts", "_env", "_source", "_pos")
+
+    def __init__(
+        self,
+        facts: InputFacts,
+        env: dict | None = None,
+        source: object = None,
+        pos: int = 0,
+    ) -> None:
+        self.facts = facts
+        self._env = env
+        self._source = source
+        self._pos = pos
+
+    @property
+    def env(self) -> dict:
+        """The environment; the same object on every access."""
+        env = self._env
+        if env is None:
+            env = self._env = self._source.env(self._pos)
+        return env
+
+    def peek(self) -> Mapping[str, object]:
+        """The inputs' values for reading only: the env once built, else
+        ``source.peek(pos)``, which builds no copy."""
+        env = self._env
+        return env if env is not None else self._source.peek(self._pos)
+
+
+def env_of(inputs: "Inputs | dict") -> dict:
+    """The environment of *inputs*, a handle or a plain env."""
+    return inputs.env if isinstance(inputs, Inputs) else inputs
 
 
 class Executor:
@@ -549,8 +687,10 @@ class Executor:
         #: 1-bit branch predictor: (fn_name, label) -> last direction
         self.branch_state: dict[tuple[str, str], bool] = {}
         self._amap_cache: dict[tuple, AddressMap] = {}
-        #: (env names, value types) -> layout (see :meth:`_layout`)
+        #: (env names, value types) -> layout (see :func:`input_facts`)
         self._array_layout: dict[tuple, tuple] = {}
+        #: oblivious verdicts by IR (see :func:`oblivious_reason`)
+        self._verdicts: dict[tuple, tuple] = {}
         #: blocks completed by the dispatch loop (:meth:`_interpret`)
         self.interpreted_blocks = 0
         #: the machine state (with stale counters) as the last run left it,
@@ -591,40 +731,11 @@ class Executor:
         self.branch_state.clear()
         self.branch_state.update(zip(state.branch_keys, map(bool, state.branch_taken)))
 
-    def _layout(self, env: dict[str, object]) -> tuple:
-        """``(values, sig, layout, shape)`` of *env*.
-
-        *sig* is the names and value types; *layout* is memoized per sig:
-        the sorted array names, their positions, and for the replay key the
-        positions of the exact scalars and of the float scalars (keyed by
-        their bits, so -0.0 and NaN payloads stay apart) and a packer, or
-        None for the scalars when some scalar cannot key a replay.  Which
-        values are arrays (have ``__len__``) and their sorted order depend
-        only on the sig.  *shape* is what the address map depends on: the
-        arrays' sorted names, their lengths and which names share one
-        object.
-        """
-        values = tuple(env.values())
-        sig = (tuple(env), tuple(map(type, values)))
-        layout = self._array_layout.get(sig)
-        if layout is None:
-            layout = self._array_layout[sig] = _layout_of(*sig)
-        names, idx = layout[0], layout[1]
-        arrays = [values[i] for i in idx]
-        if len({id(a) for a in arrays}) == len(arrays):
-            aliases = None
-        else:
-            canonical: dict[int, str] = {}
-            aliases = tuple(
-                canonical.setdefault(id(a), name) for name, a in zip(names, arrays)
-            )
-        return values, sig, layout, (names, tuple(map(len, arrays)), aliases)
-
     def _address_map(self, env: dict[str, object], shape: tuple | None = None) -> AddressMap:
         # a dataset whose invocations all bind same-shaped arrays builds one
         # map
         if shape is None:
-            shape = self._layout(env)[3]
+            shape = input_facts(env, self._array_layout).shape
         amap = self._amap_cache.get(shape)
         if amap is None:
             amap = AddressMap.for_env(env, line=self.machine.cache_line)
@@ -634,15 +745,16 @@ class Executor:
     def run(
         self,
         exe: ExecutableFunction,
-        env: dict[str, object],
+        inputs: Inputs | dict[str, object],
         *,
         factors: CostFactors = CostFactors.IDENTITY,
         count_blocks: bool = False,
         replay: Store | None = None,
     ) -> InvocationResult:
-        """Execute one invocation of *exe* with the given environment.
+        """Execute one invocation of *exe* on *inputs*, an :class:`Inputs`
+        handle or a plain env.
 
-        *env* must bind every parameter; arrays are mutated in place (the
+        The env must bind every parameter; arrays are mutated in place (the
         caller owns save/restore if it needs the input back).  Locals are
         initialised to zero.  Returns true (noise-free) cycles; measurement
         noise is applied by the timing instrumentation layer on top.
@@ -652,36 +764,42 @@ class Executor:
         executable, factors, scalars, array shapes and entry machine state
         were recorded before is not simulated: the machine is put in the
         recorded exit state and the recorded result is returned.  Its
-        writes to *env*'s arrays are then skipped, so pass a store only
-        when nothing reads them afterwards.
+        writes to the env's arrays are then skipped, so pass a store only
+        when nothing reads them afterwards.  The key's env part is the
+        handle's :class:`InputFacts` (a plain env's are derived here by
+        :func:`input_facts`), and a handle's env is built only when the
+        invocation is simulated.
         """
-        for p in exe.param_names:
-            if p not in env:
-                raise ExecutionError(f"{exe.name}: missing argument {p!r}")
-        values, sig, layout, shape = self._layout(env)
+        if isinstance(inputs, Inputs):
+            facts, env = inputs.facts, None
+        else:
+            facts, env = input_facts(inputs, self._array_layout), inputs
+        if not facts.names >= exe.param_set:
+            missing = next(p for p in exe.param_names if p not in facts.names)
+            raise ExecutionError(f"{exe.name}: missing argument {missing!r}")
         key = None
-        if replay is not None and layout[2] is not None and oblivious_reason(exe) is None:
+        if (
+            replay is not None
+            and facts.key is not None
+            and oblivious_reason(exe, self._verdicts) is None
+        ):
             entry = self._known
             if entry is None:
                 entry = self.machine_state()
-            _, _, exact, floats, pack = layout
             # the entry holds exe, so its id is not reused while the entry
             # lives
-            key = (
-                id(exe), factors, count_blocks, self.MAX_STEPS, sig, shape,
-                tuple(map(values.__getitem__, exact)),
-                pack(*map(values.__getitem__, floats)),
-                entry,
-            )
+            key = (id(exe), factors, count_blocks, self.MAX_STEPS, facts.key, entry)
             rec = replay.get(key)
             if rec is not None and rec.machine is self.machine:
                 return self._replayed(rec, entry)
             hits0, misses0 = self.cache.hits, self.cache.misses
+        if env is None:
+            env = inputs.env
         self._known = None
         local_env = dict(env)
         local_env.update(exe.local_defaults)
 
-        amap = self._address_map(env, shape)
+        amap = self._address_map(env, facts.shape)
         counts: dict[str, int] | None = (
             dict.fromkeys(exe.count_keys(), 0) if count_blocks else None
         )

@@ -114,14 +114,6 @@ _MAX_PATH = 24
 # content-addressed executable cache
 
 
-def _ir_digest(exe: ExecutableFunction) -> bytes:
-    """Digest of *exe*'s rendered IR, computed once per executable."""
-    digest = exe._ir_digest
-    if digest is None:
-        digest = exe._ir_digest = hashlib.sha256(str(exe.source).encode()).digest()
-    return digest
-
-
 def code_key(exe: ExecutableFunction, machine: MachineConfig) -> str:
     """Key of *exe*'s generated code in the code store.
 
@@ -129,7 +121,7 @@ def code_key(exe: ExecutableFunction, machine: MachineConfig) -> str:
     runtime cost factors, cache and predictor state are call arguments of
     the generated code.
     """
-    h = hashlib.sha256(_ir_digest(exe))
+    h = hashlib.sha256(exe.ir_digest())
     h.update(repr(machine).encode())
     return h.hexdigest()
 
@@ -145,7 +137,7 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
     Runtime inputs (cost factors, cache and predictor state) are not part
     of it.
     """
-    h = hashlib.sha256(_ir_digest(exe))
+    h = hashlib.sha256(exe.ir_digest())
     h.update(b"\x00")
     h.update(repr(machine).encode())
     for label in sorted(exe.blocks):

@@ -44,14 +44,26 @@ _FLOAT_BINOPS = frozenset({"+", "-", "*", "min", "max"})
 _FLOAT_UNOPS = frozenset({"-", "abs"})
 
 
-def oblivious_reason(exe) -> str | None:
+def oblivious_reason(exe, verdicts: dict | None = None) -> str | None:
     """Why the executable *exe* is not data-oblivious, or None when it is.
 
     Computed once per :class:`~repro.machine.executor.ExecutableFunction`.
+    *verdicts* shares the analysis across executables: it maps what
+    :func:`_reason` reads, the digest of the rendered IR and whether the
+    executable has callees, to the verdict.  Versions whose passes left
+    the IR unchanged are then analysed once.  The caller scopes it (an
+    executor holds one), so no verdict outlives the caller.
     """
     memo = exe._oblivious
     if memo is None:
-        memo = exe._oblivious = (_reason(exe),)
+        if verdicts is None:
+            memo = (_reason(exe),)
+        else:
+            key = (exe.ir_digest(), bool(exe.callees))
+            memo = verdicts.get(key)
+            if memo is None:
+                memo = verdicts[key] = (_reason(exe),)
+        exe._oblivious = memo
     return memo[0]
 
 

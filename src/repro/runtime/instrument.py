@@ -6,10 +6,13 @@ applies the measurement-noise model to the true cycle count, optionally adds
 counter overhead (MBR's surviving block counters cost a couple of cycles per
 increment), and charges the ledger.
 
-A ``TimedExecutor`` built with a *replay* store replays invocations of
-data-oblivious versions (:meth:`repro.machine.executor.Executor.run`),
-which leaves the env's arrays unwritten: a caller that reads what an
-invocation writes passes ``reads_writes=True``.
+Both entry points take an invocation's inputs as the feed hands them out
+(an :class:`~repro.machine.executor.Inputs` handle) or as a plain env.  A
+``TimedExecutor`` built with a *replay* store replays invocations of
+data-oblivious versions (:meth:`repro.machine.executor.Executor.run`): a
+replayed invocation builds no env from a handle and leaves an env's
+arrays unwritten, so a caller that reads what an invocation writes passes
+``reads_writes=True``, which always simulates (and builds the env).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from ..compiler.version import Version
 from ..machine.config import MachineConfig
-from ..machine.executor import InvocationResult
+from ..machine.executor import Inputs, InvocationResult
 from ..machine.jit import create_executor
 from ..machine.perturb import NoiseModel
 from ..obs import Obs, obs_or_null
@@ -80,25 +83,25 @@ class TimedExecutor:
     def invoke(
         self,
         version: Version,
-        env: dict[str, object],
+        inputs: Inputs | dict[str, object],
         *,
         counter_blocks: tuple[str, ...] = (),
         timed: bool = True,
         reads_writes: bool = False,
     ) -> TimedSample:
-        """Execute one invocation of *version* and measure it.
+        """Execute one invocation of *version* on *inputs* and measure it.
 
         *counter_blocks* — the MBR counters left after pruning; their
         increments are charged as instrumentation overhead and included in
         the measured (but not the true) time, mirroring the paper's remark
         that the counters slightly perturb measurements.  *reads_writes*
-        — the caller reads what the invocation writes into *env*, so it is
-        simulated, never replayed.
+        — the caller reads what the invocation writes into the env, so it
+        is simulated, never replayed.
         """
         with self.obs.span("invoke", "exec"):
             res: InvocationResult = self.executor.run(
                 version.exe,
-                env,
+                inputs,
                 factors=version.factors,
                 count_blocks=bool(counter_blocks),
                 replay=None if reads_writes else self.replay,
@@ -125,10 +128,14 @@ class TimedExecutor:
         )
 
     def run_untimed(
-        self, version: Version, env: dict[str, object], *, reads_writes: bool = False
+        self,
+        version: Version,
+        inputs: Inputs | dict[str, object],
+        *,
+        reads_writes: bool = False,
     ) -> InvocationResult:
         """Run without measurement (e.g. RBR's precondition execution)."""
         return self.executor.run(
-            version.exe, env, factors=version.factors,
+            version.exe, inputs, factors=version.factors,
             replay=None if reads_writes else self.replay,
         )

@@ -9,29 +9,35 @@ consumer's writes do to later inputs.
 
 from __future__ import annotations
 
+import struct
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_context
+from repro.analysis import analyze_context, build_components
+from repro.analysis.context import ContextAnalysis, ContextVarSpec, context_key
 from repro.compiler import OptConfig, compile_version
 from repro.core import engine as engine_mod
 from repro.core.peak import PeakTuner
 from repro.core.rating import (
+    AverageRating,
     ContextBasedRating,
     InputReplay,
     InvocationFeed,
+    ModelBasedRating,
     RatingSettings,
     ReExecutionRating,
+    WholeProgramRating,
 )
 from repro.core.search import IterativeElimination
-from repro.machine import PENTIUM4, SPARC2
-from repro.machine.executor import is_float_vector, unbox
-from repro.runtime import SaveRestorePlan, TimedExecutor, TuningLedger
-from repro.workloads import get_workload
+from repro.machine import PENTIUM4, SPARC2, profile_tuning_section
+from repro.machine.executor import REPLAY_MEMO_MAX, input_facts, is_float_vector, unbox
+from repro.runtime import SaveRestorePlan, TimedExecutor, TuningLedger, instrument_counters
+from repro.store import Store
+from repro.workloads import WORKLOAD_NAMES, get_workload
 
 # --------------------------------------------------------------------------- #
 # the reference: a feed that generates every invocation, frozen
@@ -105,7 +111,7 @@ class TestReplay:
     def test_replayed_envs_equal_generated_envs(self):
         ref, new = pair(mixed_gen, 5)
         for _ in range(3 * 5 + 2):  # three full runs and part of a fourth
-            assert_same_env(new.next_env(), ref.next_env())
+            assert_same_env(new.next_env().env, ref.next_env())
         assert new.ledger.program_runs == ref.ledger.program_runs == 4
         assert new.ledger.by_category == ref.ledger.by_category
 
@@ -125,7 +131,7 @@ class TestReplay:
     def test_mutated_env_does_not_leak_into_the_next_run(self, gen):
         ref, new = pair(gen, 3)
         for _ in range(3 * 3):
-            got, want = new.next_env(), ref.next_env()
+            got, want = new.next_env().env, ref.next_env()
             assert_same_env(got, want)
             got["a"][:] = [-1.0] * len(got["a"])  # a TS writing its inputs
             got["b"] += 7
@@ -139,8 +145,8 @@ class TestReplay:
             return {"p": x, "q": x, "r": rng.random(4)}
 
         feed = InvocationFeed(gen, 2, 0.0, TuningLedger())
-        first = [feed.next_env() for _ in range(2)]
-        second = [feed.next_env() for _ in range(2)]
+        first = [feed.next_env().env for _ in range(2)]
+        second = [feed.next_env().env for _ in range(2)]
         for env in first + second:
             assert env["p"] is env["q"]
             assert env["p"] is not env["r"]
@@ -159,35 +165,59 @@ class TestReplay:
         ref = GeneratingFeed(ref_gen, 4, 0.0, TuningLedger())
         new = InvocationFeed(new_gen, 4, 0.0, TuningLedger())
         for k in range(11):
-            got, want = new.next_env(), ref.next_env()
+            got, want = new.next_env().env, ref.next_env()
             assert_same_env(got, want, kept=("t",))
             got["t"][k % 3] += k  # writes carry over to every later env
             want["t"][k % 3] += k
-        env = new.next_env()
+        env = new.next_env().env
         assert env["t"] is new.replay.env(0)["t"]
 
     def test_ratings_and_ledger_are_unchanged(self):
+        """Every rater, at both tiers and with a replay store, rates a
+        replay's handles as it rates the generating feed's plain dicts."""
         from tests.core.test_rating_fixes import scaled_kernel, two_context_gen
 
         fn = scaled_kernel()
         v = compile_version(fn, OptConfig.o3(), SPARC2)
+        prof = profile_tuning_section(
+            fn, (two_context_gen(np.random.default_rng(i), i) for i in range(20)), SPARC2
+        )
+        model = build_components(prof.block_counts)
+        avg_counts = model.average_counts(
+            {r: prof.block_counts[r] for r in model.counter_blocks()}
+        )
+        iv = compile_version(
+            instrument_counters(fn, model.counter_blocks()), OptConfig.o3(), SPARC2
+        )
         settings = RatingSettings(window=12, max_invocations=400)
-        results = []
-        for feed_cls in (GeneratingFeed, InvocationFeed):
-            ledger = TuningLedger()
-            feed = feed_cls(two_context_gen, 7, 10_000.0, ledger, seed=5)
-            timed = TimedExecutor(SPARC2, seed=0, ledger=ledger)
-            cbr = ContextBasedRating(analyze_context(fn), settings, timed)
-            rbr = ReExecutionRating(SaveRestorePlan(fn, SPARC2), settings, timed)
-            ratings = [cbr.rate(v, feed), rbr.rate_pair(v, v, feed), cbr.rate(v, feed)]
-            results.append((
-                [(r.eval, r.var, r.n_samples, r.n_invocations, r.converged,
-                  r.samples.tobytes()) for r in ratings],
-                ledger.program_runs, ledger.invocations,
-                dict(ledger.by_category),
-            ))
-        assert results[0] == results[1]
-        assert results[1][1] > 3  # the ratings crossed several runs
+        for tier in (0, 1):
+            results = []
+            for feed_cls in (GeneratingFeed, InvocationFeed):
+                ledger = TuningLedger()
+                feed = feed_cls(two_context_gen, 7, 10_000.0, ledger, seed=5)
+                store = Store(REPLAY_MEMO_MAX)
+                timed = TimedExecutor(
+                    SPARC2, seed=0, ledger=ledger, exec_tier=tier, replay=store
+                )
+                cbr = ContextBasedRating(analyze_context(fn), settings, timed)
+                rbr = ReExecutionRating(SaveRestorePlan(fn, SPARC2), settings, timed)
+                whl = WholeProgramRating(settings, timed)
+                avg = AverageRating(settings, timed)
+                mbr = ModelBasedRating(model, avg_counts, settings, timed)
+                ratings = [
+                    cbr.rate(v, feed), rbr.rate_pair(v, v, feed), whl.rate(v, feed),
+                    avg.rate(v, feed), mbr.rate(iv, feed), cbr.rate(v, feed),
+                ]
+                results.append((
+                    [(r.eval, r.var, r.n_samples, r.n_invocations, r.converged,
+                      r.samples.tobytes(), r.per_context, r.notes) for r in ratings],
+                    ledger.program_runs, ledger.invocations,
+                    dict(ledger.by_category), astuple(timed.executor.machine_state()),
+                    store.hits, store.misses,
+                ))
+            assert results[0] == results[1], tier
+            assert results[1][1] > 3  # the ratings crossed several runs
+            assert results[1][-2] > 0  # and replayed invocations
 
     @pytest.mark.parametrize("name", ["crafty", "gzip", "swim"])
     def test_workload_datasets_replay_exactly(self, name):
@@ -195,7 +225,7 @@ class TestReplay:
         ref = GeneratingFeed(ds.generator, ds.n_invocations, 0.0, TuningLedger())
         new = InvocationFeed(ds.generator, ds.n_invocations, 0.0, TuningLedger())
         for _ in range(ds.n_invocations + 3):
-            got, want = new.next_env(), ref.next_env()
+            got, want = new.next_env().env, ref.next_env()
             assert_same_env(got, want)
             if name == "crafty":
                 assert got["dirs"] is want["dirs"]  # the generator's own table
@@ -220,7 +250,11 @@ class TestReplay:
         def worker():
             feed = InvocationFeed(gen, 50, 0.0, TuningLedger(), replay=replay)
             barrier.wait()
-            out.append([[v.hex() for v in feed.next_env()["a"]] for _ in range(60)])
+            seq = []
+            for _ in range(60):
+                inputs = feed.next_env()  # racing threads compute equal facts
+                seq.append((_facts(inputs.facts), [v.hex() for v in inputs.env["a"]]))
+            out.append(seq)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -235,6 +269,144 @@ class TestReplay:
         assert not any(t.is_alive() for t in threads)
         assert calls == list(range(50))  # a lost check-then-act generates twice
         assert len(out) == 4 and all(seq == out[0] for seq in out)
+
+
+# --------------------------------------------------------------------------- #
+# handles: facts once per position, an env only when one is needed
+
+
+def _facts(facts):
+    return facts.names, facts.sig, facts.shape, facts.key
+
+
+class TestInputsHandles:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_position_facts_equal_those_of_a_hand_out(self, name):
+        ds = get_workload(name).dataset("train")
+        replay = InputReplay(ds.generator, ds.n_invocations)
+        sigs = {}
+        for pos in range(ds.n_invocations):
+            inputs = replay.inputs(pos)
+            want = input_facts(replay.env(pos), {})
+            assert _facts(inputs.facts) == _facts(want), pos
+            assert _facts(input_facts(inputs.env, {})) == _facts(want), pos
+            # a later hand-out of the position shares the facts; a live
+            # replay derives them per hand-out
+            again = replay.inputs(pos)
+            assert (again.facts is inputs.facts) is not replay.live
+            assert again.env is not inputs.env
+            if not replay.live:  # equal sigs across positions are one object
+                assert sigs.setdefault(inputs.facts.sig, inputs.facts.sig) is inputs.facts.sig
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_peek_reads_as_the_env_reads(self, name):
+        w = get_workload(name)
+        ds = w.dataset("train")
+        replay = InputReplay(ds.generator, ds.n_invocations)
+        analysis = analyze_context(w.ts, pointer_seeds=w.pointer_seeds)
+        for pos in range(ds.n_invocations):
+            peek, env = replay.peek(pos), replay.env(pos)
+            assert list(peek) == list(env)
+            for k, v in env.items():
+                if isinstance(v, list):
+                    assert len(peek[k]) == len(v)
+                    assert [peek[k][i].hex() for i in range(len(v))] == [x.hex() for x in v]
+            if analysis.applicable:
+                want = context_key(analysis, env)
+                assert repr(context_key(analysis, peek)) == repr(want)
+                assert repr(context_key(analysis, replay.inputs(pos).peek())) == repr(want)
+
+    def test_peek_binds_array_elements_as_a_hand_out_does(self):
+        # a pseudo-scalar context variable: a float as in the float list, an
+        # np.int64 as in the int array
+        analysis = ContextAnalysis(
+            True, (ContextVarSpec("n"), ContextVarSpec("a", 2), ContextVarSpec("b", 1))
+        )
+        replay = InputReplay(mixed_gen, 4, seed=3)
+        for pos in range(4):
+            want = context_key(analysis, replay.env(pos))
+            assert type(want[1]) is float
+            assert repr(context_key(analysis, replay.peek(pos))) == repr(want)
+
+    @pytest.mark.parametrize("method", ["CBR", "WHL", "AVG"])
+    def test_only_a_store_miss_builds_an_env(self, monkeypatch, method):
+        from tests.core.test_rating_fixes import scaled_kernel, two_context_gen
+
+        fn = scaled_kernel()
+        v = compile_version(fn, OptConfig.o3(), SPARC2)
+        replay = InputReplay(two_context_gen, 7, seed=5)
+        built = []
+        env = replay.env
+        monkeypatch.setattr(replay, "env", lambda pos: built.append(pos) or env(pos))
+        ledger = TuningLedger()
+        feed = InvocationFeed(two_context_gen, 7, 0.0, ledger, seed=5, replay=replay)
+        store = Store()
+        timed = TimedExecutor(SPARC2, seed=0, ledger=ledger, exec_tier=1, replay=store)
+        settings = RatingSettings(window=12, max_invocations=200)
+        rater = {
+            "CBR": lambda: ContextBasedRating(analyze_context(fn), settings, timed),
+            "WHL": lambda: WholeProgramRating(settings, timed),
+            "AVG": lambda: AverageRating(settings, timed),
+        }[method]()
+        for _ in range(3):
+            rater.rate(v, feed)
+        assert store.hits > 0
+        assert len(built) == store.misses
+
+    def test_names_and_key_follow_the_env(self):
+        facts = input_facts({"n": 3, "s": -0.0, "a": [1.0], "b": [1.0]}, {})
+        assert facts.names == {"n", "s", "a", "b"}
+        assert facts.shape == (("a", "b"), (1, 1), None)
+        assert facts.key[2:] == ((3,), struct.pack("<d", -0.0))
+        x = [1.0]
+        assert input_facts({"a": x, "b": x}, {}).shape == (("a", "b"), (1, 1), ("a", "a"))
+        # a scalar of another type cannot key a replay
+        assert input_facts({"n": 3, "t": 1j}, {}).key is None
+
+    def test_hand_outs_are_built_only_when_needed(self, monkeypatch):
+        from tests.core.test_rating_fixes import scaled_kernel
+
+        def gen(rng, i):  # a replay key per position
+            return {"n": 8 + 4 * i, "a": rng.standard_normal(64)}
+
+        v = compile_version(scaled_kernel(), OptConfig.o3(), SPARC2)
+        replay = InputReplay(gen, 4, seed=2)
+        built = []
+        env = replay.env
+        monkeypatch.setattr(replay, "env", lambda pos: built.append(pos) or env(pos))
+        store = Store()
+        timed = TimedExecutor(SPARC2, seed=0, exec_tier=1, replay=store)
+        feed = InvocationFeed(gen, 4, 0.0, TuningLedger(), seed=2, replay=replay)
+
+        def invoke(**kwargs):
+            timed.executor.reset()  # the same entry state every time
+            timed.invoke(v, feed.next_env(), **kwargs)
+            return len(built), store.hits
+
+        # the first run records (misses); its hand-outs also give the facts
+        assert [invoke() for _ in range(4)] == [(1, 0), (2, 0), (3, 0), (4, 0)]
+        # a hit builds none
+        assert [invoke() for _ in range(4)] == [(4, 1), (4, 2), (4, 3), (4, 4)]
+        # reads_writes=True simulates: it builds one
+        assert invoke(reads_writes=True) == (5, 4)
+        # a miss (another entry state) builds one
+        timed.executor.reset()
+        timed.executor.run(v.exe, gen(np.random.default_rng(0), 0))
+        timed.invoke(v, feed.next_env())
+        assert (len(built), store.hits) == (6, 4)
+
+    def test_a_live_replay_builds_every_hand_out(self, monkeypatch):
+        table = np.zeros(3)
+        replay = InputReplay(lambda rng, i: {"t": table, "v": rng.random(2)}, 3)
+        assert replay.live
+        built = []
+        env = replay.env
+        monkeypatch.setattr(replay, "env", lambda pos: built.append(pos) or env(pos))
+        feed = InvocationFeed(replay.generator, 3, 0.0, TuningLedger(), replay=replay)
+        handles = [feed.next_env() for _ in range(7)]
+        assert built == [0, 1, 2, 0, 1, 2, 0]
+        assert len({id(h.facts) for h in handles}) == 7
+        assert all(h.env["t"] is table for h in handles)
 
 
 # --------------------------------------------------------------------------- #

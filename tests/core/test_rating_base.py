@@ -106,13 +106,13 @@ class TestInvocationFeed:
 
     def test_runs_replay_identically(self):
         feed, _ = self._feed(n_per_run=3)
-        first_run = [feed.next_env()["r"] for _ in range(3)]
-        second_run = [feed.next_env()["r"] for _ in range(3)]
+        first_run = [feed.next_env().env["r"] for _ in range(3)]
+        second_run = [feed.next_env().env["r"] for _ in range(3)]
         assert first_run == second_run  # same input file every run
 
     def test_position_within_run_cycles(self):
         feed, _ = self._feed(n_per_run=4)
-        idx = [feed.next_env()["i"] for _ in range(10)]
+        idx = [feed.next_env().env["i"] for _ in range(10)]
         assert idx == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
     def test_invalid_run_length_rejected(self):

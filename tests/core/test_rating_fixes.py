@@ -353,7 +353,7 @@ class TestRBRImprovedInvariants:
         fn, feed, ledger, timed, rbr = self._setup()
         exp = version(fn, OptConfig.o3())
         base = version(fn, OptConfig.o0())
-        proto = feed.next_env()
+        proto = feed.next_env().env
 
         env_rbr = {k: copy_array(v) if hasattr(v, "__len__") else v
                    for k, v in proto.items()}

@@ -248,7 +248,7 @@ class TestRBR:
         timed = make_timed()
         rbr = ReExecutionRating(self._plan(fn), SETTINGS, timed)
         v = version(fn)
-        env = feed.next_env()
+        env = feed.next_env().env
         rbr._one_invocation(v, v, dict(env))
         first = rbr._swap
         rbr._one_invocation(v, v, dict(env))

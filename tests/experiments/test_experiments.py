@@ -7,7 +7,7 @@ import pytest
 
 from repro.compiler import OptConfig
 from repro.core import peak
-from repro.core.peak import measure_whole_program
+from repro.core.peak import PeakTuner, measure_whole_program
 from repro.experiments import (
     consistency_experiment,
     figure7_experiment,
@@ -15,7 +15,8 @@ from repro.experiments import (
     summarize,
 )
 from repro.experiments.consistency import _window_stats
-from repro.experiments.figure7 import Figure7Entry
+from repro.experiments import figure7
+from repro.experiments.figure7 import Figure7Entry, methods_for
 from repro.machine import PENTIUM4, SPARC2
 from repro.workloads import get_workload
 
@@ -126,6 +127,37 @@ class TestFigure7Harness:
         assert suggested[0].normalized_tuning_time < 1.0
         for e in entries:
             assert math.isfinite(e.improvement_pct)
+
+
+class TestMethodsFor:
+    @pytest.mark.parametrize("machine", (PENTIUM4, SPARC2), ids=lambda m: m.name)
+    def test_methods_and_notes_are_equal_at_both_tiers(self, machine):
+        for bench in figure7.TUNED:
+            workload = get_workload(bench)
+            got = []
+            for tier in (0, 1):
+                tuner = PeakTuner(machine, seed=1, profile_limit=60, exec_tier=tier)
+                plan = tuner.plan(workload, tuner.profile(workload))
+                got.append((
+                    methods_for(workload, machine, seed=1, exec_tier=tier),
+                    plan.notes,
+                ))
+            assert got[0] == got[1], bench
+
+    def test_figure7_passes_its_tier_on(self, monkeypatch):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(workload, machine, **kwargs):
+            seen.append(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(figure7, "methods_for", record)
+        with pytest.raises(Stop):
+            figure7_experiment(PENTIUM4, benchmarks=("swim",), seed=3, exec_tier=1)
+        assert seen == [{"seed": 3, "exec_tier": 1}]
 
 
 class TestSummarize:

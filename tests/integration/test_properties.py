@@ -12,7 +12,7 @@ Three families of invariants:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.analysis import (
     analyze_context,
@@ -24,8 +24,9 @@ from repro.analysis import (
     natural_loops,
 )
 from repro.compiler import ALL_FLAGS, OptConfig, compile_version
-from repro.ir import validate_function
-from repro.machine import Executor, SPARC2, compile_function
+from repro.ir import Const, FunctionBuilder, Type, Var, validate_function
+from repro.machine import Executor, ExecutionError, SPARC2, compile_function
+from repro.machine.jit import create_executor
 
 import sys
 from pathlib import Path
@@ -108,11 +109,31 @@ class TestOptimizerSemantics:
             res = Executor(SPARC2).run(version.exe, e)
             return res.return_value, e["a"].copy(), e["b"].copy()
 
-        ref_val, ref_a, ref_b = run(OptConfig.o0())
+        # the property covers kernels whose reference run completes: an
+        # int grown past int64 and stored into an int array faults
+        # (test_an_int_store_past_int64_raises_at_both_tiers)
+        try:
+            ref_val, ref_a, ref_b = run(OptConfig.o0())
+        except ExecutionError:
+            assume(False)
         opt_val, opt_a, opt_b = run(OptConfig(frozenset(flags)))
         assert opt_val == ref_val
         np.testing.assert_array_equal(opt_a, ref_a)
         np.testing.assert_array_equal(opt_b, ref_b)
+
+    @pytest.mark.parametrize("tier", (0, 1))
+    def test_an_int_store_past_int64_raises_at_both_tiers(self, tier):
+        b = FunctionBuilder(
+            "grow", [("s", Type.INT), ("a", Type.INT_ARRAY)], return_type=Type.INT
+        )
+        with b.for_("i", 0, Const(6)):
+            b.assign("s", Var("s") * Var("s"))  # 7 ** 64: past int64
+        b.store("a", Const(0), Var("s"))
+        b.ret(Var("s"))
+        exe = compile_function(b.build(), SPARC2)
+        with pytest.raises(ExecutionError) as err:
+            create_executor(SPARC2, tier).run(exe, {"s": 7, "a": np.zeros(4, dtype=np.int64)})
+        assert isinstance(err.value.__cause__, OverflowError)
 
     @RELAXED
     @given(fn=kernels())

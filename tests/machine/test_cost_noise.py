@@ -142,6 +142,44 @@ class TestNoiseModel:
         assert NoiseModel.for_machine(PENTIUM4).granularity > 0
 
 
+def reference_sample(nm: NoiseModel, true_cycles: float, rng) -> float:
+    """``NoiseModel.sample`` as first written, with numpy's ``normal`` and
+    ``uniform``: the reference its cheaper draws must match bit for bit."""
+    measured = true_cycles
+    if nm.sigma > 0.0:
+        eps = float(rng.normal(0.0, nm.sigma))
+        eps = max(-3.0 * nm.sigma, min(3.0 * nm.sigma, eps))
+        measured *= 1.0 + eps
+    if nm.outlier_prob > 0.0 and rng.random() < nm.outlier_prob:
+        lo, hi = nm.outlier_scale
+        measured *= float(rng.uniform(lo, hi))
+    if nm.granularity > 0.0:
+        measured += float(rng.uniform(0.0, nm.granularity))
+    return measured
+
+
+class TestNoiseModelExactness:
+    @pytest.mark.parametrize(
+        "nm",
+        [
+            NoiseModel.for_machine(PENTIUM4),
+            NoiseModel.for_machine(SPARC2),
+            NoiseModel.disabled(),
+            # every branch often: clamped jitter, outliers, timer error
+            NoiseModel(0.4, 0.3, (1.5, 6.0), 25.0),
+        ],
+        ids=["pentium4", "sparc2", "disabled", "wide"],
+    )
+    def test_sample_equals_the_reference_bit_for_bit(self, nm):
+        cycles = np.random.default_rng(11).uniform(0.0, 2e5, 100_000)
+        cycles[:4] = (0.0, 1.0, 40.0, 1e12)
+        ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+        want = [reference_sample(nm, float(c), ref_rng).hex() for c in cycles]
+        got = [nm.sample(float(c), rng).hex() for c in cycles]
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestProfiler:
     def test_profile_collects_counts_and_inputs(self):
         b = FunctionBuilder("f", [("n", Type.INT), ("a", Type.FLOAT_ARRAY)])

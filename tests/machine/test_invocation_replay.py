@@ -201,6 +201,32 @@ def test_intrinsics_of_scalars_are_accepted():
     assert oblivious_reason(_kernel(_store(A0 + Call("sqrt", (Var("s"),))))) is None
 
 
+def test_the_analysis_runs_once_per_distinct_ir_of_an_executor(monkeypatch):
+    from repro.machine import oblivious
+
+    calls = []
+    reason = oblivious._reason
+    monkeypatch.setattr(oblivious, "_reason", lambda exe: calls.append(exe) or reason(exe))
+    fn = _halve_fn()
+    env = {"n": 7, "s": 2.0, "a": [1.0] * 4}
+    ex = executor(PENTIUM4, 1)
+    store = Store()
+    # two versions of one IR (different block costs), then another IR
+    twins = [compile_function(fn, PENTIUM4), compile_version(fn, OptConfig.o0(), PENTIUM4).exe]
+    assert str(twins[0].source) == str(twins[1].source)
+    for exe in twins:
+        ex.run(exe, dict(env), replay=store)
+    assert calls == [twins[0]]
+    other = _kernel(_store(A0 * 2.0))
+    ex.run(other, {"n": 7, "s": 2.0, "a": [1.0] * 4}, replay=store)
+    assert calls == [twins[0], other]
+    # the verdicts belong to the executor: another one analyses afresh
+    fresh = compile_function(fn, PENTIUM4)
+    executor(PENTIUM4, 1).run(fresh, dict(env), replay=Store())
+    assert calls == [twins[0], other, fresh]
+    assert all(oblivious_reason(e) is None for e in (*twins, other, fresh))
+
+
 def test_a_call_is_rejected():
     b = FunctionBuilder("g", [("a", Type.FLOAT_ARRAY)])
     b.store("a", Const(0), Const(1.0))
