@@ -223,9 +223,6 @@ class _Floats:
     def __init__(self, array: np.ndarray) -> None:
         self._array = array
 
-    def __len__(self) -> int:
-        return len(self._array)
-
     def __getitem__(self, i: int) -> float:
         return float(self._array[i])
 
