@@ -1,7 +1,8 @@
 """Substrate micro-benchmarks: the simulated machine and compiler.
 
 Not tied to a paper artifact; these track the performance of the pieces the
-experiments are built from (useful when modifying the executor/codegen).
+experiments are built from (useful when modifying the compiler or the Tier-0
+executor, the closure interpreter that :class:`Executor` runs).
 """
 
 from __future__ import annotations

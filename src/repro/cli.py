@@ -127,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exec_tier_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exec-tier", type=int, choices=EXEC_TIERS, default=0,
-                   help="simulated-execution tier: 0 = paper-faithful "
-                        "interpreter, 1 = whole-function compilation "
-                        "(bit-identical results, faster)")
+    p.add_argument("--exec-tier", type=int, choices=EXEC_TIERS, default=1,
+                   help="simulated-execution tier: 1 = whole-function "
+                        "compilation (default), 0 = the reference closure "
+                        "interpreter (bit-identical results, slower)")
 
 
 # --------------------------------------------------------------------------- #

@@ -103,9 +103,10 @@ class EngineSpec:
     profile_limit: int | None
     base_seed: int
     use_cache: bool
-    #: execution tier for every simulated invocation (0 = interpreter,
-    #: 1 = whole-function compilation; results are bit-identical either way)
-    exec_tier: int = 0
+    #: execution tier for every simulated invocation (1 = whole-function
+    #: compilation, 0 = the reference interpreter; results are bit-identical
+    #: either way)
+    exec_tier: int = 1
     #: share pass-prefix IR snapshots across compiles, so configurations
     #: with overlapping pass chains resume mid-pipeline instead of starting
     #: cold (results are bit-identical either way)

@@ -51,7 +51,7 @@ class Figure7Entry:
 
 
 def methods_for(
-    workload: Workload, machine: MachineConfig, *, seed: int = 0, exec_tier: int = 0
+    workload: Workload, machine: MachineConfig, *, seed: int = 0, exec_tier: int = 1
 ) -> tuple[list[str], str]:
     """Applicable rating methods for the workload (paper: "IF CBR is
     applicable, then MBR is also applicable; if MBR is applicable, RBR is
@@ -72,7 +72,7 @@ def figure7_experiment(
     seed: int = 1,
     settings: RatingSettings = RatingSettings(),
     eval_runs: int = 1,
-    exec_tier: int = 0,
+    exec_tier: int = 1,
 ) -> list[Figure7Entry]:
     """Run the Fig. 7 experiment for one machine.
 

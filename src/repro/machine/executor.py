@@ -79,8 +79,8 @@ class ExecutionError(Exception):
 #: subscript (out of range, a NaN, a non-integer into a list), division by
 #: zero, overflow.  A well-typed program raises no TypeError, only an
 #: ill-typed one (a float held in an INT subscript) does; but a TypeError
-#: from a bug in the executor or its generated code is reported the same
-#: way, so the differential suites assert that none occurs.
+#: from a bug in the executor or in Tier 1's generated code is reported the
+#: same way, so the differential suites assert that none occurs.
 RUNTIME_ERRORS = (
     KeyError, IndexError, ValueError, TypeError, ZeroDivisionError, OverflowError,
 )
@@ -288,9 +288,6 @@ class CompiledBlock:
     steps: list | None = None
     #: terminator closure: returns (next_label, taken_flag_or_None)
     term: Callable | None = None
-    #: generated whole-block function (call-free blocks only):
-    #: ``fastrun(env, mem) -> (next_label, taken)``
-    fastrun: Callable | None = None
 
 
 @dataclass
@@ -355,7 +352,7 @@ class ExecutableFunction:
         return self._count_keys
 
     def build_closures(self) -> None:
-        """Build every block's ``steps``, ``term`` and ``fastrun``.
+        """Build every block's ``steps`` and ``term``.
 
         Only the Tier-0 dispatch loop needs them: every frame Tier 1
         declines runs there, and so does the rest of a frame its
@@ -366,14 +363,11 @@ class ExecutableFunction:
         """
         if self._closures:
             return
-        from .codegen import compile_block_fn
-
         types = self.source.all_vars()
         for label, blk in self.source.cfg.blocks.items():
             cb = self.blocks[label]
             cb.steps = [_compile_stmt(s, types) for s in blk.stmts]
             cb.term = _compile_terminator(blk.terminator, types)
-            cb.fastrun = None if cb.has_calls else compile_block_fn(blk, types)
         self._closures = True
 
 
@@ -902,10 +896,7 @@ class Executor:
                 cycles += blk.compute_cycles + blk.spill_cycles
 
                 try:
-                    fast = blk.fastrun
-                    if fast is not None:
-                        label_next, taken = fast(env, mem)
-                    elif blk.has_calls:
+                    if blk.has_calls:
                         for step in blk.steps:
                             if type(step) is _CallStep:
                                 self._do_call(
@@ -913,13 +904,10 @@ class Executor:
                                 )
                             else:
                                 step(env, mem)
-                        label_next, taken = blk.term(env, mem)
                     else:
-                        # call-free block without generated code (codegen
-                        # disabled or stripped): plain closure dispatch
                         for step in blk.steps:
                             step(env, mem)
-                        label_next, taken = blk.term(env, mem)
+                    label_next, taken = blk.term(env, mem)
                 except RUNTIME_ERRORS as e:
                     raise ExecutionError(
                         f"{exe.name}/{label}: runtime error {type(e).__name__}: {e}"

@@ -1,11 +1,12 @@
 """Tier-1 execution: whole-function compilation for the rating hot path.
 
 Every rating method bottoms out in :meth:`Executor._run_cfg`.  At Tier 0
-that is a dispatch loop: per basic block a ``blocks[label]`` lookup, a
-Python call into the block's generated function, ``(name, index)`` tuple
-traffic on the memory trace, a per-access ``bases[name] + i*8``
-translation plus a ``CacheSim.access`` call, and a ``(fn, label)``
-predictor key per branch.
+that is a dispatch loop over closures: per basic block a ``blocks[label]``
+lookup, a Python call per statement and per expression node,
+``(name, index)`` tuple traffic on the memory trace, a per-access
+``bases[name] + i*8`` translation plus a ``CacheSim.access`` call, and a
+``(fn, label)`` predictor key per branch.  Tier 0 generates no code, so it
+shares nothing with the tier it is the reference for.
 
 Tier 1 compiles each :class:`ExecutableFunction`, on first use, into
 **one** Python function (``compile()``/``exec``) with every block body
@@ -71,14 +72,15 @@ import hashlib
 import threading
 from typing import Callable
 
+import numpy as np
+
 from ..ir.block import BasicBlock
 from ..ir.cfg import CFG
-from ..ir.expr import ArrayRef, BinOp, Call, Const, UnOp, Var, walk
-from ..ir.stmt import CondBranch, Jump, Return
+from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var, walk
+from ..ir.stmt import Assign, CondBranch, Jump, Return
 from ..ir.types import Type
 from ..store import Store
 from .cache import AddressMap
-from .codegen import ExprEmitter, exec_namespace
 from .config import MachineConfig
 from .cost import infer_type
 from .executor import (
@@ -87,6 +89,7 @@ from .executor import (
     ExecutionError,
     Executor,
     InvocationResult,
+    needs_float_conversion,
 )
 
 __all__ = [
@@ -108,6 +111,16 @@ _MAX_COPIES = 4
 #: longest path (in blocks) a chain inlines; bounds the nesting depth of
 #: the generated code well below the parser's indentation limit
 _MAX_PATH = 24
+
+#: the intrinsics generated code calls as ``_intr_<name>``
+_INTRINSICS: dict[str, Callable] = {
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "floor": np.floor,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -216,8 +229,16 @@ def _assoc_slow(ways: list, x: int, assoc: int) -> bool:
     return True
 
 
-class _FunctionEmitter(ExprEmitter):
-    """Expression emitter with promoted locals and inline cache checks.
+class _FunctionEmitter:
+    """Emits flattened Python source for IR statements and expressions,
+    with promoted locals and inline cache checks.
+
+    Array accesses are checked against the cache in evaluation order,
+    ``&&``/``||`` short-circuit (``i < n && a[i] > 0`` must not touch
+    ``a[i]`` when the guard fails), float subscripts are truncated with
+    ``int()``, and a store of a value that is not statically FLOAT into a
+    float array is wrapped in ``float()`` (see the executor's value
+    representation) — exactly the closure interpreter's semantics.
 
     Compile-time knowledge (CSE'd line offsets, accesses that cannot miss)
     is valid along one path of a chain; :meth:`save`/:meth:`restore`
@@ -232,7 +253,10 @@ class _FunctionEmitter(ExprEmitter):
         inline: _InlineCache,
         memo_sym: dict[str, str],
     ) -> None:
-        super().__init__(types)
+        self.types = types
+        self.lines: list[str] = []
+        self.indent = 1
+        self.n_tmp = 0
         self.scalar_sym = scalar_sym
         self.array_sym = array_sym
         self.inline = inline
@@ -242,6 +266,13 @@ class _FunctionEmitter(ExprEmitter):
         self.base_indent = self.indent
         self._cse: dict[str, str] = {}
         self._elide: set[tuple[str, str]] = set()
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def fresh(self) -> str:
+        self.n_tmp += 1
+        return f"_t{self.n_tmp}"
 
     def begin_block(self, static_accesses: int | None) -> None:
         """Start a block.  *static_accesses* is its unconditional access
@@ -266,19 +297,21 @@ class _FunctionEmitter(ExprEmitter):
         self._cse.pop(sym, None)
         self._elide = {k for k in self._elide if k[1] != sym}
 
-    def subscript(self, index) -> str:
+    def subscript(self, index: Expr) -> str:
+        """The name (or literal) holding the evaluated subscript *index*."""
+        is_float = infer_type(index, self.types) is Type.FLOAT
         # cheap, effect-free int indexes need no temporary
-        if infer_type(index, self.types) is not Type.FLOAT:
+        if not is_float:
             if isinstance(index, Var):
                 sym = self.scalar_sym.get(index.name)
                 if sym is not None:
                     return sym
             elif isinstance(index, Const):
                 return repr(index.value)
-        return super().subscript(index)
-
-    def array(self, name: str) -> str:
-        return self.array_sym[name][0]
+        idx = self.expr(index)
+        tmp = self.fresh()
+        self.emit(f"{tmp} = int({idx})" if is_float else f"{tmp} = {idx}")
+        return tmp
 
     def _shifted(self, idx: str) -> str:
         """Line offset ``idx >> idx_shift``, CSE'd while *idx* is unchanged."""
@@ -370,19 +403,77 @@ class _FunctionEmitter(ExprEmitter):
             self.emit("else:")
             self.emit("    _bh += 1")
 
-    def expr(self, e):
+    def expr(self, e: Expr) -> str:
+        """Return a Python expression string; may emit preparatory lines."""
+        if isinstance(e, Const):
+            return repr(e.value)
         if isinstance(e, Var):
             sym = self.scalar_sym.get(e.name)
             return sym if sym is not None else f"env[{e.name!r}]"
-        return super().expr(e)
+        if isinstance(e, ArrayRef):
+            tmp = self.subscript(e.index)
+            self.access(e.array, tmp)
+            return f"{self.array_sym[e.array][0]}[{tmp}]"
+        if isinstance(e, UnOp):
+            sub = self.expr(e.operand)
+            if e.op == "-":
+                return f"(-({sub}))"
+            if e.op == "!":
+                return f"(not ({sub}))"
+            if e.op == "abs":
+                return f"abs({sub})"
+            if e.op == "~":
+                return f"(~({sub}))"
+            raise ValueError(f"unknown unary op {e.op}")  # pragma: no cover
+        if isinstance(e, BinOp):
+            if e.op in ("&&", "||"):
+                # short-circuit: evaluate rhs only when needed
+                left = self.expr(e.left)
+                tmp = self.fresh()
+                self.emit(f"{tmp} = bool({left})")
+                self.emit(f"if {tmp}:" if e.op == "&&" else f"if not {tmp}:")
+                self.indent += 1
+                right = self.expr(e.right)
+                self.emit(f"{tmp} = bool({right})")
+                self.indent -= 1
+                return tmp
+            if e.op in ("min", "max"):
+                left = self.expr(e.left)
+                right = self.expr(e.right)
+                lt, rt = self.fresh(), self.fresh()
+                self.emit(f"{lt} = {left}")
+                self.emit(f"{rt} = {right}")
+                cmp_op = "<" if e.op == "min" else ">"
+                return f"({lt} if {lt} {cmp_op} {rt} else {rt})"
+            # every other operator of BINARY_OPS is spelled as in Python
+            left = self.expr(e.left)
+            right = self.expr(e.right)
+            return f"(({left}) {e.op} ({right}))"
+        if isinstance(e, Call):
+            args = ", ".join(self.expr(a) for a in e.args)
+            if e.fn == "int":
+                return f"int({args})"
+            if e.fn == "float":
+                return f"float({args})"
+            return f"float(_intr_{e.fn}({args}))"
+        raise ValueError(f"cannot generate code for {e!r}")  # pragma: no cover
 
-    def assign(self, name: str, value: str) -> None:
-        sym = self.scalar_sym.get(name)
-        if sym is None:
-            super().assign(name, value)
+    def stmt(self, s: Assign) -> None:
+        if isinstance(s.target, ArrayRef):
+            tmp = self.subscript(s.target.index)
+            self.access(s.target.array, tmp)
+            value = self.expr(s.expr)
+            if needs_float_conversion(s, self.types):
+                value = f"float({value})"
+            self.emit(f"{self.array_sym[s.target.array][0]}[{tmp}] = {value}")
             return
-        self.emit(f"{sym} = {value}")
-        self._invalidate(sym)
+        value = self.expr(s.expr)
+        sym = self.scalar_sym.get(s.target.name)
+        if sym is None:
+            self.emit(f"env[{s.target.name!r}] = {value}")
+        else:
+            self.emit(f"{sym} = {value}")
+            self._invalidate(sym)
 
 
 def _scan_names(blocks) -> tuple[set, set, set]:
@@ -540,13 +631,15 @@ class WholeFunction:
 
     def _compile(self, counting: bool, windowed: bool) -> Callable:
         src = self.source(counting=counting, windowed=windowed)
-        namespace = exec_namespace(
-            _EE=ExecutionError,
-            _RTE=RUNTIME_ERRORS,
-            _aslow=_assoc_slow,
-            type=type,
-            str=str,
-        )
+        namespace = {
+            "__builtins__": {"bool": bool, "int": int, "float": float, "abs": abs},
+            **{f"_intr_{name}": impl for name, impl in _INTRINSICS.items()},
+            "_EE": ExecutionError,
+            "_RTE": RUNTIME_ERRORS,
+            "_aslow": _assoc_slow,
+            "type": type,
+            "str": str,
+        }
         exec(compile(src, f"<tier1 {self._exe.name}>", "exec"), namespace)
         return namespace["_fn"]
 
@@ -938,12 +1031,13 @@ class TieredExecutor(Executor):
 # tier selection
 
 
-def create_executor(machine: MachineConfig, tier: int = 0) -> Executor:
+def create_executor(machine: MachineConfig, tier: int = 1) -> Executor:
     """Build the executor for one execution tier.
 
-    Tier 0 is the paper-faithful interpreter; Tier 1 runs each function
-    as one compiled Python function (bit-identical results, substantially
-    faster).
+    Tier 1 (the default) runs each qualifying function as one compiled
+    Python function; Tier 0 is the closure interpreter, the reference
+    Tier 1 is checked against.  Both give bit-identical results; Tier 1
+    is substantially faster.
     """
     if tier == 0:
         return Executor(machine)

@@ -66,7 +66,7 @@ def profile_tuning_section(
     invocations: Iterable[Mapping[str, object]],
     machine: MachineConfig,
     *,
-    exec_tier: int = 0,
+    exec_tier: int = 1,
 ) -> TSProfile:
     """Run *fn* once per invocation environment, recording counts and times.
 

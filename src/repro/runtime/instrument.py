@@ -58,15 +58,15 @@ class TimedExecutor:
         seed: int = 0,
         noise: NoiseModel | None = None,
         ledger: TuningLedger | None = None,
-        exec_tier: int = 0,
+        exec_tier: int = 1,
         obs: Obs | None = None,
         replay: Store | None = None,
     ) -> None:
         self.machine = machine
         #: the invocation replay store (None: simulate every invocation)
         self.replay = replay
-        # Tier 0 = the block-dispatch interpreter, Tier 1 = one compiled
-        # function per call-free tuning section, every other frame at Tier 0
+        # Tier 1 = one compiled function per call-free tuning section, every
+        # other frame at Tier 0, the reference closure interpreter
         # (bit-identical results — see repro.machine.jit — so ratings are
         # unaffected)
         self.executor = create_executor(machine, exec_tier)

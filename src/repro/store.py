@@ -2,9 +2,9 @@
 
 PEAK compiles the tuning section under hundreds of option sets per tune
 (paper Section 4.1), so every layer memoizes: whole compiles, pipeline
-steps, generated Tier-1 code, block code objects, and IR and program
-digests.  Each of those caches is a :class:`Store`; its owner contributes
-only the key function and, where the cache is bounded, the bound.
+steps, generated Tier-1 code, and IR and program digests.  Each of those
+caches is a :class:`Store`; its owner contributes only the key function
+and, where the cache is bounded, the bound.
 
 * A hit refreshes recency; a bounded store drops its least recently used
   entries past ``max_entries`` and counts them in ``evictions``.

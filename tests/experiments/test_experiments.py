@@ -17,7 +17,8 @@ from repro.experiments import (
 from repro.experiments.consistency import _window_stats
 from repro.experiments import figure7
 from repro.experiments.figure7 import Figure7Entry, methods_for
-from repro.machine import PENTIUM4, SPARC2
+from repro.machine import PENTIUM4, SPARC2, Executor, TieredExecutor, create_executor
+from repro.runtime import instrument
 from repro.workloads import get_workload
 
 
@@ -99,6 +100,24 @@ class TestConsistencyExperiment:
         assert r.method == "MBR"
         assert r.stats[10][1] > 0
 
+    @pytest.mark.parametrize("bench", ("gzip", "applu", "swim"))
+    def test_rows_are_equal_at_both_tiers(self, bench, monkeypatch):
+        """Table 1 runs at TimedExecutor's default tier; the reference
+        interpreter must give the same rows (RBR, CBR with contexts, CBR)."""
+        rows, executors = [], []
+        for tier in (0, 1):
+            def at_tier(machine, _default=None, tier=tier):
+                ex = create_executor(machine, tier)
+                executors.append(type(ex))
+                return ex
+
+            monkeypatch.setattr(instrument, "create_executor", at_tier)
+            rows.append(consistency_experiment(
+                get_workload(bench), SPARC2, samples_per_window=3, seed=1,
+            ))
+        assert executors == [Executor, TieredExecutor]
+        assert rows[0] == rows[1]
+
 
 class TestFigure7Harness:
     def test_single_benchmark_single_dataset(self, monkeypatch):
@@ -156,8 +175,8 @@ class TestMethodsFor:
 
         monkeypatch.setattr(figure7, "methods_for", record)
         with pytest.raises(Stop):
-            figure7_experiment(PENTIUM4, benchmarks=("swim",), seed=3, exec_tier=1)
-        assert seen == [{"seed": 3, "exec_tier": 1}]
+            figure7_experiment(PENTIUM4, benchmarks=("swim",), seed=3, exec_tier=0)
+        assert seen == [{"seed": 3, "exec_tier": 0}]
 
 
 class TestSummarize:

@@ -1,13 +1,14 @@
 """Property-based tests over random IR kernels.
 
-Three families of invariants:
+Two families of invariants:
 
 1. **Analyses** are sound on arbitrary programs (Input ⊆ params,
    Modified_Input = Input ∩ Def, dominance/loop structure, validator).
 2. **The optimizer preserves semantics** for random flag subsets on random
    kernels (the substrate's central correctness requirement).
-3. **The fast code generator** agrees with the closure interpreter on
-   values *and* simulated cycles.
+
+Generated code against the closure interpreter is the differential suite's
+job (``tests/machine/test_executor_differential.py``).
 """
 
 import numpy as np
@@ -141,35 +142,3 @@ class TestOptimizerSemantics:
         version = compile_version(fn, OptConfig.o3(), SPARC2)
         validate_function(version.ir)
 
-
-class TestCodegenEquivalence:
-    @RELAXED
-    @given(fn=kernels(), env=kernel_inputs())
-    def test_codegen_matches_interpreter_values_and_cycles(self, fn, env):
-        exe_fast = compile_function(fn, SPARC2)
-        exe_slow = compile_function(fn, SPARC2)
-        # closures are built on first use: build them now, then drop the
-        # generated block functions to force the closure-interpreter path
-        exe_slow.build_closures()
-        for blk in exe_slow.blocks.values():
-            blk.fastrun = None
-
-        def run(exe):
-            e = {
-                k: (v.copy() if isinstance(v, np.ndarray) else v)
-                for k, v in env.items()
-            }
-            ex = Executor(SPARC2)
-            res = ex.run(exe, e, count_blocks=True)
-            return res, e
-
-        fast, env_fast = run(exe_fast)
-        slow, env_slow = run(exe_slow)
-        assert all(blk.fastrun is None for blk in exe_slow.blocks.values())
-        assert any(blk.fastrun is not None for blk in exe_fast.blocks.values())
-        assert fast.return_value == slow.return_value
-        assert fast.cycles == pytest.approx(slow.cycles)
-        assert fast.mem_cycles == pytest.approx(slow.mem_cycles)
-        assert fast.block_counts == slow.block_counts
-        np.testing.assert_array_equal(env_fast["a"], env_slow["a"])
-        np.testing.assert_array_equal(env_fast["b"], env_slow["b"])

@@ -256,24 +256,26 @@ class TestClosures:
         exe = compile_function(saxpy_fn(), SPARC2)
         blocks = exe.blocks.values()
         assert all(b.steps is None and b.term is None for b in blocks)
-        assert all(b.fastrun is None for b in blocks)
         res0, _, _ = run_saxpy()
         ex = Executor(SPARC2)
         env = {"n": 8, "a": 2.0, "x": np.arange(8, dtype=float), "y": np.ones(8)}
         assert ex.run(exe, env).cycles == res0.cycles
-        assert all(b.term is not None and b.fastrun is not None for b in blocks)
+        assert all(b.term is not None for b in blocks)
         assert all(len(b.steps) == len(exe.source.cfg.blocks[b.label].stmts)
                    for b in blocks)
 
     def test_built_once(self):
         exe = compile_function(saxpy_fn(), SPARC2)
         exe.build_closures()
-        fastruns = [b.fastrun for b in exe.blocks.values()]
+        closures = [(b.steps, b.term) for b in exe.blocks.values()]
         exe.build_closures()
         Executor(SPARC2).run(
             exe, {"n": 4, "a": 1.0, "x": np.zeros(4), "y": np.zeros(4)}
         )
-        assert [b.fastrun for b in exe.blocks.values()] == fastruns
+        assert all(
+            b.steps is steps and b.term is term
+            for b, (steps, term) in zip(exe.blocks.values(), closures)
+        )
 
     def test_compile_records_dispatch_facts_from_the_ir(self):
         cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)

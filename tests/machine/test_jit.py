@@ -6,11 +6,17 @@ use, chain layout, engagement on the paper's kernels, code caching,
 digests, the window predicate, tier selection.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.compiler.options import OptConfig
 from repro.compiler.pipeline import compile_version
+from repro.core.engine import EngineSpec
+from repro.core.peak import PeakTuner, evaluate_speedup, measure_whole_program
+from repro.experiments.figure7 import figure7_experiment, methods_for
 from repro.ir import ArrayRef, FunctionBuilder, Type, Var
 from repro.ir.block import BasicBlock
 from repro.ir.stmt import Assign, CondBranch, Return
@@ -28,6 +34,8 @@ from repro.machine import (
     global_executable_cache,
 )
 from repro.machine.jit import WholeFunction, _chain_heads
+from repro.machine.profiler import profile_tuning_section
+from repro.runtime.instrument import TimedExecutor
 from repro.store import Store
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
@@ -68,6 +76,25 @@ class TestTierSelection:
     def test_exec_tiers_constant(self):
         assert EXEC_TIERS == (0, 1)
 
+    def test_every_entry_point_defaults_to_tier_1(self):
+        """Tier 1 is the default everywhere; Tier 0 only on request."""
+        entry_points = {
+            create_executor: "tier",
+            TimedExecutor.__init__: "exec_tier",
+            profile_tuning_section: "exec_tier",
+            methods_for: "exec_tier",
+            figure7_experiment: "exec_tier",
+            PeakTuner.__init__: "exec_tier",
+            measure_whole_program: "exec_tier",
+            evaluate_speedup: "exec_tier",
+            EngineSpec: "exec_tier",
+        }
+        for fn, param in entry_points.items():
+            assert inspect.signature(fn).parameters[param].default == 1, fn
+        parser = build_parser()
+        assert parser.parse_args(["tune", "swim"]).exec_tier == 1
+        assert parser.parse_args(["fig7"]).exec_tier == 1
+
     def test_default_code_cache_is_global(self):
         ex = TieredExecutor(SPARC2)
         assert ex.code_cache is global_executable_cache()
@@ -83,7 +110,7 @@ class TestWholeFunctionCompilation:
         assert ex.interpreted_blocks == 0
         # no Tier-0 closures: only the dispatch loop needs them
         assert not exe._closures
-        assert all(b.fastrun is None for b in exe.blocks.values())
+        assert all(b.steps is None and b.term is None for b in exe.blocks.values())
         # the loop header heads its own chain, which runs as a while loop
         assert exe._jit_fn.heads == ("entry", "loop_header1")
         src = exe._jit_fn.source(counting=False, windowed=False)
