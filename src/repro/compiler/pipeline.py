@@ -33,6 +33,7 @@ identity memo shared by the whole process, so each program is hashed once.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 from ..analysis.manager import AnalysisManager
 from ..ir.function import Function, Program
@@ -62,6 +63,7 @@ __all__ = [
     "program_digest",
     "run_passes",
     "version_key",
+    "version_keyer",
     "PASS_ORDER",
 ]
 
@@ -325,17 +327,38 @@ def version_key(
     ``checked`` flag.  Two calls with equal keys produce behaviourally
     identical versions.
     """
-    h = hashlib.sha256()
-    h.update(str(fn).encode())
-    h.update(b"\x00")
-    h.update("\x1f".join(config.key()).encode())
-    h.update(b"\x00")
-    h.update(repr(machine).encode())
-    h.update(b"\x00")
-    h.update(program_digest(program).encode())
-    h.update(b"\x00")
-    h.update(b"1" if checked else b"0")
-    return h.hexdigest()
+    return version_keyer(fn, machine, program=program, checked=checked)(config)
+
+
+def version_keyer(
+    fn: Function,
+    machine: MachineConfig,
+    *,
+    program: Program | None = None,
+    checked: bool = True,
+) -> Callable[[OptConfig], str]:
+    """:func:`version_key` of *fn*, *machine*, *program* and *checked* as a
+    function of the configuration.
+
+    The rendered IR, the machine and the program digest are rendered and
+    hashed once, here, so neither *fn* nor *program* may change while the
+    function is in use (a rating context holds one per tuning section).
+    """
+    head = hashlib.sha256()
+    head.update(str(fn).encode())
+    head.update(b"\x00")
+    tail = b"\x00".join((
+        b"", repr(machine).encode(), program_digest(program).encode(),
+        b"1" if checked else b"0",
+    ))
+
+    def key(config: OptConfig) -> str:
+        h = head.copy()
+        h.update("\x1f".join(config.key()).encode())
+        h.update(tail)
+        return h.hexdigest()
+
+    return key
 
 
 def compile_version(

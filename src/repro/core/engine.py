@@ -55,11 +55,12 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from ..compiler.options import OptConfig
-from ..compiler.pipeline import compile_version, version_key
+from ..compiler.pipeline import compile_version, version_keyer
 from ..compiler.prefix import PREFIX_CACHE_MAX, PrefixStats
 from ..compiler.version import Version
 from ..machine.config import MachineConfig
@@ -168,6 +169,10 @@ class _WorkerContext:
         #: scalars, array shapes and entry machine state; like the run
         #: memo, per context.  None simulates every invocation.
         self.replay_memo: Store | None = Store(REPLAY_MEMO_MAX)
+        #: the version-store key of a configuration, per TS variant (True:
+        #: the instrumented TS); see :func:`version_keyer`.  Tasks that race
+        #: on a variant build equal key functions.
+        self.version_keys: dict[bool, Callable[[OptConfig], str]] = {}
 
     @cached_property
     def save_plan(self) -> SaveRestorePlan:
@@ -307,12 +312,12 @@ class _TaskRater:
 
         if ctx.cache is None:
             return build()
-        version, hit = ctx.cache.get_or_build(
-            version_key(
-                fn, config, spec.machine, program=ctx.workload.program, checked=False
-            ),
-            build,
-        )
+        key_of = ctx.version_keys.get(instrumented)
+        if key_of is None:
+            key_of = ctx.version_keys[instrumented] = version_keyer(
+                fn, spec.machine, program=ctx.workload.program, checked=False
+            )
+        version, hit = ctx.cache.get_or_build(key_of(config), build)
         self.ledger.record_cache(int(hit), int(not hit))
         return version
 

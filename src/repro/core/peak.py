@@ -47,6 +47,7 @@ from ..workloads.base import Workload
 from .engine import BatchRatingEngine, EngineSpec, SerialRatingEngine
 from .rating.base import RatingSettings
 from .rating.consultant import RatingPlan, consult
+from .rating.feed import InputReplay
 from .search.base import SearchAlgorithm, SearchResult
 from .search.iterative_elimination import IterativeElimination
 
@@ -286,28 +287,44 @@ def measure_whole_program(
     runs: int = 3,
     seed: int = 1234,
     exec_tier: int = 1,
+    inputs: InputReplay | None = None,
 ) -> float:
     """Mean whole-program time (cycles) of *config* on *dataset*.
 
-    Invocations of a data-oblivious version are replayed from a store that
-    lives for this call (nothing reads what they write: every invocation
-    gets fresh float arrays from :meth:`Dataset.env`).
+    Every run replays the same input file.  When the version's invocations
+    can be replayed (it is data-oblivious), they come from *inputs*, the
+    :class:`~repro.core.rating.feed.InputReplay` of the dataset and *seed*
+    (built here by default), as handles, and are replayed from a store
+    that lives for this call: a replayed invocation builds no env, and
+    nothing reads what one writes, since every hand-out gets fresh arrays.
+    Every other invocation is simulated on inputs generated afresh by
+    :meth:`Dataset.env`, so no input file is kept for it (nor when the
+    replay is live).
     """
     version = compile_version(
         workload.ts, config, machine, program=workload.program
     )
     ds = workload.dataset(dataset)
+    if inputs is None:
+        inputs = InputReplay(ds.generator, ds.n_invocations, seed)
+    elif (inputs.generator, inputs.n_per_run, inputs.seed) != (
+        ds.generator, ds.n_invocations, seed
+    ):
+        raise ValueError("the replay belongs to a different dataset or seed")
     executor = create_executor(machine, exec_tier)
-    replay = Store(REPLAY_MEMO_MAX)
+    exe, factors = version.exe, version.factors
+    replay = (
+        Store(REPLAY_MEMO_MAX)
+        if executor.replayable(exe) and not inputs.live
+        else None
+    )
     totals = []
     for r in range(runs):
         rng = np.random.default_rng(seed)  # same input file every run
         total = ds.non_ts_cycles
         for i in range(ds.n_invocations):
-            env = ds.env(rng, i)
-            total += executor.run(
-                version.exe, env, factors=version.factors, replay=replay
-            ).cycles
+            env = ds.env(rng, i) if replay is None else inputs.inputs(i)
+            total += executor.run(exe, env, factors=factors, replay=replay).cycles
         totals.append(total)
     return float(np.mean(totals))
 
@@ -330,13 +347,19 @@ def evaluate_speedup(
 
     *measured*, when given, memoizes whole-program times by configuration
     key; the caller keeps one per (workload, machine, dataset, runs, seed),
-    so each configuration is measured once.
+    so each configuration is measured once.  Both measurements share one
+    :class:`~repro.core.rating.feed.InputReplay`, which lives for this
+    call.
     """
+    ds = workload.dataset(dataset)
+    inputs = InputReplay(ds.generator, ds.n_invocations, seed)
+
     def measure(config: OptConfig) -> float:
         if measured is not None and config.key() in measured:
             return measured[config.key()]
         t = measure_whole_program(workload, config, machine, dataset,
-                                  runs=runs, seed=seed, exec_tier=exec_tier)
+                                  runs=runs, seed=seed, exec_tier=exec_tier,
+                                  inputs=inputs)
         if measured is not None:
             measured[config.key()] = t
         return t

@@ -24,8 +24,15 @@ is built on first access, so an invocation the machine replays builds
 none, and :meth:`InputReplay.peek` reads a position's values (CBR's
 context) without building one.  An env is a fresh copy, so a rating that
 mutates its arrays (every TS writes some) never changes a later run's
-inputs.  The copies follow what the generator's own output does, bound as
-the machine binds inputs (:func:`~repro.machine.executor.unbox`):
+inputs.  It follows that, unless the replay is live, a fresh hand-out of
+a position (:meth:`~repro.machine.executor.Inputs.fresh`) equals an env
+of that position that was written and then restored.  RBR relies on
+this: when its plan has no inspector arrays and both versions may be
+replayed, each of its three runs gets its own hand-out instead of one env
+that it saves and restores (:mod:`repro.core.rating.rbr`), so a run that
+is replayed copies nothing.  The copies follow what the generator's own
+output does, bound as the machine binds inputs
+(:func:`~repro.machine.executor.unbox`):
 
 * a 1-D ``float64`` array is handed out as a list of floats
   (``ndarray.tolist``); the pristine copy stays numpy, which holds a run's

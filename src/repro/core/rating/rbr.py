@@ -93,9 +93,18 @@ class ReExecutionRating:
     ) -> float | None:
         """One A/B re-execution; returns the ratio or None if degenerate.
 
-        Save, restore and the inspector work on the env of *inputs*; the
-        three runs get *inputs* itself, so a timed run the machine replays
-        derives no replay key.
+        When both versions may be replayed (:meth:`TimedExecutor.replays`:
+        a replay store and data-oblivious versions), *inputs* is a position
+        of a replay that is not live (:meth:`Inputs.fresh`) and the plan has
+        no inspector arrays, the improved method copies nothing: a fresh
+        hand-out of the position equals the restored env, so each of the
+        three runs gets its own handle, whose env is built only if that run
+        is simulated, and save and restore charge the cycles of the copies
+        they stand for (:meth:`SaveRestorePlan.copy_cycles`), in the same
+        order.  Otherwise save, restore and the inspector work on the env
+        of *inputs*, and the three runs get *inputs* itself.  (Three fresh
+        envs cost more than one env and its restores when the runs are
+        simulated.)
 
         A non-positive measured time (noise can drive a tiny measurement
         to or below zero) yields no meaningful ratio — returning ``inf``
@@ -103,7 +112,6 @@ class ReExecutionRating:
         sample and accounts it as ``degenerate_samples``.
         """
         ledger = self.timed.ledger
-        env = env_of(inputs)
         if self.improved:
             # Fig. 4: 1. swap  2. save  3. precondition  4. restore
             #         5. time A  6. restore  7. time B
@@ -111,26 +119,48 @@ class ReExecutionRating:
             first, second = (
                 (experimental, base) if self._swap else (base, experimental)
             )
-            snap = self.plan.save(env, ledger)
-            before = {
-                name: copy_array(env[name]) for name in self.plan.inspector_arrays
-            }
-            # the inspector diffs what the precondition run wrote
-            pre = self.timed.run_untimed(
-                base, inputs, reads_writes=bool(self.plan.inspector_arrays)
+            again = (
+                inputs.fresh()
+                if type(inputs) is Inputs
+                and not self.plan.inspector_arrays
+                and self.timed.replays(base)
+                and self.timed.replays(experimental)
+                else None
             )
-            ledger.charge("precondition", pre.cycles)
-            self.plan.observe_writes(before, env, snap, ledger)
-            self.plan.restore(env, snap, ledger)
-            t_first = self.timed.invoke(first, inputs).measured_cycles
-            self.plan.restore(env, snap, ledger)
-            t_second = self.timed.invoke(second, inputs).measured_cycles
+            if again is not None:
+                copy_cycles = self.plan.copy_cycles(inputs.facts)
+                ledger.charge("save_restore", copy_cycles)
+                pre = self.timed.run_untimed(base, inputs)
+                ledger.charge("precondition", pre.cycles)
+                ledger.charge("save_restore", 0.0)  # no inspector writes
+                ledger.charge("save_restore", copy_cycles)
+                t_first = self.timed.invoke(first, again).measured_cycles
+                ledger.charge("save_restore", copy_cycles)
+                t_second = self.timed.invoke(second, inputs.fresh()).measured_cycles
+            else:
+                env = env_of(inputs)
+                snap = self.plan.save(env, ledger)
+                before = {
+                    name: copy_array(env[name])
+                    for name in self.plan.inspector_arrays
+                }
+                # the inspector diffs what the precondition run wrote
+                pre = self.timed.run_untimed(
+                    base, inputs, reads_writes=bool(self.plan.inspector_arrays)
+                )
+                ledger.charge("precondition", pre.cycles)
+                self.plan.observe_writes(before, env, snap, ledger)
+                self.plan.restore(env, snap, ledger)
+                t_first = self.timed.invoke(first, inputs).measured_cycles
+                self.plan.restore(env, snap, ledger)
+                t_second = self.timed.invoke(second, inputs).measured_cycles
             if self._swap:
                 t_exp, t_base = t_first, t_second
             else:
                 t_base, t_exp = t_first, t_second
         else:
             # Fig. 3: save, time base, restore, time experimental
+            env = env_of(inputs)
             snap = self.plan.save(env, ledger)
             t_base = self.timed.invoke(base, inputs).measured_cycles
             self.plan.restore(env, snap, ledger)

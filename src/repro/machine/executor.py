@@ -450,12 +450,25 @@ def compile_function(
 
 @dataclass(frozen=True)
 class CostFactors:
-    """Version-level dynamic cost multipliers set by the flag effect model."""
+    """Version-level dynamic cost multipliers set by the flag effect model.
+
+    Its hash is computed once, at construction (it keys every replay
+    lookup); a pickled copy computes its own.
+    """
 
     mem: float = 1.0
     branch: float = 1.0
 
     IDENTITY: "CostFactors" = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.mem, self.branch, self.IDENTITY)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CostFactors, (self.mem, self.branch, self.IDENTITY)
 
 
 CostFactors.IDENTITY = CostFactors()
@@ -482,6 +495,10 @@ class MachineState:
     can key a memo.  Equality and the hash cover only what decides the
     cycles of later runs; the counters are statistics and compare equal
     whatever their values.
+
+    The hash is computed once, at construction (a state keys every replay
+    lookup).  It covers the predictor's keys, strings whose hashes differ
+    between processes, so a pickled state computes its own when loaded.
     """
 
     ways: bytes
@@ -490,6 +507,20 @@ class MachineState:
     branch_taken: bytes
     hits: int = field(compare=False)
     misses: int = field(compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.ways, self.lines, self.branch_keys, self.branch_taken)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return MachineState, (
+            self.ways, self.lines, self.branch_keys, self.branch_taken,
+            self.hits, self.misses,
+        )
 
 
 #: invocations a replay store holds (a rating operation records at most a
@@ -653,6 +684,16 @@ class Inputs:
         env = self._env
         return env if env is not None else self._source.peek(self._pos)
 
+    def fresh(self) -> "Inputs | None":
+        """Another hand-out of the same position, its env not built yet, or
+        None when these inputs came with their env (a live replay's).
+
+        Its env equals this one's before any run wrote to it, so it stands
+        in for a restore of every input."""
+        if self._source is None:
+            return None
+        return Inputs(self.facts, None, self._source, self._pos)
+
 
 def env_of(inputs: "Inputs | dict") -> dict:
     """The environment of *inputs*, a handle or a plain env."""
@@ -725,6 +766,11 @@ class Executor:
         self.branch_state.clear()
         self.branch_state.update(zip(state.branch_keys, map(bool, state.branch_taken)))
 
+    def replayable(self, exe: ExecutableFunction) -> bool:
+        """Whether :meth:`run` with a replay store may replay invocations of
+        *exe* (it is data-oblivious) rather than simulate them."""
+        return oblivious_reason(exe, self._verdicts) is None
+
     def _address_map(self, env: dict[str, object], shape: tuple | None = None) -> AddressMap:
         # a dataset whose invocations all bind same-shaped arrays builds one
         # map
@@ -775,7 +821,7 @@ class Executor:
         if (
             replay is not None
             and facts.key is not None
-            and oblivious_reason(exe, self._verdicts) is None
+            and self.replayable(exe)
         ):
             entry = self._known
             if entry is None:

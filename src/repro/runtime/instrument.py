@@ -127,6 +127,11 @@ class TimedExecutor:
             return_value=res.return_value,
         )
 
+    def replays(self, version: Version) -> bool:
+        """Whether invocations of *version* may be replayed from the replay
+        store rather than simulated."""
+        return self.replay is not None and self.executor.replayable(version.exe)
+
     def run_untimed(
         self,
         version: Version,

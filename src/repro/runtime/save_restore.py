@@ -21,6 +21,11 @@ Arrays come in the machine's representations (see
 saved as a list slice, any other array is an ndarray and is saved as an
 ndarray copy.  Restores write back in place (``array[:] = saved``; the
 inspector's sparse restore loops over the recorded indices of a list).
+
+:meth:`SaveRestorePlan.copy_cycles` prices a save, and a restore without
+inspector arrays, from an input position's facts alone, for a rater that
+copies nothing because each of its runs gets a fresh hand-out of the
+position instead (see :mod:`repro.core.rating.rbr`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from ..analysis.liveness import modified_input_set
 from ..ir.function import Function
 from ..ir.types import is_array
 from ..machine.config import MachineConfig
+from ..machine.executor import InputFacts
 from .ledger import TuningLedger
 
 __all__ = ["SaveRestorePlan", "Snapshot", "copy_array"]
@@ -97,6 +103,9 @@ class SaveRestorePlan:
         self.full_arrays = tuple(n for n in array_names if n not in irregular)
         self.inspector_arrays = tuple(n for n in array_names if n in irregular)
         self._copy_unit = machine.spill_store_cycles + machine.spill_load_cycles
+        #: id(shape) -> (shape, elements copied) (see :meth:`copy_cycles`);
+        #: threads that share the plan and race on a shape store equal entries
+        self._elements: dict[int, tuple[tuple, int]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -114,6 +123,20 @@ class SaveRestorePlan:
         if ledger is not None:
             ledger.charge("save_restore", cycles)
         return snap
+
+    def copy_cycles(self, facts: InputFacts) -> float:
+        """The cycles :meth:`save` charges on inputs with *facts*, which each
+        :meth:`restore` charges too when the plan has no inspector arrays:
+        every saved scalar, and every element of a full array, copied once.
+        """
+        shape = facts.shape
+        # the entry holds the shape, so its id is not reused while it lives
+        hit = self._elements.get(id(shape))
+        if hit is None or hit[0] is not shape:
+            length = dict(zip(shape[0], shape[1]))
+            n = len(self.scalar_names) + sum(length[a] for a in self.full_arrays)
+            hit = self._elements[id(shape)] = (shape, n)
+        return hit[1] * self._copy_unit
 
     def observe_writes(
         self,

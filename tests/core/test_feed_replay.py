@@ -352,6 +352,36 @@ class TestInputsHandles:
         assert store.hits > 0
         assert len(built) == store.misses
 
+    def test_an_rbr_invocation_whose_runs_all_hit_builds_no_env(self, monkeypatch):
+        from tests.core.test_rating_fixes import scaled_kernel, two_context_gen
+
+        fn = scaled_kernel()
+        v = compile_version(fn, OptConfig.o3(), SPARC2)
+        replay = InputReplay(two_context_gen, 7, seed=5)
+        built = []
+        env = replay.env
+        monkeypatch.setattr(replay, "env", lambda pos: built.append(pos) or env(pos))
+        ledger = TuningLedger()
+        feed = InvocationFeed(two_context_gen, 7, 0.0, ledger, seed=5, replay=replay)
+        store = Store()
+        timed = TimedExecutor(SPARC2, seed=0, ledger=ledger, exec_tier=1, replay=store)
+        plan = SaveRestorePlan(fn, SPARC2)
+        assert plan.full_arrays and not plan.inspector_arrays
+        rater = ReExecutionRating(
+            plan, RatingSettings(window=12, max_invocations=200), timed
+        )
+        rater.rate_pair(v, v, feed)
+        runs = []
+        for _ in range(14):
+            before = len(built), store.hits, store.misses
+            rater._one_invocation(v, v, feed.next_env())
+            runs.append((len(built) - before[0], store.hits - before[1],
+                         store.misses - before[2]))
+        # precondition and both timed runs replayed: no env, no copy
+        assert (0, 3, 0) in runs
+        # each simulated run built its own env, nothing else built one
+        assert len(built) == store.misses > 0
+
     def test_names_and_key_follow_the_env(self):
         facts = input_facts({"n": 3, "s": -0.0, "a": [1.0], "b": [1.0]}, {})
         assert facts.names == {"n", "s", "a", "b"}
