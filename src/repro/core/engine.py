@@ -165,10 +165,14 @@ class _WorkerContext:
         #: machine state; it lives as long as the context (one tune, or one
         #: worker), never process-wide
         self.run_memo = Store(RUN_MEMO_MAX)
-        #: invocations of data-oblivious versions by executable, factors,
-        #: scalars, array shapes and entry machine state; like the run
-        #: memo, per context.  None simulates every invocation.
-        self.replay_memo: Store | None = Store(REPLAY_MEMO_MAX)
+        #: invocations by executable, factors, inputs (scalars and array
+        #: shapes for data-oblivious versions, the input position for RBR's
+        #: re-executions) and entry machine state; like the run memo, per
+        #: context, and large enough for one program run of RBR records
+        #: (three runs per position).  None simulates every invocation.
+        self.replay_memo: Store | None = Store(
+            max(REPLAY_MEMO_MAX, 4 * self.ds.n_invocations)
+        )
         #: the version-store key of a configuration, per TS variant (True:
         #: the instrumented TS); see :func:`version_keyer`.  Tasks that race
         #: on a variant build equal key functions.

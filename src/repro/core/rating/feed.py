@@ -27,10 +27,13 @@ mutates its arrays (every TS writes some) never changes a later run's
 inputs.  It follows that, unless the replay is live, a fresh hand-out of
 a position (:meth:`~repro.machine.executor.Inputs.fresh`) equals an env
 of that position that was written and then restored.  RBR relies on
-this: when its plan has no inspector arrays and both versions may be
-replayed, each of its three runs gets its own hand-out instead of one env
-that it saves and restores (:mod:`repro.core.rating.rbr`), so a run that
-is replayed copies nothing.  The copies follow what the generator's own
+this: when its executor has a replay store and its plan has no inspector
+arrays, each of its three runs gets its own hand-out instead of one env
+that it saves and restores (:mod:`repro.core.rating.rbr`).  Until its env
+is built, such a hand-out holds exactly the position's contents, so the
+store keys its runs by position, for versions that are not data-oblivious
+too (:meth:`~repro.machine.executor.Executor.run`), and a run that is
+replayed copies nothing.  The copies follow what the generator's own
 output does, bound as the machine binds inputs
 (:func:`~repro.machine.executor.unbox`):
 

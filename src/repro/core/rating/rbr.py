@@ -93,18 +93,18 @@ class ReExecutionRating:
     ) -> float | None:
         """One A/B re-execution; returns the ratio or None if degenerate.
 
-        When both versions may be replayed (:meth:`TimedExecutor.replays`:
-        a replay store and data-oblivious versions), *inputs* is a position
-        of a replay that is not live (:meth:`Inputs.fresh`) and the plan has
-        no inspector arrays, the improved method copies nothing: a fresh
+        When the executor has a replay store, *inputs* is a position of a
+        replay that is not live (:meth:`Inputs.fresh`) and the plan has no
+        inspector arrays, the improved method copies nothing: a fresh
         hand-out of the position equals the restored env, so each of the
         three runs gets its own handle, whose env is built only if that run
         is simulated, and save and restore charge the cycles of the copies
         they stand for (:meth:`SaveRestorePlan.copy_cycles`), in the same
-        order.  Otherwise save, restore and the inspector work on the env
-        of *inputs*, and the three runs get *inputs* itself.  (Three fresh
-        envs cost more than one env and its restores when the runs are
-        simulated.)
+        order.  The store then replays a run that repeats an earlier one
+        (same executable content, factors, position and entry machine
+        state), whether or not the version is data-oblivious.  Otherwise
+        save, restore and the inspector work on the env of *inputs*, and
+        the three runs get *inputs* itself.
 
         A non-positive measured time (noise can drive a tiny measurement
         to or below zero) yields no meaningful ratio — returning ``inf``
@@ -123,18 +123,17 @@ class ReExecutionRating:
                 inputs.fresh()
                 if type(inputs) is Inputs
                 and not self.plan.inspector_arrays
-                and self.timed.replays(base)
-                and self.timed.replays(experimental)
+                and self.timed.replay is not None
                 else None
             )
             if again is not None:
                 copy_cycles = self.plan.copy_cycles(inputs.facts)
                 ledger.charge("save_restore", copy_cycles)
-                pre = self.timed.run_untimed(base, inputs)
+                pre = self.timed.run_untimed(base, again)
                 ledger.charge("precondition", pre.cycles)
                 ledger.charge("save_restore", 0.0)  # no inspector writes
                 ledger.charge("save_restore", copy_cycles)
-                t_first = self.timed.invoke(first, again).measured_cycles
+                t_first = self.timed.invoke(first, inputs.fresh()).measured_cycles
                 ledger.charge("save_restore", copy_cycles)
                 t_second = self.timed.invoke(second, inputs.fresh()).measured_cycles
             else:

@@ -10,9 +10,6 @@ exceeds the cache (EQUAKE's irregular accesses).
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain, compress
-
 __all__ = ["CacheSim", "AddressMap"]
 
 
@@ -110,57 +107,31 @@ class CacheSim:
         if self._direct is not None:
             self._direct = [None] * self.n_sets
 
-    def contents(self) -> tuple[bytes, bytes]:
-        """The resident lines as ``(ways, lines)``: per set (direct-mapped
-        slot), the number of resident lines, and every resident line index
-        as int64 bytes, set by set, each set least recently used first.
-        :meth:`restore` puts them back."""
+    def contents(self) -> tuple:
+        """The resident lines, as :meth:`restore` takes them: the slots
+        (None: empty) when direct-mapped, else one tuple of line indices
+        per set, least recently used first."""
         direct = self._direct
         if direct is not None:
-            ways = bytes(line is not None for line in direct)
-            return ways, array("q", compress(direct, ways)).tobytes()
-        sets = self._sets
-        return bytes(map(len, sets)), array("q", chain.from_iterable(sets)).tobytes()
+            return tuple(direct)
+        return tuple(map(tuple, self._sets))
 
-    def restore(self, ways: bytes, lines: bytes) -> None:
+    def restore(self, lines: tuple) -> None:
         """Make the resident lines what :meth:`contents` returned.
 
         In place, like :meth:`flush`: compiled code may hold the way
         lists, the slot array and the MRU table.
         """
-        resident = self._unpack(ways, lines)
         if self._direct is not None:
-            self._direct[:] = resident
+            self._direct[:] = lines
             return
-        for set_ways, now in zip(self._sets, resident):
+        for set_ways, now in zip(self._sets, lines):
             set_ways[:] = now
         self._mru[:] = [w[-1] if w else None for w in self._sets]
 
-    def _unpack(self, ways: bytes, lines: bytes) -> list:
-        """:meth:`contents` as slots (direct-mapped) or way lists."""
-        resident = array("q", lines).tolist()
-        if self._direct is not None:
-            it = iter(resident)
-            return [next(it) if w else None for w in ways]
-        out = []
-        at = 0
-        for w in ways:
-            out.append(resident[at:at + w])
-            at += w
-        return out
-
-    def changes_since(self, ways: bytes, lines: bytes) -> tuple:
-        """What turns a cache whose :meth:`contents` were ``(ways, lines)``
-        into this one: ``(set, lines)`` for every set that differs, as
-        :meth:`apply_changes` takes them."""
-        then = self._unpack(ways, lines)
-        if self._direct is not None:
-            now = self._direct
-            return tuple((s, x) for s, (a, x) in enumerate(zip(then, now)) if a != x)
-        return tuple((s, tuple(x)) for s, (a, x) in enumerate(zip(then, self._sets)) if a != x)
-
     def apply_changes(self, changes: tuple) -> None:
-        """Apply :meth:`changes_since`'s changes, in place."""
+        """Set each ``(set, lines)`` of *changes*, in place: *lines* are
+        that set's entry of :meth:`contents`."""
         direct = self._direct
         if direct is not None:
             for s, line in changes:

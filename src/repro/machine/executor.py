@@ -38,6 +38,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import is_not
 from typing import AbstractSet as Set, Callable, Mapping
 
 import numpy as np
@@ -64,6 +66,7 @@ __all__ = [
     "REPLAY_MEMO_MAX",
     "compile_function",
     "env_of",
+    "executable_digest",
     "input_facts",
     "ExecutionError",
     "RUNTIME_ERRORS",
@@ -313,6 +316,10 @@ class ExecutableFunction:
     _ir_digest: bytes | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: ``(machine, executable_digest(self, machine))`` once computed
+    _digest: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: whether the blocks' closures are built
     _closures: bool = field(default=False, init=False, repr=False, compare=False)
     #: ``param_names`` as a set (the parameter check of :meth:`Executor.run`)
@@ -369,6 +376,34 @@ class ExecutableFunction:
             cb.steps = [_compile_stmt(s, types) for s in blk.stmts]
             cb.term = _compile_terminator(blk.terminator, types)
         self._closures = True
+
+
+def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
+    """Digest of everything that decides one compiled function's timing.
+
+    Covers the rendered IR, every per-block static cost (the channel
+    through which the optimizing compiler's effect model differentiates
+    versions of identical IR), and the machine — mirroring the compiler
+    pipeline's ``version_key``.  It keys whole-program run memos and
+    invocation replays; the generated code is keyed without the costs
+    (:func:`~repro.machine.jit.code_key`).  Runtime inputs (cost factors,
+    cache and predictor state) are not part of it, nor are callees.
+    Memoized on *exe* for the last machine asked.
+    """
+    memo = exe._digest
+    if memo is not None and memo[0] is machine:
+        return memo[1]
+    h = hashlib.sha256(exe.ir_digest())
+    h.update(b"\x00")
+    h.update(repr(machine).encode())
+    for label in sorted(exe.blocks):
+        blk = exe.blocks[label]
+        h.update(
+            f"\x1f{label}\x1e{blk.compute_cycles!r}\x1e{blk.spill_cycles!r}".encode()
+        )
+    digest = h.hexdigest()
+    exe._digest = (machine, digest)
+    return digest
 
 
 def _compile_terminator(term, types):
@@ -489,9 +524,10 @@ class InvocationResult:
 class MachineState:
     """What runs leave behind in the simulated machine, as one value.
 
-    The cache's resident lines (:meth:`CacheSim.contents`), the branch
-    predictor table as its keys in table order and their directions, and
-    the cache's hit and miss counters.  Immutable and hashable, so a state
+    The cache's resident lines (:meth:`CacheSim.contents`: per-set tuples,
+    or one slot tuple when direct-mapped), the branch predictor table as
+    its keys in table order and their directions, and the cache's hit and
+    miss counters.  Immutable and hashable, so a state
     can key a memo.  Equality and the hash cover only what decides the
     cycles of later runs; the counters are statistics and compare equal
     whatever their values.
@@ -501,8 +537,7 @@ class MachineState:
     between processes, so a pickled state computes its own when loaded.
     """
 
-    ways: bytes
-    lines: bytes
+    lines: tuple
     branch_keys: tuple[tuple[str, str], ...]
     branch_taken: bytes
     hits: int = field(compare=False)
@@ -510,7 +545,7 @@ class MachineState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(
-            (self.ways, self.lines, self.branch_keys, self.branch_taken)
+            (self.lines, self.branch_keys, self.branch_taken)
         ))
 
     def __hash__(self) -> int:
@@ -518,13 +553,14 @@ class MachineState:
 
     def __reduce__(self):
         return MachineState, (
-            self.ways, self.lines, self.branch_keys, self.branch_taken,
-            self.hits, self.misses,
+            self.lines, self.branch_keys, self.branch_taken, self.hits, self.misses,
         )
 
 
-#: invocations a replay store holds (a rating operation records at most a
-#: few hundred: mgrid's 38-flag WHL tune records 517)
+#: invocations a replay store holds at least.  A store keeps the most
+#: recent records: mgrid's 38-flag WHL tune records 517 invocations, but
+#: gzip's RBR tune records about 13 000, so a rating context sizes its
+#: store to hold at least one program run of RBR records as well.
 REPLAY_MEMO_MAX = 1024
 
 #: scalar types a replay key holds exactly (floats are keyed by their bits)
@@ -532,11 +568,12 @@ _EXACT_SCALARS = (int, bool, np.integer)
 _FLOAT_SCALARS = (float, np.float64)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Replay:
     """One recorded invocation of *exe* on *machine*: its result, the
-    machine state it left (None: the one it found) with the cache sets and
-    predictor entries it changed, and its cache counter increments."""
+    machine state it left (None: the one it found), its cache counter
+    increments and, once it was replayed, the cache sets and predictor
+    entries it changed (:func:`_changes`)."""
 
     exe: ExecutableFunction
     machine: MachineConfig
@@ -546,10 +583,26 @@ class _Replay:
     counts: dict[str, int] | None
     return_value: object
     exit: MachineState | None
-    lines: tuple | None
-    branches: tuple | None
     hits: int
     misses: int
+    changes: tuple | None = None
+
+
+def _changes(entry: MachineState, exit: MachineState) -> tuple:
+    """What turns a machine in *entry* into one in *exit*: ``(set, lines)``
+    for every cache set that differs, as :meth:`CacheSim.apply_changes`
+    takes them, and the predictor entries that differ."""
+    then, now = entry.lines, exit.lines
+    # a slot the run left alone holds the same object in both states
+    lines = tuple(
+        (s, now[s]) for s in compress(count(), map(is_not, then, now)) if then[s] != now[s]
+    )
+    before = dict(zip(entry.branch_keys, entry.branch_taken))
+    branches = tuple(
+        (k, bool(t)) for k, t in zip(exit.branch_keys, exit.branch_taken)
+        if before.get(k) != t
+    )
+    return lines, branches
 
 
 def _layout_of(names: tuple[str, ...], types: tuple[type, ...]) -> tuple:
@@ -656,7 +709,7 @@ class Inputs:
     :meth:`Executor.run` takes an ``Inputs`` or a plain env.
     """
 
-    __slots__ = ("facts", "_env", "_source", "_pos")
+    __slots__ = ("facts", "_env", "_source", "_pos", "_rerun")
 
     def __init__(
         self,
@@ -669,6 +722,8 @@ class Inputs:
         self._env = env
         self._source = source
         self._pos = pos
+        #: made by :meth:`fresh`: a replay store may key its runs by position
+        self._rerun = False
 
     @property
     def env(self) -> dict:
@@ -685,14 +740,27 @@ class Inputs:
         return env if env is not None else self._source.peek(self._pos)
 
     def fresh(self) -> "Inputs | None":
-        """Another hand-out of the same position, its env not built yet, or
-        None when these inputs came with their env (a live replay's).
+        """Another hand-out of the same position for a re-execution, its env
+        not built yet, or None when these inputs came with their env (a
+        live replay's).
 
         Its env equals this one's before any run wrote to it, so it stands
-        in for a restore of every input."""
+        in for a restore of every input.  Until its env is built, its
+        contents are exactly the position's, so :meth:`Executor.run` may
+        key a run on it by ``(source, pos)`` (:meth:`position`), also for
+        a version that is not data-oblivious."""
         if self._source is None:
             return None
-        return Inputs(self.facts, None, self._source, self._pos)
+        again = Inputs(self.facts, None, self._source, self._pos)
+        again._rerun = True
+        return again
+
+    def position(self) -> tuple | None:
+        """``(source, pos)`` when these inputs are a re-execution's hand-out
+        (:meth:`fresh`) whose env was never built, else None."""
+        if self._rerun and self._env is None:
+            return self._source, self._pos
+        return None
 
 
 def env_of(inputs: "Inputs | dict") -> dict:
@@ -749,7 +817,7 @@ class Executor:
         takes it."""
         cache = self.cache
         return MachineState(
-            *cache.contents(),
+            cache.contents(),
             tuple(self.branch_state),
             bytes(self.branch_state.values()),
             cache.hits,
@@ -760,7 +828,7 @@ class Executor:
         """Put the machine in *state* (in place, counters included)."""
         self._known = None
         cache = self.cache
-        cache.restore(state.ways, state.lines)
+        cache.restore(state.lines)
         cache.hits = state.hits
         cache.misses = state.misses
         self.branch_state.clear()
@@ -799,16 +867,25 @@ class Executor:
         initialised to zero.  Returns true (noise-free) cycles; measurement
         noise is applied by the timing instrumentation layer on top.
 
-        With a *replay* store, an invocation of a data-oblivious *exe*
-        (:func:`~repro.machine.oblivious.oblivious_reason`) whose
-        executable, factors, scalars, array shapes and entry machine state
-        were recorded before is not simulated: the machine is put in the
-        recorded exit state and the recorded result is returned.  Its
-        writes to the env's arrays are then skipped, so pass a store only
-        when nothing reads them afterwards.  The key's env part is the
-        handle's :class:`InputFacts` (a plain env's are derived here by
-        :func:`input_facts`), and a handle's env is built only when the
-        invocation is simulated.
+        With a *replay* store, an invocation whose key was recorded before
+        is not simulated: the machine is put in the recorded exit state and
+        the recorded result is returned.  Its writes to the env's arrays
+        are then skipped, so pass a store only when nothing reads them
+        afterwards.  The key is the executable's content
+        (:func:`executable_digest`, or its identity when it has callees),
+        the factors, the entry machine state and the inputs:
+
+        * for a data-oblivious *exe*
+          (:func:`~repro.machine.oblivious.oblivious_reason`), their
+          scalars and array shapes: the key of the handle's
+          :class:`InputFacts` (a plain env's are derived here by
+          :func:`input_facts`);
+        * for any other *exe*, their input position, and only for a
+          re-execution's hand-out whose env was never built
+          (:meth:`Inputs.position`): its contents are then exactly the
+          position's.  Other inputs of such an *exe* are simulated.
+
+        A handle's env is built only when the invocation is simulated.
         """
         if isinstance(inputs, Inputs):
             facts, env = inputs.facts, None
@@ -817,18 +894,22 @@ class Executor:
         if not facts.names >= exe.param_set:
             missing = next(p for p in exe.param_names if p not in facts.names)
             raise ExecutionError(f"{exe.name}: missing argument {missing!r}")
-        key = None
-        if (
-            replay is not None
-            and facts.key is not None
-            and self.replayable(exe)
-        ):
+        key = inputs_key = None
+        if replay is not None:
+            if self.replayable(exe):
+                inputs_key = facts.key
+            elif env is None:
+                inputs_key = inputs.position()
+        if inputs_key is not None:
             entry = self._known
             if entry is None:
                 entry = self.machine_state()
-            # the entry holds exe, so its id is not reused while the entry
-            # lives
-            key = (id(exe), factors, count_blocks, self.MAX_STEPS, facts.key, entry)
+            # a record holds exe, so its id is not reused while the record
+            # lives (a digest covers no callee)
+            key = (
+                id(exe) if exe.callees else executable_digest(exe, self.machine),
+                factors, count_blocks, self.MAX_STEPS, inputs_key, entry,
+            )
             rec = replay.get(key)
             if rec is not None and rec.machine is self.machine:
                 return self._replayed(rec, entry)
@@ -850,18 +931,12 @@ class Executor:
             cache = self.cache
             exit_state = self.machine_state()
             if exit_state == entry:
-                exit_state = lines = branches = None
-            else:
-                lines = cache.changes_since(entry.ways, entry.lines)
-                before = dict(zip(entry.branch_keys, entry.branch_taken))
-                branches = tuple(
-                    (k, t) for k, t in self.branch_state.items() if before.get(k) != t
-                )
+                exit_state = None
             self._known = exit_state or entry
             replay.put(key, _Replay(
                 exe, self.machine, result.cycles, result.mem_cycles, result.branch_miss_cycles,
                 dict(counts) if counts is not None else None, result.return_value,
-                exit_state, lines, branches, cache.hits - hits0, cache.misses - misses0,
+                exit_state, cache.hits - hits0, cache.misses - misses0,
             ))
         return result
 
@@ -875,8 +950,12 @@ class Executor:
             self._known = entry
         else:
             # the machine is in the entry state: change what the run changed
-            cache.apply_changes(rec.lines)
-            self.branch_state.update(rec.branches)
+            changes = rec.changes
+            if changes is None:
+                changes = rec.changes = _changes(entry, rec.exit)
+            lines, branches = changes
+            cache.apply_changes(lines)
+            self.branch_state.update(branches)
             self._known = rec.exit
         return InvocationResult(
             rec.cycles, rec.return_value,

@@ -89,6 +89,7 @@ from .executor import (
     ExecutionError,
     Executor,
     InvocationResult,
+    executable_digest,
     needs_float_conversion,
 )
 
@@ -136,28 +137,6 @@ def code_key(exe: ExecutableFunction, machine: MachineConfig) -> str:
     """
     h = hashlib.sha256(exe.ir_digest())
     h.update(repr(machine).encode())
-    return h.hexdigest()
-
-
-def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
-    """Digest of everything that decides one compiled function's timing.
-
-    Covers the rendered IR, every per-block static cost (the channel
-    through which the optimizing compiler's effect model differentiates
-    versions of identical IR), and the machine — mirroring the compiler
-    pipeline's ``version_key``.  It keys whole-program run memos; the
-    generated code is keyed without the costs (:func:`code_key`).
-    Runtime inputs (cost factors, cache and predictor state) are not part
-    of it.
-    """
-    h = hashlib.sha256(exe.ir_digest())
-    h.update(b"\x00")
-    h.update(repr(machine).encode())
-    for label in sorted(exe.blocks):
-        blk = exe.blocks[label]
-        h.update(
-            f"\x1f{label}\x1e{blk.compute_cycles!r}\x1e{blk.spill_cycles!r}".encode()
-        )
     return h.hexdigest()
 
 

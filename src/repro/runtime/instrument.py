@@ -9,8 +9,9 @@ increment), and charges the ledger.
 Both entry points take an invocation's inputs as the feed hands them out
 (an :class:`~repro.machine.executor.Inputs` handle) or as a plain env.  A
 ``TimedExecutor`` built with a *replay* store replays invocations of
-data-oblivious versions (:meth:`repro.machine.executor.Executor.run`): a
-replayed invocation builds no env from a handle and leaves an env's
+data-oblivious versions, and re-executions of any version on a fresh
+hand-out of an input position (:meth:`repro.machine.executor.Executor.run`):
+a replayed invocation builds no env from a handle and leaves an env's
 arrays unwritten, so a caller that reads what an invocation writes passes
 ``reads_writes=True``, which always simulates (and builds the env).
 """
@@ -126,11 +127,6 @@ class TimedExecutor:
             block_counts=res.block_counts,
             return_value=res.return_value,
         )
-
-    def replays(self, version: Version) -> bool:
-        """Whether invocations of *version* may be replayed from the replay
-        store rather than simulated."""
-        return self.replay is not None and self.executor.replayable(version.exe)
 
     def run_untimed(
         self,

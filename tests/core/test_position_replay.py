@@ -3,9 +3,11 @@
 * RBR on input positions: the improved method gives each of its three
   runs a fresh hand-out of the position instead of saving and restoring an
   env, when the handle can be handed out again, the plan has no inspector
-  arrays and both versions may be replayed.  Its rating, ledger and final
-  machine state must equal those of the copying path, which the same
-  rater takes for plain envs.
+  arrays and the executor has a replay store.  Its rating, ledger and
+  final machine state must equal those of the copying path, which the
+  same rater takes for plain envs, and those of the same ratings with no
+  replay store, also when the store replays runs of versions that are
+  not oblivious by their input position.
 * Ref evaluation through handles: ``measure_whole_program`` on a shared
   :class:`InputReplay` must equal the loop that generated every
   invocation's env afresh (kept below as the oracle).
@@ -82,16 +84,16 @@ CONFIGS = (
 )
 
 
-def _rbr_run(fn, program, generator, n_per_run, machine, *, plain, tier=1):
-    """Three RBR pair ratings on one rater and feed; their fingerprint and
-    how often the plan saved."""
+def _rbr_run(fn, program, generator, n_per_run, machine, *, plain, tier=1, replay=True):
+    """Three RBR pair ratings on one rater and feed; their fingerprint, how
+    often the plan saved, and the replay store (None: no replay)."""
     plan = SaveRestorePlan(fn, machine)
     saves = []
     save = plan.save
     plan.save = lambda env, ledger=None: saves.append(1) or save(env, ledger)
     versions = [compile_version(fn, c, machine, program=program) for c in CONFIGS]
     ledger = TuningLedger()
-    store = Store(REPLAY_MEMO_MAX)
+    store = Store(REPLAY_MEMO_MAX) if replay else None
     timed = TimedExecutor(machine, seed=7, ledger=ledger, exec_tier=tier, replay=store)
     feed = InvocationFeed(generator, n_per_run, 1000.0, ledger, seed=3)
     rater = ReExecutionRating(plan, RatingSettings(window=8, max_invocations=60), timed)
@@ -124,8 +126,8 @@ def _workload_case(name, machine):
         # every version is oblivious: the runs replay, nothing is saved
         ("swim/pentium4", False),
         ("swim/sparc2", False),
-        # simulated: gzip's versions are not oblivious
-        ("gzip/pentium4", True),
+        # gzip's versions are not oblivious: runs replay by position
+        ("gzip/pentium4", False),
         # a live replay (crafty's shared `dirs` table)
         ("crafty/pentium4", True),
         # a plan with an inspector array
@@ -146,8 +148,30 @@ def test_rbr_handle_path_equals_the_env_path(case, copies, tier):
     # the copying path saves once per invocation, the handle path never
     assert env_saves == sum(rating[4] for rating in handles[0])
     assert handle_saves == (env_saves if copies else 0)
-    if name == "swim":
+    if name in ("swim", "gzip"):
         assert store.hits > 0
+
+
+@pytest.mark.parametrize(
+    "case", ["gzip/pentium4", "art/pentium4", "art/sparc2"]
+)
+@pytest.mark.parametrize("tier", [0, 1])
+def test_rbr_replay_by_position_equals_no_replay(case, tier):
+    # none of these versions is oblivious: every hit is keyed by position
+    name, machine = case.split("/")
+    args = _workload_case(name, {"pentium4": PENTIUM4, "sparc2": SPARC2}[machine])
+    on, on_saves, store = _rbr_run(*args, plain=False, tier=tier)
+    off, off_saves, _ = _rbr_run(*args, plain=False, tier=tier, replay=False)
+    assert on == off
+    assert on_saves == 0 and off_saves == sum(rating[4] for rating in on[0])
+    assert store.hits > 0
+
+
+def test_a_context_store_holds_one_program_run_of_rbr_records():
+    # three runs per input position; art has 600, wupwise 80
+    for name, entries in (("art", 2400), ("wupwise", REPLAY_MEMO_MAX)):
+        spec = EngineSpec(name, PENTIUM4, "train", RatingSettings(), None, None, 1, True)
+        assert _WorkerContext(spec).replay_memo.max_entries == entries
 
 
 def test_copy_cycles_equal_what_save_and_restore_charge():
@@ -269,7 +293,7 @@ factors, state = key
 # equal values built in this process
 fresh = (
     CostFactors(factors.mem, factors.branch),
-    MachineState(state.ways, state.lines, tuple(map(tuple, state.branch_keys)),
+    MachineState(tuple(map(tuple, state.lines)), tuple(map(tuple, state.branch_keys)),
                  state.branch_taken, 0, 0),
 )
 assert hash(fresh) == hash(key), "stale hash"
@@ -293,8 +317,8 @@ def test_a_pickled_key_finds_its_entry_under_another_hash_seed():
 
 
 def test_cached_hashes_follow_the_values():
-    a = MachineState(b"\x01", b"\x02", (("f", "L1"),), b"\x01", 3, 4)
-    b = MachineState(b"\x01", b"\x02", (("f", "L1"),), b"\x01", 9, 9)
+    a = MachineState(((2,), ()), (("f", "L1"),), b"\x01", 3, 4)
+    b = MachineState(((2,), ()), (("f", "L1"),), b"\x01", 9, 9)
     assert a == b and hash(a) == hash(b)  # the counters are statistics
     assert pickle.loads(pickle.dumps(a)) == a
     assert astuple(pickle.loads(pickle.dumps(a))) == astuple(a)

@@ -13,8 +13,10 @@ three-flag search and compares everything it decides and charges against
 
 The cases cover every rating method (CBR, MBR, RBR, and forced WHL and
 AVG), both machines, both execution tiers, the switches CBR -> RBR and
-CBR -> MBR, and forced WHL on a program whose inputs carry a live object
-from one invocation to the next (crafty's ``dirs`` table).
+CBR -> MBR, forced WHL on a program whose inputs carry a live object
+from one invocation to the next (crafty's ``dirs`` table), and RBR on
+versions that are not data-oblivious, whose repeated re-executions the
+replay store serves by input position (art, gzip).
 
 Regenerate the fixture only for an intended change of the serial engine's
 results::
@@ -63,6 +65,7 @@ CASES: dict[str, tuple[str, str, str | None, int, dict]] = {
     "wupwise-p4-cbr-t1": ("wupwise", "pentium4", None, 1, {}),
     "mgrid-p4-whl-t1": ("mgrid", "pentium4", "WHL", 1, {}),
     "applu-sparc2-cbr-t0": ("applu", "sparc2", None, 0, {}),
+    "gzip-p4-rbr-t1": ("gzip", "pentium4", None, 1, {}),
 }
 
 

@@ -3,16 +3,19 @@ exactly as a simulated one.
 
 ``Executor.run(..., replay=store)`` skips simulating an invocation of a
 data-oblivious executable (:func:`repro.machine.oblivious.oblivious_reason`)
-whose executable, cost factors, scalars, array shapes and entry machine
-state it recorded before.  These tests pin the two halves of that claim:
+whose executable content, cost factors, scalars, array shapes and entry
+machine state it recorded before; for any other executable, it skips a
+re-execution's run on an unbuilt fresh hand-out whose input position it
+recorded before.  These tests pin the two halves of that claim:
 
 * the analysis: every kernel it accepts does the same work on any float
   data (random kernels, special values included), and each of its rules
   rejects what it must (hand-written kernels, the 14 workloads);
 * the replay: tunes, ratings on the batch engine and ref evaluations are
-  bit-identical with the replay on and off, and the executor's known
-  state (which spares a replay the entry snapshot) always equals a fresh
-  snapshot.
+  bit-identical with the replay on and off, only inputs whose contents are
+  exactly a position's are keyed by it, the key covers the executable's
+  content, and the executor's known state (which spares a replay the
+  entry snapshot) always equals a fresh snapshot.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from repro.compiler import OptConfig, compile_version
 from repro.core import engine as engine_mod
 from repro.core import peak
 from repro.core.peak import PeakTuner, evaluate_speedup
-from repro.core.rating import InvocationFeed, RatingSettings
+from repro.core.rating import InputReplay, InvocationFeed, RatingSettings
 from repro.core.rating.rbr import ReExecutionRating
 from repro.core.search import IterativeElimination
 from repro.ir import ArrayRef, BinOp, Call, Const, FunctionBuilder, Type, UnOp, Var
 from repro.machine import PENTIUM4, SPARC2, ExecutionError, compile_function, machine_by_name
+from repro.machine.executor import CostFactors, executable_digest
 from repro.machine.jit import TieredExecutor, create_executor
 from repro.machine.oblivious import oblivious_reason
 from repro.obs import Obs
@@ -439,6 +443,115 @@ def test_scalar_and_array_value_types_key_the_replay(tier):
 
 
 # --------------------------------------------------------------------------- #
+# the key of a version that is not oblivious: the input position
+
+
+def _clip_fn():
+    """A kernel that is not oblivious: what it does depends on its data, so
+    a second run on the env it wrote differs from the first."""
+    b = FunctionBuilder(
+        "clip", [("n", Type.INT), ("a", Type.FLOAT_ARRAY), ("b", Type.FLOAT_ARRAY)],
+        return_type=Type.INT,
+    )
+    b.local("c", Type.INT)
+    with b.for_("i", 0, Var("n")):
+        with b.if_(ArrayRef("a", Var("i")) > 0.0):
+            b.store("a", Var("i"), ArrayRef("a", Var("i")) - 1.0)
+            b.store("b", Var("i") * 3, ArrayRef("b", Var("i") * 3) + 1.0)
+            b.assign("c", Var("c") + 1)
+    b.ret(Var("c"))
+    return b.build()
+
+
+def _clip_gen(rng, i):
+    return {"n": 12, "a": rng.uniform(-0.5, 1.5, size=40), "b": rng.normal(size=40)}
+
+
+@pytest.mark.parametrize("tier", (0, 1))
+def test_a_built_handle_is_simulated_not_keyed_by_position(tier):
+    exe = compile_function(_clip_fn(), PENTIUM4)
+    assert oblivious_reason(exe) is not None
+    replay = InputReplay(_clip_gen, 4, seed=2)
+    ex, twin = executor(PENTIUM4, tier), executor(PENTIUM4, tier)
+    store = Store()
+    # a feed's own hand-out is never keyed by position
+    assert replay.inputs(0).position() is None
+    assert outcome(ex, exe, replay.inputs(0), replay=store) == outcome(twin, exe, replay.env(0))
+    assert (store.hits, store.misses, len(store)) == (0, 0, 0)
+    ex.reset()
+    twin.reset()
+    handle = replay.inputs(0).fresh()
+    assert handle.position() == (replay, 0)
+    env = replay.env(0)
+    first = outcome(ex, exe, handle, replay=store)
+    assert first == outcome(twin, exe, env)
+    assert (store.hits, store.misses, len(store)) == (0, 1, 1)
+    # its env is built and written: a second run from the same entry state
+    # sees the writes, so it is simulated
+    assert handle.position() is None
+    ex.reset()
+    twin.reset()
+    again = outcome(ex, exe, handle, replay=store)
+    assert again == outcome(twin, exe, env)
+    assert again[4] != first[4]
+    assert (store.hits, store.misses, len(store)) == (0, 1, 1)
+    # another fresh hand-out from that entry state replays the first run
+    ex.reset()
+    twin.reset()
+    replayed = outcome(ex, exe, replay.inputs(0).fresh(), replay=store)
+    assert replayed == outcome(twin, exe, replay.env(0))
+    assert replayed[:5] == first[:5]
+    assert store.hits == 1
+
+
+@pytest.mark.parametrize("tier", (0, 1))
+def test_executables_of_equal_content_share_a_record(tier):
+    fn = _clip_fn()
+    twins = [compile_function(fn, PENTIUM4) for _ in range(2)]
+    costly = compile_function(
+        fn, PENTIUM4, block_compute_cycles=dict.fromkeys(fn.cfg.blocks, 7.0)
+    )
+    digests = [executable_digest(e, PENTIUM4) for e in (*twins, costly)]
+    assert digests[0] == digests[1] != digests[2]
+    replay = InputReplay(_clip_gen, 4, seed=2)
+    store = Store()
+
+    def run(exe, factors=CostFactors.IDENTITY):
+        ex = executor(PENTIUM4, tier)
+        got = outcome(ex, exe, replay.inputs(1).fresh(), replay=store, factors=factors)
+        assert got == outcome(executor(PENTIUM4, tier), exe, replay.env(1), factors=factors)
+        return got
+
+    first = run(twins[0])
+    assert run(twins[1]) == first
+    assert (store.hits, store.misses) == (1, 1)
+    # other block costs or other factors are another record
+    assert run(costly) != first
+    assert run(twins[1], CostFactors(mem=1.5)) != first
+    assert (store.hits, store.misses) == (1, 3)
+
+
+def test_executables_with_callees_are_keyed_by_identity():
+    b = FunctionBuilder("g", [("a", Type.FLOAT_ARRAY)])
+    with b.if_(ArrayRef("a", Const(0)) > 0.0):
+        b.store("a", Const(0), Const(1.0))
+    b.ret()
+    callee = compile_function(b.build(), PENTIUM4)
+    b = FunctionBuilder("f", [("a", Type.FLOAT_ARRAY)])
+    b.call("g", [Var("a")])
+    b.ret()
+    fn = b.build()
+    # a digest covers no callee, so equal digests do not share a record
+    callers = [compile_function(fn, PENTIUM4, callees={"g": callee}) for _ in range(2)]
+    assert executable_digest(callers[0], PENTIUM4) == executable_digest(callers[1], PENTIUM4)
+    replay = InputReplay(lambda rng, i: {"a": rng.normal(size=4)}, 2, seed=1)
+    store = Store()
+    for exe in (*callers, callers[1]):
+        create_executor(PENTIUM4, 1).run(exe, replay.inputs(0).fresh(), replay=store)
+    assert (store.hits, store.misses) == (1, 2)
+
+
+# --------------------------------------------------------------------------- #
 # the known state
 
 
@@ -461,18 +574,28 @@ def _sweep_fn():
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
 @pytest.mark.parametrize("seed", range(3))
 def test_known_state_is_always_a_fresh_snapshot(machine, tier, seed):
-    """Random replayed runs, plain runs, restores and resets: the executor's
-    known state always equals a fresh snapshot, and the executor stays in
-    lockstep with a twin that simulates everything."""
+    """Random replayed runs (of an oblivious kernel by scalars and shapes, of
+    another by input position), plain runs, restores and resets: the
+    executor's known state always equals a fresh snapshot, and the
+    executor stays in lockstep with a twin that simulates everything."""
     exe = compile_function(_sweep_fn(), machine)
     assert oblivious_reason(exe) is None
+    clip = compile_function(_clip_fn(), machine)
+    replay = InputReplay(_clip_gen, 2, seed=seed)
     rng = np.random.default_rng(seed)
     ex, twin = executor(machine, tier), executor(machine, tier)
     store = Store()
     saved = [ex.machine_state()]
-    for _ in range(120):
-        op = int(rng.integers(10))
-        if op < 6 or op == 9:
+    positional_hits = 0
+    for _ in range(160):
+        op = int(rng.integers(13))
+        if op >= 10:
+            pos = int(rng.integers(2))
+            hits = store.hits
+            got = outcome(ex, clip, replay.inputs(pos).fresh(), replay=store)
+            positional_hits += store.hits - hits
+            assert got == outcome(twin, clip, replay.env(pos))
+        elif op < 6 or op == 9:
             size = 40 if rng.random() < 0.8 else 64
             env = {"n": int(rng.integers(0, 12)), "s": 0.5,
                    "a": rng.normal(size=size).tolist(), "b": rng.normal(size=size).tolist()}
@@ -490,4 +613,4 @@ def test_known_state_is_always_a_fresh_snapshot(machine, tier, seed):
             twin.reset()
         assert ex._known is None or ex._known == ex.machine_state()
         assert astuple(ex.machine_state()) == astuple(twin.machine_state())
-    assert store.hits > 0
+    assert store.hits > positional_hits > 0
