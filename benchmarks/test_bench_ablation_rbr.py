@@ -24,7 +24,7 @@ from repro.workloads import get_workload
 def rbr_bias(improved: bool, n: int = 160) -> float:
     """|mean(R) - 1| when rating an -O3 version against itself."""
     w = get_workload("equake")  # irregular memory: cache state matters
-    version = compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+    version = compile_version(w.ts, OptConfig.o3(), SPARC2)
     plan = SaveRestorePlan(w.ts, SPARC2)
     ledger = TuningLedger()
     ds = w.dataset("train")

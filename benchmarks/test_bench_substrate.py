@@ -18,7 +18,7 @@ from repro.workloads import get_workload
 @pytest.fixture(scope="module")
 def swim_version():
     w = get_workload("swim")
-    return w, compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+    return w, compile_version(w.ts, OptConfig.o3(), SPARC2)
 
 
 def test_bench_executor_invocation(benchmark, swim_version):
@@ -37,7 +37,7 @@ def test_bench_compile_version(benchmark):
     w = get_workload("swim")
 
     def compile_():
-        return compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+        return compile_version(w.ts, OptConfig.o3(), SPARC2)
 
     v = benchmark(compile_)
     assert v.exe is not None

@@ -16,8 +16,8 @@ three things count as scalar (Section 2.2):
    against the simple points-to analysis).
 
 If any control-influencing value flows from a non-scalar source (an array
-read with a non-constant subscript, a whole-array value, a call result), the
-analysis reports CBR inapplicable with a human-readable reason.
+read with a non-constant subscript, a whole-array value), the analysis
+reports CBR inapplicable with a human-readable reason.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping
 
 from ..ir.expr import ArrayRef, Const, Var, walk
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt, CondBranch
+from ..ir.stmt import CondBranch
 from ..ir.types import Type, is_array, is_scalar
 from .defs import def_set
 from .pointsto import PointsToResult, points_to
@@ -168,13 +168,6 @@ class _Tracer:
                 self.failure = f"non-scalar input {var!r} influences control"
                 return False
             stmt = self.rd.statement_at(site)
-            if isinstance(stmt, CallStmt):
-                self.failure = (
-                    f"control-influencing value {var!r} produced by call "
-                    f"to {stmt.fn!r}"
-                )
-                return False
-            assert isinstance(stmt, Assign)
             if isinstance(stmt.target, ArrayRef):
                 # a may-def of an array reached a scalar trace; this can only
                 # happen for pointer/array names, which are handled at use

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..ir.expr import ArrayRef, BinOp, Const, Expr, UnOp, Var, walk
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt
 
 __all__ = ["def_set", "scalar_def_set", "array_def_set", "StoreInfo", "classify_stores"]
 
@@ -32,15 +31,13 @@ def scalar_def_set(fn: Function) -> frozenset[str]:
     out: set[str] = set()
     for blk in fn.cfg.blocks.values():
         for s in blk.stmts:
-            if isinstance(s, Assign) and s.is_scalar_def():
-                out.add(s.target.name)
-            elif isinstance(s, CallStmt) and s.target is not None:
+            if s.is_scalar_def():
                 out.add(s.target.name)
     return frozenset(out)
 
 
 def array_def_set(fn: Function) -> frozenset[str]:
-    """Array variables the function may write (incl. through calls)."""
+    """Array variables the function may write."""
     types = fn.all_vars()
     from ..ir.types import is_array
 
@@ -92,7 +89,7 @@ def classify_stores(fn: Function) -> list[StoreInfo]:
     out: list[StoreInfo] = []
     for label, blk in fn.cfg.blocks.items():
         for i, s in enumerate(blk.stmts):
-            if isinstance(s, Assign) and isinstance(s.target, ArrayRef):
+            if isinstance(s.target, ArrayRef):
                 out.append(
                     StoreInfo(
                         array=s.target.array,
@@ -101,12 +98,6 @@ def classify_stores(fn: Function) -> list[StoreInfo]:
                         affine=_is_affine(s.target.index, scalars),
                     )
                 )
-            elif isinstance(s, CallStmt):
-                # Conservatively, arrays written by a callee are irregular
-                # from the caller's point of view.
-                for arr in s.defs():
-                    if arr in fn.all_vars() and arr not in scalars:
-                        out.append(StoreInfo(array=arr, label=label, index=i, affine=False))
     return out
 
 

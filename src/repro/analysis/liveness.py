@@ -10,7 +10,6 @@ stores are partial updates, a store does *not* kill the array's liveness.
 from __future__ import annotations
 
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt
 from .dataflow import solve_backward
 from .defs import def_set
 
@@ -26,9 +25,7 @@ def _block_transfer(fn: Function):
         if blk.terminator is not None:
             live |= blk.terminator.uses()
         for s in reversed(blk.stmts):
-            if isinstance(s, Assign) and s.is_scalar_def():
-                live.discard(s.target.name)
-            elif isinstance(s, CallStmt) and s.target is not None:
+            if s.is_scalar_def():
                 live.discard(s.target.name)
             # array stores: may-def, no kill
             live |= s.uses()

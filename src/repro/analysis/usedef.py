@@ -6,7 +6,7 @@ analysis.  Definition sites are per-statement; parameters carry a synthetic
 entry statement" test in the paper's pseudo-code.
 
 Kill semantics: an assignment to a scalar kills earlier definitions of the
-same variable; array stores and call writes are may-defs and kill nothing.
+same variable; array stores are may-defs and kill nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt
 from .dataflow import solve_forward
 
 __all__ = ["DefSite", "ReachingDefs"]
@@ -63,18 +62,12 @@ class ReachingDefs:
 
     @staticmethod
     def _apply(cur: set[DefSite], label: str, i: int, s) -> None:
-        if isinstance(s, Assign):
-            if s.is_scalar_def():
-                var = s.target.name
-                cur.difference_update({d for d in cur if d.var == var})
-                cur.add(DefSite(var, label, i))
-            else:
-                cur.add(DefSite(s.target.array, label, i))
-        elif isinstance(s, CallStmt):
-            for var in s.defs():
-                if s.target is not None and var == s.target.name:
-                    cur.difference_update({d for d in cur if d.var == var})
-                cur.add(DefSite(var, label, i))
+        if s.is_scalar_def():
+            var = s.target.name
+            cur.difference_update({d for d in cur if d.var == var})
+            cur.add(DefSite(var, label, i))
+        else:
+            cur.add(DefSite(s.target.array, label, i))
 
     # ------------------------------------------------------------------ #
 

@@ -101,8 +101,9 @@ EFFECTS: dict[str, FlagEffect] = {
     "reorder-functions": FlagEffect(size=0.99),
     "rename-registers": FlagEffect(compute=0.995),
     "omit-frame-pointer": FlagEffect(compute=0.998, pressure_int=-1),
-    # pass-backed flags may still carry light cost-model components
+    # no tuning section makes a call: inlining acts through code size alone
     "inline-functions": FlagEffect(size=1.10),
+    # pass-backed flags may still carry light cost-model components
     "rerun-loop-opt": FlagEffect(size=1.15),
     "if-conversion": FlagEffect(size=1.02),
     "crossjumping": FlagEffect(size=0.97),

@@ -50,8 +50,10 @@ ALL_FLAGS: tuple[Flag, ...] = (
     Flag("if-conversion", "convert small branch diamonds to predicated code", "ifconv"),
     Flag("expensive-optimizations", "dead code elimination and deep cleanups", "dce"),
     Flag("peephole2", "local algebraic peephole simplifications", "peephole"),
-    Flag("inline-functions", "inline small functions at call sites", "inline"),
     # --- effect-model flags ------------------------------------------------ #
+    # no tuning section calls a function, so inlining acts through its code
+    # size effect alone
+    Flag("inline-functions", "inline small functions at call sites"),
     Flag("defer-pop", "defer popping function arguments"),
     Flag("merge-constants", "merge identical constants across code"),
     Flag("guess-branch-probability", "static branch-probability estimation"),

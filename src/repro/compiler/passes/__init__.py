@@ -4,7 +4,6 @@ from .constprop import constant_propagation, fold_expr
 from .cse import common_subexpression_elimination
 from .dce import dead_code_elimination
 from .ifconv import if_conversion
-from .inline import inline_calls
 from .jumpthread import crossjump, thread_jumps
 from .licm import loop_invariant_code_motion
 from .peephole import peephole, strength_reduce
@@ -17,7 +16,6 @@ __all__ = [
     "dead_code_elimination",
     "fold_expr",
     "if_conversion",
-    "inline_calls",
     "loop_invariant_code_motion",
     "peephole",
     "strength_reduce",

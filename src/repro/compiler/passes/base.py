@@ -12,15 +12,12 @@ from typing import Callable, Mapping
 
 from ...ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ...ir.function import Function
-from ...ir.stmt import Assign, CallStmt, CondBranch, Return, Stmt, Terminator
 from ...ir.types import Type
 
 __all__ = [
     "PassTraits",
     "declare_pass",
     "subst_expr",
-    "subst_stmt",
-    "subst_terminator",
     "rewrite_expr",
     "fresh_name",
     "is_pure_scalar_expr",
@@ -59,20 +56,13 @@ def declare_pass(mutates: str, *preserves: str):
 
 
 def subst_expr(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace reads of variables per *mapping* (array base names included)."""
+    """Replace reads of variables per *mapping* (array bases are kept)."""
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, Var):
         return mapping.get(expr.name, expr)
     if isinstance(expr, ArrayRef):
         new_index = subst_expr(expr.index, mapping)
-        repl = mapping.get(expr.array)
-        if repl is not None:
-            if not isinstance(repl, Var):
-                raise ValueError(
-                    f"array base {expr.array!r} can only be renamed to a variable"
-                )
-            return ArrayRef(repl.name, new_index)
         if new_index is expr.index:
             return expr
         return ArrayRef(expr.array, new_index)
@@ -91,52 +81,6 @@ def subst_expr(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
             return expr
         return Call(expr.fn, args)
     raise TypeError(f"unknown expression {expr!r}")  # pragma: no cover
-
-
-def subst_stmt(stmt: Stmt, mapping: Mapping[str, Expr]) -> Stmt:
-    """Substitute variable reads in *stmt*; write targets are renamed only
-    when mapped to plain variables."""
-    if isinstance(stmt, Assign):
-        new_expr = subst_expr(stmt.expr, mapping)
-        target = stmt.target
-        if isinstance(target, ArrayRef):
-            new_index = subst_expr(target.index, mapping)
-            base = mapping.get(target.array)
-            name = target.array
-            if base is not None:
-                if not isinstance(base, Var):
-                    raise ValueError("array store base must map to a variable")
-                name = base.name
-            target = ArrayRef(name, new_index)
-        else:
-            repl = mapping.get(target.name)
-            if repl is not None:
-                if not isinstance(repl, Var):
-                    raise ValueError("scalar store target must map to a variable")
-                target = Var(repl.name)
-        return Assign(target, new_expr)
-    if isinstance(stmt, CallStmt):
-        args = tuple(subst_expr(a, mapping) for a in stmt.args)
-        target = stmt.target
-        if target is not None and target.name in mapping:
-            repl = mapping[target.name]
-            if not isinstance(repl, Var):
-                raise ValueError("call target must map to a variable")
-            target = repl
-        writes = tuple(
-            mapping[w].name if w in mapping and isinstance(mapping[w], Var) else w
-            for w in stmt.writes_arrays
-        )
-        return CallStmt(stmt.fn, args, target, writes)
-    raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
-
-
-def subst_terminator(term: Terminator, mapping: Mapping[str, Expr]) -> Terminator:
-    if isinstance(term, CondBranch):
-        return CondBranch(subst_expr(term.cond, mapping), term.then, term.orelse)
-    if isinstance(term, Return) and term.value is not None:
-        return Return(subst_expr(term.value, mapping))
-    return term
 
 
 def rewrite_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:

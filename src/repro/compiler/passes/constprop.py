@@ -12,7 +12,7 @@ import numpy as np
 
 from ...ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ...ir.function import Function
-from ...ir.stmt import Assign, CallStmt, CondBranch, Jump, Return
+from ...ir.stmt import Assign, CondBranch, Jump, Return
 from .base import declare_pass, rewrite_expr
 
 __all__ = ["constant_propagation", "fold_expr"]
@@ -142,13 +142,10 @@ def constant_propagation(fn: Function) -> bool:
         def transfer(label: str, state: dict) -> dict:
             cur = dict(state)
             for s in cfg.blocks[label].stmts:
-                if isinstance(s, Assign) and s.is_scalar_def():
+                if s.is_scalar_def():
                     e = _rewrite_with(s.expr, cur)
                     e = fold_expr(e)
                     cur[s.target.name] = e.value if isinstance(e, Const) else _TOP
-                elif isinstance(s, CallStmt):
-                    for d in s.defs():
-                        cur[d] = _TOP
             return cur
 
         # fixed-point (monotone: values only move toward TOP)
@@ -188,29 +185,18 @@ def constant_propagation(fn: Function) -> bool:
             cur = dict(in_state[label])
             new_stmts = []
             for s in blk.stmts:
-                if isinstance(s, Assign):
-                    e = fold_expr(_rewrite_with(s.expr, cur))
-                    target = s.target
-                    if isinstance(target, ArrayRef):
-                        target = ArrayRef(
-                            target.array, fold_expr(_rewrite_with(target.index, cur))
-                        )
-                    ns = Assign(target, e)
-                    if ns != s:
-                        changed = True
-                    new_stmts.append(ns)
-                    if isinstance(target, Var):
-                        cur[target.name] = e.value if isinstance(e, Const) else _TOP
-                elif isinstance(s, CallStmt):
-                    args = tuple(fold_expr(_rewrite_with(a, cur)) for a in s.args)
-                    ns = CallStmt(s.fn, args, s.target, s.writes_arrays)
-                    if ns != s:
-                        changed = True
-                    new_stmts.append(ns)
-                    for d in s.defs():
-                        cur[d] = _TOP
-                else:  # pragma: no cover
-                    new_stmts.append(s)
+                e = fold_expr(_rewrite_with(s.expr, cur))
+                target = s.target
+                if isinstance(target, ArrayRef):
+                    target = ArrayRef(
+                        target.array, fold_expr(_rewrite_with(target.index, cur))
+                    )
+                ns = Assign(target, e)
+                if ns != s:
+                    changed = True
+                new_stmts.append(ns)
+                if isinstance(target, Var):
+                    cur[target.name] = e.value if isinstance(e, Const) else _TOP
             blk.stmts = new_stmts
 
             t = blk.terminator

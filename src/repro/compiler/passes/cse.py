@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ...ir.expr import BinOp, Call, Expr, UnOp, Var
 from ...ir.function import Function
-from ...ir.stmt import Assign, CallStmt
+from ...ir.stmt import Assign
 from ...ir.expr import COMMUTATIVE_OPS
 from .base import declare_pass, is_pure_scalar_expr
 
@@ -58,7 +58,7 @@ def _transfer(blk, avail: dict, rewrite: bool) -> tuple[dict, bool]:
     changed = False
     new_stmts = []
     for s in blk.stmts:
-        if isinstance(s, Assign) and s.is_scalar_def():
+        if s.is_scalar_def():
             target = s.target.name
             key = _canon(s.expr)
             if _candidate(s.expr) and key in avail and avail[key] != target:
@@ -72,9 +72,6 @@ def _transfer(blk, avail: dict, rewrite: bool) -> tuple[dict, bool]:
                 _kill(avail, target)
                 if _candidate(s.expr) and target not in key.reads():
                     avail[key] = target
-        elif isinstance(s, CallStmt):
-            for d in s.defs():
-                _kill(avail, d)
         new_stmts.append(s)
     if rewrite:
         blk.stmts = new_stmts

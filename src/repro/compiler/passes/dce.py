@@ -2,7 +2,7 @@
 
 Statement-level backward liveness: scalar assignments whose target is dead
 after the statement are removed (expressions in our IR are pure, so removal
-is always safe).  Array stores, calls, and terminators are never removed.
+is always safe).  Array stores and terminators are never removed.
 Iterates to a fixed point (removing one dead statement can kill another).
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...ir.function import Function
-from ...ir.stmt import Assign, CallStmt
 from ...analysis.liveness import live_out
 from .base import declare_pass
 
@@ -35,16 +34,10 @@ def dead_code_elimination(fn: Function, am: "AnalysisManager | None" = None) -> 
                 live |= blk.terminator.uses()
             new_rev = []
             for s in reversed(blk.stmts):
-                if (
-                    isinstance(s, Assign)
-                    and s.is_scalar_def()
-                    and s.target.name not in live
-                ):
-                    changed = True
-                    continue  # dead
-                if isinstance(s, Assign) and s.is_scalar_def():
-                    live.discard(s.target.name)
-                elif isinstance(s, CallStmt) and s.target is not None:
+                if s.is_scalar_def():
+                    if s.target.name not in live:
+                        changed = True
+                        continue  # dead
                     live.discard(s.target.name)
                 live |= s.uses()
                 new_rev.append(s)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ...ir.expr import BinOp, Const, Expr, UnOp
 from ...ir.function import Function
-from ...ir.stmt import Assign, CallStmt, CondBranch, Return
+from ...ir.stmt import Assign, CondBranch, Return
 from ...ir.types import Type
 from ...machine.cost import infer_type
 from .base import declare_pass, rewrite_expr
@@ -68,19 +68,12 @@ def _apply_rewrite(fn: Function, rewrite) -> bool:
     for blk in fn.cfg.blocks.values():
         new_stmts = []
         for s in blk.stmts:
-            if isinstance(s, Assign):
-                ns = Assign(
-                    s.target
-                    if not hasattr(s.target, "index")
-                    else type(s.target)(s.target.array, rewrite(s.target.index)),
-                    rewrite(s.expr),
-                )
-            elif isinstance(s, CallStmt):
-                ns = CallStmt(
-                    s.fn, tuple(rewrite(a) for a in s.args), s.target, s.writes_arrays
-                )
-            else:  # pragma: no cover
-                ns = s
+            ns = Assign(
+                s.target
+                if not hasattr(s.target, "index")
+                else type(s.target)(s.target.array, rewrite(s.target.index)),
+                rewrite(s.expr),
+            )
             if ns != s:
                 changed = True
             new_stmts.append(ns)

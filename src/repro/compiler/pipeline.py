@@ -11,10 +11,10 @@ incremental:
 
 * the *version cache* (``compile_version(..., cache=)``) memoizes whole
   compiles under :func:`version_key`, a digest of the tuning section's IR,
-  the option set, the machine, and the surrounding program, so
-  re-compiling a configuration the search has already visited (common in
-  Iterative Elimination's re-probing, and across workers of the parallel
-  evaluator) skips the pipeline entirely.  Concurrent compiles of one key
+  the option set and the machine, so re-compiling a configuration the
+  search has already visited (common in Iterative Elimination's
+  re-probing, and across workers of the parallel evaluator) skips the
+  pipeline entirely.  Concurrent compiles of one key
   are deduplicated: exactly one caller builds, the others wait and score
   a hit.
 
@@ -26,8 +26,8 @@ incremental:
   genuinely new steps — the incremental-compilation half of this module
   (see ``DESIGN.md`` §8).
 
-Both key on the surrounding program through :func:`program_digest`, one
-identity memo shared by the whole process, so each program is hashed once.
+A tuning section calls no other function, so a compile reads nothing of
+the workload's program beyond the tuning section itself.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ import hashlib
 from typing import Callable
 
 from ..analysis.manager import AnalysisManager
-from ..ir.function import Function, Program
+from ..ir.function import Function
 from ..ir.validate import validate_function
 from ..machine.config import MachineConfig
-from ..machine.executor import ExecutableFunction, compile_function
+from ..machine.executor import compile_function
 from ..obs import Obs, obs_or_null
-from ..store import IdentityMemo, Store
+from ..store import Store
 from .effects import compute_costing
 from .options import OptConfig
 from .passes.base import PassTraits
@@ -49,7 +49,6 @@ from .passes.constprop import constant_propagation
 from .passes.cse import common_subexpression_elimination
 from .passes.dce import dead_code_elimination
 from .passes.ifconv import if_conversion
-from .passes.inline import inline_calls
 from .passes.jumpthread import crossjump, thread_jumps
 from .passes.licm import loop_invariant_code_motion
 from .passes.peephole import peephole, strength_reduce
@@ -60,7 +59,6 @@ from .version import Version
 __all__ = [
     "compile_version",
     "effective_steps",
-    "program_digest",
     "run_passes",
     "version_key",
     "version_keyer",
@@ -70,7 +68,6 @@ __all__ = [
 
 #: canonical pass order: (pass id, flag gating it)
 PASS_ORDER: tuple[tuple[str, str], ...] = (
-    ("inline", "inline-functions"),
     ("constprop", "cprop-registers"),
     ("peephole", "peephole2"),
     ("jumpthread", "thread-jumps"),
@@ -86,21 +83,18 @@ PASS_ORDER: tuple[tuple[str, str], ...] = (
 )
 
 
-def effective_steps(config: OptConfig, *, has_program: bool = False) -> tuple[str, ...]:
+def effective_steps(config: OptConfig) -> tuple[str, ...]:
     """The canonical step tokens *config* actually executes.
 
     Config-gated pure no-ops are excluded (local CSE when ``gcse`` subsumes
-    it; the CSE rerun when no CSE family member is on; inlining without a
-    surrounding program), and config-dependent variants are encoded in the
-    token (``cse-rerun:g`` vs ``cse-rerun:l``), so a step token fully
-    determines the transformation applied — the property the pass-prefix
-    cache keys on.
+    it; the CSE rerun when no CSE family member is on), and
+    config-dependent variants are encoded in the token (``cse-rerun:g`` vs
+    ``cse-rerun:l``), so a step token fully determines the transformation
+    applied — the property the pass-prefix cache keys on.
     """
     steps: list[str] = []
     for pass_id, flag in PASS_ORDER:
         if flag not in config:
-            continue
-        if pass_id == "inline" and not has_program:
             continue
         if pass_id == "cse-local" and "gcse" in config:
             continue  # gcse subsumes local CSE
@@ -114,16 +108,8 @@ def effective_steps(config: OptConfig, *, has_program: bool = False) -> tuple[st
     return tuple(steps)
 
 
-def _apply_step(
-    step: str,
-    fn: Function,
-    program: Program | None,
-    am: AnalysisManager | None,
-) -> bool:
+def _apply_step(step: str, fn: Function, am: AnalysisManager | None) -> bool:
     """Execute one step token in place; return whether the IR changed."""
-    if step == "inline":
-        assert program is not None  # excluded by effective_steps otherwise
-        return inline_calls(fn, program)
     if step == "constprop":
         return constant_propagation(fn)
     if step == "peephole":
@@ -155,7 +141,6 @@ def _apply_step(
 
 #: what each step mutates / preserves (from the pass's declaration)
 _STEP_TRAITS: dict[str, PassTraits] = {
-    "inline": inline_calls.traits,
     "constprop": constant_propagation.traits,
     "peephole": peephole.traits,
     "jumpthread": thread_jumps.traits,
@@ -176,7 +161,6 @@ def _run_pipeline(
     fn: Function,
     config: OptConfig,
     *,
-    program: Program | None = None,
     checked: bool = False,
     prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
@@ -191,18 +175,16 @@ def _run_pipeline(
     enriches that entry with post-costing analyses and a validation mark.
     """
     obs = obs_or_null(obs)
-    steps = effective_steps(config, has_program=program is not None)
+    steps = effective_steps(config)
 
     hit_depth = 0
     resume_from: _StepEntry | None = None
     if prefix_cache is not None:
-        context = program_digest(program)
-
         # chain walk: follow memoized steps from the pristine IR's digest,
         # remembering the deepest materialized snapshot along the way
         cur = cached_ir_digest(fn)
         for step in steps:
-            entry = prefix_cache.get((context, cur, step))
+            entry = prefix_cache.get((cur, step))
             if entry is None:
                 break
             cur = entry.out_digest
@@ -237,7 +219,7 @@ def _run_pipeline(
     for step in steps[hit_depth:]:
         before = out.ir_stamp
         with obs.span(f"pass.{step}", "compiler") as sp:
-            changed = _apply_step(step, out, program, am)
+            changed = _apply_step(step, out, am)
             sp.set("changed", changed)
         if changed and out.ir_stamp == before:
             # the pass did not self-report its mutations; commit for it
@@ -257,7 +239,7 @@ def _run_pipeline(
         else:
             entry = _StepEntry(step_in, None, None)
         # a concurrent compile may have landed this row first: keep its row
-        prefix_cache.put((context, step_in, step), entry)
+        prefix_cache.put((step_in, step), entry)
     return out, am, owner
 
 
@@ -265,7 +247,6 @@ def run_passes(
     fn: Function,
     config: OptConfig,
     *,
-    program: Program | None = None,
     checked: bool = False,
     prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
@@ -280,7 +261,6 @@ def run_passes(
     out, _, _ = _run_pipeline(
         fn,
         config,
-        program=program,
         checked=checked,
         prefix_cache=prefix_cache,
         prefix_stats=prefix_stats,
@@ -293,22 +273,9 @@ def run_passes(
 # content-addressed version cache
 
 
-def _hash_program(program: Program) -> str:
-    h = hashlib.sha256()
-    for name in sorted(program.functions):
-        h.update(name.encode())
-        h.update(str(program.functions[name]).encode())
-    return h.hexdigest()
-
-
-#: program digests by identity; programs are treated as immutable, which
-#: holds for the tuning pipeline (passes always transform copies)
-_shared_program_digests = IdentityMemo(_hash_program, max_entries=256)
-
-
-def program_digest(program: Program | None) -> str:
-    """Content digest of the surrounding program (``"-"`` for none)."""
-    return "-" if program is None else _shared_program_digests(program)
+#: a store nothing fills, kept because perfbench clears it between
+#: operations (like ``repro.machine.codegen._CODE_MEMO``)
+_shared_program_digests: Store[object] = Store()
 
 
 def version_key(
@@ -316,40 +283,36 @@ def version_key(
     config: OptConfig,
     machine: MachineConfig,
     *,
-    program: Program | None = None,
     checked: bool = True,
 ) -> str:
     """Content hash identifying one ``compile_version`` outcome.
 
     The digest covers the tuning section's rendered IR, the enabled option
-    set, every machine parameter (``repr`` of the frozen config), the
-    surrounding program (inlining sources and callee compilation), and the
+    set, every machine parameter (``repr`` of the frozen config) and the
     ``checked`` flag.  Two calls with equal keys produce behaviourally
     identical versions.
     """
-    return version_keyer(fn, machine, program=program, checked=checked)(config)
+    return version_keyer(fn, machine, checked=checked)(config)
 
 
 def version_keyer(
     fn: Function,
     machine: MachineConfig,
     *,
-    program: Program | None = None,
     checked: bool = True,
 ) -> Callable[[OptConfig], str]:
-    """:func:`version_key` of *fn*, *machine*, *program* and *checked* as a
-    function of the configuration.
+    """:func:`version_key` of *fn*, *machine* and *checked* as a function of
+    the configuration.
 
-    The rendered IR, the machine and the program digest are rendered and
-    hashed once, here, so neither *fn* nor *program* may change while the
-    function is in use (a rating context holds one per tuning section).
+    The rendered IR and the machine are rendered and hashed once, here, so
+    *fn* may not change while the function is in use (a rating context
+    holds one per tuning section).
     """
     head = hashlib.sha256()
     head.update(str(fn).encode())
     head.update(b"\x00")
     tail = b"\x00".join((
-        b"", repr(machine).encode(), program_digest(program).encode(),
-        b"1" if checked else b"0",
+        b"", repr(machine).encode(), b"1" if checked else b"0",
     ))
 
     def key(config: OptConfig) -> str:
@@ -366,7 +329,6 @@ def compile_version(
     config: OptConfig,
     machine: MachineConfig,
     *,
-    program: Program | None = None,
     checked: bool = True,
     cache: Store[Version] | None = None,
     prefix_cache: Store[_StepEntry] | None = None,
@@ -382,15 +344,15 @@ def compile_version(
     """
     if cache is not None:
         version, _ = cache.get_or_build(
-            version_key(fn, config, machine, program=program, checked=checked),
+            version_key(fn, config, machine, checked=checked),
             lambda: _compile_uncached(
-                fn, config, machine, program=program, checked=checked,
+                fn, config, machine, checked=checked,
                 prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
             ),
         )
         return version
     return _compile_uncached(
-        fn, config, machine, program=program, checked=checked,
+        fn, config, machine, checked=checked,
         prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
     )
 
@@ -400,7 +362,6 @@ def _compile_uncached(
     config: OptConfig,
     machine: MachineConfig,
     *,
-    program: Program | None = None,
     checked: bool = True,
     prefix_cache: Store[_StepEntry] | None = None,
     prefix_stats: PrefixStats | None = None,
@@ -409,7 +370,7 @@ def _compile_uncached(
     obs = obs_or_null(obs)
     with obs.span("compile", "compiler", fn=fn.name, flags=len(config.key())):
         return _compile_spanned(
-            fn, config, machine, program=program, checked=checked,
+            fn, config, machine, checked=checked,
             prefix_cache=prefix_cache, prefix_stats=prefix_stats, obs=obs,
         )
 
@@ -419,7 +380,6 @@ def _compile_spanned(
     config: OptConfig,
     machine: MachineConfig,
     *,
-    program: Program | None,
     checked: bool,
     prefix_cache: Store[_StepEntry] | None,
     prefix_stats: PrefixStats | None,
@@ -428,7 +388,6 @@ def _compile_spanned(
     transformed, am, owner = _run_pipeline(
         fn,
         config,
-        program=program,
         checked=False,
         prefix_cache=prefix_cache,
         prefix_stats=prefix_stats,
@@ -437,10 +396,7 @@ def _compile_spanned(
     if checked and not (owner is not None and owner.validated):
         # a marked owner snapshot is bit-identical IR a previous checked
         # compile already validated
-        validate_function(
-            transformed,
-            known_functions=set(program.functions) if program else None,
-        )
+        validate_function(transformed)
     costing = compute_costing(transformed, config, machine, am=am)
     if owner is not None:
         # write the analyses costing just computed back into the memo row:
@@ -449,27 +405,11 @@ def _compile_spanned(
         owner.analyses = am.export()
         if checked:
             owner.validated = True
-    resolved_callees: dict[str, ExecutableFunction] = {}
-    if program is not None:
-        # compile remaining callees (un-inlined calls) at -O3-equivalent
-        from ..ir.stmt import CallStmt
-
-        needed = {
-            s.fn
-            for blk in transformed.cfg.blocks.values()
-            for s in blk.stmts
-            if isinstance(s, CallStmt)
-        }
-        for name in needed:
-            callee_fn = program.functions.get(name)
-            if callee_fn is not None and name != fn.name:
-                resolved_callees[name] = compile_function(callee_fn, machine)
     exe = compile_function(
         transformed,
         machine,
         block_compute_cycles=costing.block_compute,
         block_spill_cycles=costing.block_spill,
-        callees=resolved_callees,
     )
     return Version(
         ts_name=fn.name,

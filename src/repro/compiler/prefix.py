@@ -9,8 +9,7 @@ another compile already did.
 
 This module memoizes the pipeline **per step** rather than per prefix tuple:
 
-    (program context, input-IR digest, step token) -> output-IR digest
-                                                      [+ snapshot, analyses]
+    (input-IR digest, step token) -> output-IR digest [+ snapshot, analyses]
 
 Resuming is a *chain walk*: starting from the digest of the pristine tuning
 section, follow memoized steps as long as they hit, then restore the deepest
@@ -29,10 +28,9 @@ an export of the analysis cache (see :mod:`repro.analysis.manager`), so a
 resumed compile continues with warm analyses.
 
 The memo is a :class:`~repro.store.Store` of :class:`_StepEntry` rows,
-bounded at :data:`PREFIX_CACHE_MAX`.  Its *context* is the surrounding
-program's digest (inlining sources) — the only input to a pass other than
-the IR itself; machine and effect-only options never reach the pipeline —
-so one store is safely shared across every configuration, machine and
+bounded at :data:`PREFIX_CACHE_MAX`.  A pass reads nothing but the IR
+itself (machine and effect-only options never reach the pipeline), so one
+store is safely shared across every configuration, machine and
 worker thread of a tuning run.  The store keeps the first row written
 under a key, because that is the row a compile enriches.
 

@@ -99,8 +99,7 @@ class AdaptiveTuner:
 
     def _version(self, config: OptConfig) -> Version:
         return compile_version(
-            self.workload.ts, config, self.machine,
-            program=self.workload.program, cache=self._versions,
+            self.workload.ts, config, self.machine, cache=self._versions
         )
 
     def _candidates(self, base: OptConfig):

@@ -305,8 +305,7 @@ class _TaskRater:
         def build() -> Version:
             stats = PrefixStats()
             version = compile_version(
-                fn, config, spec.machine,
-                program=ctx.workload.program, checked=False,
+                fn, config, spec.machine, checked=False,
                 prefix_cache=ctx.prefix_cache, prefix_stats=stats, obs=self.obs,
             )
             self.ledger.record_prefix(
@@ -319,7 +318,7 @@ class _TaskRater:
         key_of = ctx.version_keys.get(instrumented)
         if key_of is None:
             key_of = ctx.version_keys[instrumented] = version_keyer(
-                fn, spec.machine, program=ctx.workload.program, checked=False
+                fn, spec.machine, checked=False
             )
         version, hit = ctx.cache.get_or_build(key_of(config), build)
         self.ledger.record_cache(int(hit), int(not hit))

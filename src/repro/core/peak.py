@@ -301,9 +301,7 @@ def measure_whole_program(
     :meth:`Dataset.env`, so no input file is kept for it (nor when the
     replay is live).
     """
-    version = compile_version(
-        workload.ts, config, machine, program=workload.program
-    )
+    version = compile_version(workload.ts, config, machine)
     ds = workload.dataset(dataset)
     if inputs is None:
         inputs = InputReplay(ds.generator, ds.n_invocations, seed)

@@ -136,8 +136,7 @@ def consistency_experiment(
         )
 
     if method == "CBR":
-        version = compile_version(workload.ts, OptConfig.o3(), machine,
-                                  program=workload.program)
+        version = compile_version(workload.ts, OptConfig.o3(), machine)
         per_context: dict[tuple, list[float]] = {}
         budget = needed * max(1, plan.n_contexts) + max_w
         for _ in range(budget):
@@ -160,8 +159,7 @@ def consistency_experiment(
 
     if method == "MBR":
         assert plan.instrumented_fn is not None and plan.component_model is not None
-        version = compile_version(plan.instrumented_fn, OptConfig.o3(), machine,
-                                  program=workload.program)
+        version = compile_version(plan.instrumented_fn, OptConfig.o3(), machine)
         n_counters = len(plan.component_model.counter_blocks())
         ys: list[float] = []
         cols: list[np.ndarray] = []
@@ -200,8 +198,7 @@ def consistency_experiment(
         return [row]
 
     # RBR: the experimental version equals the base version; ideal rating 1
-    version = compile_version(workload.ts, OptConfig.o3(), machine,
-                              program=workload.program)
+    version = compile_version(workload.ts, OptConfig.o3(), machine)
     save_plan = SaveRestorePlan(workload.ts, machine)
     rbr = ReExecutionRating(save_plan, settings, timed)
     ratios = [

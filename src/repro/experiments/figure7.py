@@ -45,10 +45,6 @@ class Figure7Entry:
     #: True when this method is the one the PEAK consultant suggested
     suggested: bool = False
 
-    @property
-    def bar_label(self) -> str:
-        return f"{self.benchmark}_{self.method}"
-
 
 def methods_for(
     workload: Workload, machine: MachineConfig, *, seed: int = 0, exec_tier: int = 1

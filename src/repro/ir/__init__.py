@@ -23,7 +23,7 @@ from .builder import (
 from .cfg import CFG
 from .expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var, walk
 from .function import Function, Param, Program
-from .stmt import Assign, CallStmt, CondBranch, Jump, Return, Stmt, Terminator
+from .stmt import Assign, CondBranch, Jump, Return, Stmt, Terminator
 from .types import Type, element_type, is_array, is_scalar
 from .validate import IRValidationError, validate_function, validate_program
 
@@ -34,7 +34,6 @@ __all__ = [
     "BinOp",
     "CFG",
     "Call",
-    "CallStmt",
     "CondBranch",
     "Const",
     "Expr",

@@ -18,7 +18,7 @@ from .block import BasicBlock
 from .cfg import CFG
 from .expr import ArrayRef, BinOp, Call, Expr, UnOp, Var, _wrap
 from .function import Function, Param
-from .stmt import Assign, CallStmt, CondBranch, Jump, Return
+from .stmt import Assign, CondBranch, Jump, Return
 from .types import Type
 
 __all__ = [
@@ -217,24 +217,6 @@ class FunctionBuilder:
     def store(self, array: str, index: object, expr: object) -> None:
         """Emit ``array[index] = expr``."""
         self.assign(ArrayRef(array, _wrap(index)), expr)
-
-    def call(
-        self,
-        fn: str,
-        args: list[object],
-        target: str | None = None,
-        writes_arrays: tuple[str, ...] = (),
-    ) -> None:
-        """Emit a call to another IR function."""
-        self._pending_else = None
-        self._emit(
-            CallStmt(
-                fn=fn,
-                args=tuple(_wrap(a) for a in args),
-                target=Var(target) if target else None,
-                writes_arrays=writes_arrays,
-            )
-        )
 
     def ret(self, value: object | None = None) -> None:
         self._pending_else = None

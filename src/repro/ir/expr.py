@@ -169,7 +169,7 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Var(Expr):
-    """A read of a scalar variable (or of a whole-array handle in calls)."""
+    """A read of a scalar variable (or of a whole-array handle)."""
 
     name: str
 

@@ -8,7 +8,7 @@ cache statement identity sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .expr import ArrayRef, Expr, Var
@@ -16,7 +16,6 @@ from .expr import ArrayRef, Expr, Var
 __all__ = [
     "Stmt",
     "Assign",
-    "CallStmt",
     "Terminator",
     "Jump",
     "CondBranch",
@@ -77,59 +76,6 @@ class Assign(Stmt):
 
     def __str__(self) -> str:
         return f"{self.target} = {self.expr}"
-
-
-@dataclass(frozen=True)
-class CallStmt(Stmt):
-    """``target = fn(args...)`` calling another IR function.
-
-    Used by the inlining pass; the executor also supports it directly.
-    ``target`` may be ``None`` for a void call.  Array arguments are passed
-    by reference (the callee may mutate them), hence they appear in both
-    ``uses()`` and ``defs()``.
-    """
-
-    fn: str
-    args: tuple[Expr, ...] = field(default_factory=tuple)
-    target: Var | None = None
-    #: names of array arguments the callee may write (by position lookup the
-    #: compiler fills this in during program linking; conservatively all
-    #: array args when empty).
-    writes_arrays: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-
-    def _array_args(self) -> frozenset[str]:
-        out = set()
-        for a in self.args:
-            if isinstance(a, Var):
-                out.add(a.name)
-            out |= a.array_reads()
-        return frozenset(out)
-
-    def uses(self) -> frozenset[str]:
-        used: set[str] = set()
-        for a in self.args:
-            used |= a.reads()
-        return frozenset(used)
-
-    def scalar_uses(self) -> frozenset[str]:
-        used: set[str] = set()
-        for a in self.args:
-            used |= a.scalar_reads()
-        return frozenset(used)
-
-    def defs(self) -> frozenset[str]:
-        out = set(self.writes_arrays) if self.writes_arrays else set(self._array_args())
-        if self.target is not None:
-            out.add(self.target.name)
-        return frozenset(out)
-
-    def __str__(self) -> str:
-        call = f"{self.fn}({', '.join(map(str, self.args))})"
-        return f"{self.target} = {call}" if self.target else call
 
 
 @dataclass(frozen=True)

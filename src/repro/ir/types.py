@@ -52,12 +52,3 @@ def element_type(ty: Type) -> Type:
     if ty is Type.FLOAT_ARRAY:
         return Type.FLOAT
     raise ValueError(f"{ty} is not an array type")
-
-
-def array_type(elem: Type) -> Type:
-    """Return the array type whose elements have type *elem*."""
-    if elem is Type.INT:
-        return Type.INT_ARRAY
-    if elem is Type.FLOAT:
-        return Type.FLOAT_ARRAY
-    raise ValueError(f"no array type with element type {elem}")

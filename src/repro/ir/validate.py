@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .expr import ArrayRef, Var, walk
 from .function import Function, Program
-from .stmt import Assign, CallStmt, CondBranch, Jump, Return
+from .stmt import Assign, CondBranch, Jump, Return
 from .types import is_array, is_scalar
 
 __all__ = ["IRValidationError", "validate_function", "validate_program"]
@@ -24,7 +24,7 @@ def _check(cond: bool, msg: str) -> None:
         raise IRValidationError(msg)
 
 
-def validate_function(fn: Function, *, known_functions: set[str] | None = None) -> None:
+def validate_function(fn: Function) -> None:
     """Validate structural invariants of *fn*.
 
     Checks: entry exists; every block has a terminator; every branch target
@@ -85,19 +85,6 @@ def validate_function(fn: Function, *, known_functions: set[str] | None = None) 
                         f"{fn.name}/{label}: scalar store to non-scalar "
                         f"{s.target.name!r}",
                     )
-            elif isinstance(s, CallStmt):
-                for a in s.args:
-                    check_expr(a, label)
-                if s.target is not None:
-                    _check(
-                        s.target.name in types,
-                        f"{fn.name}/{label}: call target {s.target.name!r} undeclared",
-                    )
-                if known_functions is not None:
-                    _check(
-                        s.fn in known_functions,
-                        f"{fn.name}/{label}: call to unknown function {s.fn!r}",
-                    )
             else:  # pragma: no cover - no other statement kinds exist
                 raise IRValidationError(f"{fn.name}/{label}: unknown statement {s!r}")
 
@@ -127,7 +114,6 @@ def validate_function(fn: Function, *, known_functions: set[str] | None = None) 
 
 
 def validate_program(prog: Program) -> None:
-    """Validate every function in *prog*, resolving cross-function calls."""
-    known = set(prog.functions)
+    """Validate every function in *prog*."""
     for fn in prog.functions.values():
-        validate_function(fn, known_functions=known)
+        validate_function(fn)

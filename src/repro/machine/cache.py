@@ -78,13 +78,15 @@ class CacheSim:
             if direct[set_idx] == line_idx:
                 self.hits += 1
                 return self.hit_cycles
-            direct[set_idx] = line_idx
+            # a line read off an int array is a numpy integer: store an int
+            direct[set_idx] = int(line_idx)
             self.misses += 1
             return self.miss_cycles
         ways = self._sets[set_idx]
         if ways and ways[-1] == line_idx:  # MRU fast path
             self.hits += 1
             return self.hit_cycles
+        line_idx = int(line_idx)
         self._mru[set_idx] = line_idx
         try:
             ways.remove(line_idx)
@@ -167,7 +169,6 @@ class AddressMap:
     ELEM_SIZE = 8
 
     def __init__(self, sizes: dict[str, int], line: int = 64, base: int = 0x10000) -> None:
-        self.line = line
         self.bases: dict[str, int] = {}
         addr = base
         lo = hi = base
@@ -179,13 +180,10 @@ class AddressMap:
             lo = min(lo, addr - nbytes)
             hi = max(hi, addr + nbytes)
             addr += ((nbytes + line - 1) // line) * line + line
-        self.total_span = addr - base
-        #: first address past the laid-out arrays
-        self.end = addr
         #: cache lines spanned by every reachable address of the arrays;
         #: when this is below the cache's set count, no access can evict a
         #: line another access touched (Tier 1's windowed code relies on
-        #: it).  Only depth-0 frames read it: callee frames run at Tier 0.
+        #: it).
         self.window_lines = hi // line - lo // line if sizes else 0
 
     def address(self, array: str, index: int) -> int:
@@ -196,9 +194,9 @@ class AddressMap:
     def for_env(cls, env: dict[str, object], line: int = 64) -> "AddressMap":
         """Build an address map from an invocation environment.
 
-        Names bound to the *same* underlying array object (pointer aliases,
-        arrays passed through to callees) share one base address, so aliased
-        accesses hit the same cache lines.
+        Names bound to the *same* underlying array object (pointer aliases)
+        share one base address, so aliased accesses hit the same cache
+        lines.
         """
         arrays = {
             name: value for name, value in env.items() if hasattr(value, "__len__")
@@ -217,36 +215,3 @@ class AddressMap:
         for alias, target in aliases.items():
             amap.bases[alias] = amap.bases[target]
         return amap
-
-    def for_call(
-        self, args: dict[str, object], caller_env: dict[str, object]
-    ) -> "AddressMap":
-        """The address map of a callee frame whose array parameters are *args*.
-
-        Each parameter takes the base of a caller name bound to the same
-        array object (or of an earlier parameter sharing it), so the callee
-        touches the caller's lines.  An array no caller name holds is laid
-        out after this map's arrays.  This map is left unchanged.
-        """
-        frame = AddressMap({}, line=self.line, base=self.end)
-        line = self.line
-        for pname, value in args.items():
-            base = next(
-                (
-                    self.bases[cname]
-                    for cname, cval in caller_env.items()
-                    if cval is value and cname in self.bases
-                ),
-                None,
-            )
-            if base is None:
-                base = next(
-                    (frame.bases[q] for q in frame.bases if args[q] is value), None
-                )
-            if base is None:
-                base = frame.end
-                nbytes = len(value) * self.ELEM_SIZE
-                frame.end += ((nbytes + line - 1) // line) * line + line
-            frame.bases[pname] = base
-        return frame
-

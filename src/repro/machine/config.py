@@ -16,7 +16,7 @@ the paper's results depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cost import CostTable
 
@@ -53,10 +53,6 @@ class MachineConfig:
     #: more measurement variation", Section 5.1)
     timer_granularity_cycles: float = 0.0
 
-    def with_noise(self, sigma: float) -> "MachineConfig":
-        """A copy of this machine with a different jitter level."""
-        return replace(self, noise_sigma=sigma)
-
 
 SPARC2 = MachineConfig(
     name="sparc2",
@@ -71,7 +67,6 @@ SPARC2 = MachineConfig(
         fp_div=22.0,
         compare=1.0,
         intrinsic=30.0,
-        call_overhead=14.0,
     ),
     cache_size=16 * 1024,
     cache_line=32,
@@ -100,7 +95,6 @@ PENTIUM4 = MachineConfig(
         fp_div=24.0,
         compare=0.5,
         intrinsic=40.0,
-        call_overhead=20.0,
     ),
     cache_size=8 * 1024,
     cache_line=64,

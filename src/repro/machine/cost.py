@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt, CondBranch, Return, Stmt, Terminator
+from ..ir.stmt import Assign, CondBranch, Return, Stmt, Terminator
 from ..ir.types import Type
 
 __all__ = ["CostTable", "TypeEnv", "infer_type", "expr_cost", "stmt_cost", "StaticCost"]
@@ -34,7 +34,6 @@ class CostTable:
     intrinsic: float = 24.0
     move: float = 0.5
     addr_calc: float = 0.5
-    call_overhead: float = 12.0
     return_cost: float = 1.0
     branch_base: float = 1.0
 
@@ -155,14 +154,6 @@ def stmt_cost(stmt: Stmt, types: TypeEnv, table: CostTable) -> tuple[float, int]
             icycles, imem = expr_cost(stmt.target.index, types, table)
             cycles += icycles + table.addr_calc
             mem += imem + 1  # the store itself
-        return cycles, mem
-    if isinstance(stmt, CallStmt):
-        cycles = table.call_overhead
-        mem = 0
-        for a in stmt.args:
-            c, m = expr_cost(a, types, table)
-            cycles += c + table.move
-            mem += m
         return cycles, mem
     raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
 

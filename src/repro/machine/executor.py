@@ -13,7 +13,9 @@ The executor plays the role of the paper's hardware platform.  It
 
 Expressions are compiled to Python closures once per version ("code
 generation"), on the version's first interpreted frame; the hot interpreter
-loop then only dispatches closures.
+loop then only dispatches closures.  The IR has no calls to user functions
+(only intrinsic ``Call`` expressions), so an invocation is one frame of the
+tuning section.
 
 **Value representation.**  A ``FLOAT_ARRAY`` reaches the machine as a
 Python ``list`` of ``float`` (:func:`unbox` converts a 1-D ``float64``
@@ -46,7 +48,7 @@ import numpy as np
 
 from ..ir.expr import ArrayRef, BinOp, Call, Const, Expr, UnOp, Var
 from ..ir.function import Function
-from ..ir.stmt import Assign, CallStmt, CondBranch, Jump, Return
+from ..ir.stmt import Assign, CondBranch, Jump, Return
 from ..ir.types import Type
 from ..store import Store
 from .cache import AddressMap, CacheSim
@@ -220,18 +222,6 @@ def compile_expr(expr: Expr, types: dict[str, Type]) -> Callable:
 # statement and block compilation
 
 
-class _CallStep:
-    """A call site; executed by the executor (needs callee dispatch)."""
-
-    __slots__ = ("fn", "arg_fns", "arg_exprs", "target")
-
-    def __init__(self, stmt: CallStmt, types: dict[str, Type]) -> None:
-        self.fn = stmt.fn
-        self.arg_fns = [compile_expr(a, types) for a in stmt.args]
-        self.arg_exprs = stmt.args
-        self.target = stmt.target.name if stmt.target is not None else None
-
-
 def needs_float_conversion(stmt: Assign, types: dict[str, Type]) -> bool:
     """Whether the array store *stmt* wraps its value in ``float(...)``: a
     float array receives a value that is not statically FLOAT."""
@@ -266,8 +256,6 @@ def _compile_stmt(stmt, types: dict[str, Type]):
         def assign(env, mem, name=name, value_fn=value_fn):
             env[name] = value_fn(env, mem)
         return assign
-    if isinstance(stmt, CallStmt):
-        return _CallStep(stmt, types)
     raise ExecutionError(f"cannot compile statement {stmt!r}")  # pragma: no cover
 
 
@@ -280,14 +268,11 @@ class CompiledBlock:
     it, and its closures once built (:meth:`ExecutableFunction.build_closures`)."""
 
     label: str
-    has_calls: bool
     compute_cycles: float
     spill_cycles: float = 0.0
     is_branch: bool = False
     #: interned branch-predictor key ``(fn_name, label)`` (branch blocks only)
     branch_key: tuple[str, str] | None = None
-    #: interned block-count key for nested (callee) frames: ``fn::label``
-    qual_key: str = ""
     steps: list | None = None
     #: terminator closure: returns (next_label, taken_flag_or_None)
     term: Callable | None = None
@@ -303,11 +288,6 @@ class ExecutableFunction:
     source: Function
     param_names: tuple[str, ...]
     local_defaults: dict[str, object]
-    #: resolved callees for CallStmt dispatch
-    callees: dict[str, "ExecutableFunction"] = field(default_factory=dict)
-    _count_keys: tuple[str, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
     #: ``(oblivious_reason,)`` once computed
     _oblivious: tuple | None = field(
         default=None, init=False, repr=False, compare=False
@@ -335,28 +315,6 @@ class ExecutableFunction:
         if digest is None:
             digest = self._ir_digest = hashlib.sha256(str(self.source).encode()).digest()
         return digest
-
-    def count_keys(self) -> tuple[str, ...]:
-        """Every block-count key one invocation can touch.
-
-        Own blocks count under their bare label (depth 0); blocks of every
-        transitively reachable callee count under ``fn::label``.  ``run``
-        pre-seeds the counts dict with these so the key set is identical
-        across invocations regardless of which calls actually execute.
-        """
-        if self._count_keys is None:
-            keys = list(self.blocks)
-            seen: set[str] = set()
-            stack = list(self.callees.values())
-            while stack:
-                callee = stack.pop()
-                if callee.name in seen:
-                    continue
-                seen.add(callee.name)
-                keys.extend(b.qual_key for b in callee.blocks.values())
-                stack.extend(callee.callees.values())
-            self._count_keys = tuple(keys)
-        return self._count_keys
 
     def build_closures(self) -> None:
         """Build every block's ``steps`` and ``term``.
@@ -387,7 +345,7 @@ def executable_digest(exe: ExecutableFunction, machine: MachineConfig) -> str:
     pipeline's ``version_key``.  It keys whole-program run memos and
     invocation replays; the generated code is keyed without the costs
     (:func:`~repro.machine.jit.code_key`).  Runtime inputs (cost factors,
-    cache and predictor state) are not part of it, nor are callees.
+    cache and predictor state) are not part of it.
     Memoized on *exe* for the last machine asked.
     """
     memo = exe._digest
@@ -436,7 +394,6 @@ def compile_function(
     *,
     block_compute_cycles: dict[str, float] | None = None,
     block_spill_cycles: dict[str, float] | None = None,
-    callees: dict[str, "ExecutableFunction"] | None = None,
 ) -> ExecutableFunction:
     """Compile *fn* for *machine*.
 
@@ -456,14 +413,12 @@ def compile_function(
         is_branch = isinstance(blk.terminator, CondBranch)
         blocks[label] = CompiledBlock(
             label=label,
-            has_calls=any(isinstance(s, CallStmt) for s in blk.stmts),
             compute_cycles=compute[label],
             spill_cycles=(
                 block_spill_cycles.get(label, 0.0) if block_spill_cycles else 0.0
             ),
             is_branch=is_branch,
             branch_key=(fn.name, label) if is_branch else None,
-            qual_key=f"{fn.name}::{label}",
         )
     local_defaults = {
         name: (0.0 if t is Type.FLOAT else 0) for name, t in fn.locals.items()
@@ -475,7 +430,6 @@ def compile_function(
         source=fn,
         param_names=tuple(p.name for p in fn.params),
         local_defaults=local_defaults,
-        callees=dict(callees or {}),
     )
 
 
@@ -793,7 +747,7 @@ class Executor:
         #: (env names, value types) -> layout (see :func:`input_facts`)
         self._array_layout: dict[tuple, tuple] = {}
         #: oblivious verdicts by IR (see :func:`oblivious_reason`)
-        self._verdicts: dict[tuple, tuple] = {}
+        self._verdicts: dict[bytes, tuple] = {}
         #: blocks completed by the dispatch loop (:meth:`_interpret`)
         self.interpreted_blocks = 0
         #: the machine state (with stale counters) as the last run left it,
@@ -872,8 +826,8 @@ class Executor:
         the recorded result is returned.  Its writes to the env's arrays
         are then skipped, so pass a store only when nothing reads them
         afterwards.  The key is the executable's content
-        (:func:`executable_digest`, or its identity when it has callees),
-        the factors, the entry machine state and the inputs:
+        (:func:`executable_digest`), the factors, the entry machine state
+        and the inputs:
 
         * for a data-oblivious *exe*
           (:func:`~repro.machine.oblivious.oblivious_reason`), their
@@ -904,10 +858,8 @@ class Executor:
             entry = self._known
             if entry is None:
                 entry = self.machine_state()
-            # a record holds exe, so its id is not reused while the record
-            # lives (a digest covers no callee)
             key = (
-                id(exe) if exe.callees else executable_digest(exe, self.machine),
+                executable_digest(exe, self.machine),
                 factors, count_blocks, self.MAX_STEPS, inputs_key, entry,
             )
             rec = replay.get(key)
@@ -922,10 +874,10 @@ class Executor:
 
         amap = self._address_map(env, facts.shape)
         counts: dict[str, int] | None = (
-            dict.fromkeys(exe.count_keys(), 0) if count_blocks else None
+            dict.fromkeys(exe.blocks, 0) if count_blocks else None
         )
         result = InvocationResult(0.0, block_counts=counts)
-        self._run_cfg(exe, local_env, amap, factors, counts, result, depth=0)
+        self._run_cfg(exe, local_env, amap, factors, counts, result)
         result.return_value = local_env.get("<ret>")
         if key is not None:
             cache = self.cache
@@ -971,12 +923,9 @@ class Executor:
         factors: CostFactors,
         counts: dict[str, int] | None,
         result: InvocationResult,
-        depth: int,
     ) -> None:
-        if depth > 32:
-            raise ExecutionError("call depth limit exceeded (recursive IR?)")
         self._interpret(
-            exe, env, amap, factors, counts, result, depth,
+            exe, env, amap, factors, counts, result,
             exe.entry, self.MAX_STEPS, 0.0, 0.0, 0.0,
         )
 
@@ -988,7 +937,6 @@ class Executor:
         factors: CostFactors,
         counts: dict[str, int] | None,
         result: InvocationResult,
-        depth: int,
         label: str,
         steps_budget: int,
         cycles: float,
@@ -998,8 +946,7 @@ class Executor:
         """The dispatch loop, from *label* with *steps_budget* steps left.
 
         *cycles*, *mem_cycles* and *miss_cycles* are the frame's local
-        accumulators so far (folded into *result* when the frame returns;
-        _do_call writes callee contributions into *result* directly).
+        accumulators so far (folded into *result* when the frame returns).
         Tier 1 resumes here when its step-budget guard fails.
         """
         exe.build_closures()
@@ -1017,21 +964,12 @@ class Executor:
             while label != _RETURN:
                 blk = blocks[label]
                 if counts is not None:
-                    counts[blk.label if depth == 0 else blk.qual_key] += 1
+                    counts[label] += 1
                 cycles += blk.compute_cycles + blk.spill_cycles
 
                 try:
-                    if blk.has_calls:
-                        for step in blk.steps:
-                            if type(step) is _CallStep:
-                                self._do_call(
-                                    step, exe, env, amap, factors, counts, result, depth
-                                )
-                            else:
-                                step(env, mem)
-                    else:
-                        for step in blk.steps:
-                            step(env, mem)
+                    for step in blk.steps:
+                        step(env, mem)
                     label_next, taken = blk.term(env, mem)
                 except RUNTIME_ERRORS as e:
                     raise ExecutionError(
@@ -1067,46 +1005,3 @@ class Executor:
         result.cycles += cycles
         result.mem_cycles += mem_cycles
         result.branch_miss_cycles += miss_cycles
-
-    def _do_call(
-        self,
-        step: _CallStep,
-        caller: ExecutableFunction,
-        env: dict[str, object],
-        amap: AddressMap,
-        factors: CostFactors,
-        counts: dict[str, int] | None,
-        result: InvocationResult,
-        depth: int,
-    ) -> None:
-        callee = caller.callees.get(step.fn)
-        if callee is None:
-            raise ExecutionError(f"{caller.name}: unresolved call to {step.fn!r}")
-        mem: list = []
-        args = [f(env, mem) for f in step.arg_fns]
-        if mem:
-            mc = sum(
-                self.cache.access(amap.bases[n] + i * AddressMap.ELEM_SIZE)
-                for n, i in mem
-            ) * factors.mem
-            result.cycles += mc
-            result.mem_cycles += mc
-        callee_env = dict(zip(callee.param_names, args))
-        callee_env.update(callee.local_defaults)
-        # the callee's arrays live at the addresses of the argument objects,
-        # bound afresh at every call site
-        frame = amap.for_call(
-            {
-                name: value
-                for name, value in zip(callee.param_names, args)
-                if hasattr(value, "__len__")
-            },
-            env,
-        )
-        sub = InvocationResult(0.0)
-        self._run_cfg(callee, callee_env, frame, factors, counts, sub, depth + 1)
-        result.cycles += sub.cycles
-        result.mem_cycles += sub.mem_cycles
-        result.branch_miss_cycles += sub.branch_miss_cycles
-        if step.target is not None:
-            env[step.target] = callee_env.get("<ret>")

@@ -12,12 +12,12 @@ Tier 1 compiles each :class:`ExecutableFunction`, on first use, into
 **one** Python function (``compile()``/``exec``) with every block body
 inline:
 
-* **Rule** — Tier 1 compiles a frame only when it is at depth 0, its
-  function makes no call, and every array it touches gets an inline cache
-  check (the machine's cache qualifies, see :class:`_InlineCache`, and
-  every array is a parameter that no scalar shares a name with).  The
-  rule is decided once per function (:attr:`WholeFunction.compiles`);
-  every other frame runs at Tier 0, the oracle.  The tuning sections of
+* **Rule** — Tier 1 compiles a function only when every array it touches
+  gets an inline cache check (the machine's cache qualifies, see
+  :class:`_InlineCache`, and every array is a parameter that no scalar
+  shares a name with).  The rule is decided once per function
+  (:attr:`WholeFunction.compiles`); every other function runs at Tier 0,
+  the oracle.  The tuning sections of
   every workload qualify at ``-O3`` on both paper machines.
 * **Layout** — blocks are grouped into *chains*.  A chain starts at a
   *head*: the entry, the target of every retreating CFG edge (the header
@@ -352,7 +352,8 @@ class _FunctionEmitter:
         *x*; a set-associative access snapshots the set's way list to
         ``_u``, makes *x* the set's MRU line and goes through
         :func:`_assoc_slow`, which replays Tier 0's LRU update and reports
-        hit/miss.
+        hit/miss.  A stored line is a Python ``int``, as at Tier 0: *x* is
+        a numpy integer when its subscript was read from an int array.
         """
         p = self.inline
         table = "_dt" if p.assoc == 1 else "_mru"
@@ -362,12 +363,13 @@ class _FunctionEmitter:
         self.emit(f"{s} = {x} & {p.set_mask}")
         if p.assoc == 1:
             self.emit(f"_u.append(({s}, _dt[{s}]))")
-            self.emit(f"_dt[{s}] = {x}")
+            self.emit(f"_dt[{s}] = int({x})")
             self.emit("_bm += 1")
         else:
             w = self.fresh()
             self.emit(f"{w} = _dt[{s}]")
             self.emit(f"_u.append(({w}, {w}[:]))")
+            self.emit(f"{x} = int({x})")
             self.emit(f"_mru[{s}] = {x}")
             if static:
                 self.emit(f"if not _aslow({w}, {x}, {p.assoc}):")
@@ -572,9 +574,9 @@ def _chain_heads(cfg: CFG) -> list[str]:
 class WholeFunction:
     """One function's chain layout plus its lazily compiled variants.
 
-    :attr:`compiles` says whether Tier 1 runs the function at all: it
-    makes no call, the machine's cache supports inline checks, and every
-    array it touches is a parameter that no scalar shares a name with.  A
+    :attr:`compiles` says whether Tier 1 runs the function at all: the
+    machine's cache supports inline checks, and every array it touches is
+    a parameter that no scalar shares a name with.  A
     variant is selected per frame by ``(counting, windowed)``: whether
     block counts are collected, and whether the frame's arrays fit the
     cache window.  Generated source is not kept; :meth:`source`
@@ -588,9 +590,7 @@ class WholeFunction:
         self.heads = tuple(_chain_heads(cfg))
         self.labels = tuple(cfg.rpo())
         self.compiles = False
-        if _InlineCache.supports(machine) and not any(
-            exe.blocks[label].has_calls for label in self.labels
-        ):
+        if _InlineCache.supports(machine):
             scalars, _, arrays = _scan_names(cfg.blocks[label] for label in self.labels)
             self.compiles = arrays <= set(exe.param_names) - scalars
         self._lock = threading.Lock()
@@ -929,12 +929,11 @@ class TieredExecutor(Executor):
 
     Drop-in subclass of :class:`Executor`; identical machine state
     (cache, predictor) and bit-identical :class:`InvocationResult`\\ s.
-    A frame at depth 0 whose function :attr:`~WholeFunction.compiles`
-    runs through its :class:`WholeFunction`, served from a shared code
-    store, from its first invocation on; the executable's own block costs
-    (``exe._jit_costs``) are passed in at every call.  Every other frame
-    (callees, functions with calls, functions whose arrays cannot all be
-    checked inline) runs at Tier 0.
+    A function that :attr:`~WholeFunction.compiles` runs through its
+    :class:`WholeFunction`, served from a shared code store, from its
+    first invocation on; the executable's own block costs
+    (``exe._jit_costs``) are passed in at every call.  A function whose
+    arrays cannot all be checked inline runs at Tier 0.
     """
 
     def __init__(
@@ -976,13 +975,12 @@ class TieredExecutor(Executor):
         factors,
         counts: dict[str, int] | None,
         result: InvocationResult,
-        depth: int,
     ) -> None:
         wf = getattr(exe, "_jit_fn", None)
         if wf is None or wf.machine is not self.machine:
             wf = self._whole_function(exe)
-        if depth or not wf.compiles:
-            super()._run_cfg(exe, env, amap, factors, counts, result, depth)
+        if not wf.compiles:
+            super()._run_cfg(exe, env, amap, factors, counts, result)
             return
         fn = wf.fn_for(counts is not None, amap.window_lines < self._win_sets)
         cache = self.cache
@@ -1003,7 +1001,7 @@ class TieredExecutor(Executor):
         )
         self.compiled_frames += 1
         if bail is not None:
-            self._interpret(exe, env, amap, factors, counts, result, depth, *bail)
+            self._interpret(exe, env, amap, factors, counts, result, *bail)
 
 
 # --------------------------------------------------------------------------- #

@@ -14,19 +14,18 @@ IR.  Every array-element read is *tainted* (constant subscripts included),
 and so, flow-insensitively, is every scalar that a tainted expression is
 assigned to.  The executable is data-oblivious when
 
-1. it makes no call;
-2. no branch condition is tainted;
-3. no subscript is tainted, in a read or in a store;
-4. every store goes to a ``FLOAT_ARRAY`` (the writes a replay skips can
+1. no branch condition is tainted;
+2. no subscript is tainted, in a read or in a store;
+3. every store goes to a ``FLOAT_ARRAY`` (the writes a replay skips can
    then only land in float lists, which every input source hands out fresh
    per invocation);
-5. a tainted operand appears only under ``+ - * min max`` with both
+4. a tainted operand appears only under ``+ - * min max`` with both
    operands FLOAT, under unary ``-`` or ``abs`` on a FLOAT, or as the
    FLOAT dividend of a ``/`` whose divisor is untainted: none of those
    raises on any float value (no intrinsic, comparison, logical or bitwise
    op, ``//``, ``%`` or int conversion takes one, since those can raise, or
    warn on numpy ints, depending on the value);
-6. the return value is untainted.
+5. the return value is untainted.
 
 A whole-array handle (a ``Var`` naming an array) counts as tainted too.
 """
@@ -34,7 +33,7 @@ A whole-array handle (a ``Var`` naming an array) counts as tainted too.
 from __future__ import annotations
 
 from ..ir.expr import ArrayRef, BinOp, Expr, UnOp, Var
-from ..ir.stmt import CallStmt, CondBranch, Return
+from ..ir.stmt import CondBranch, Return
 from ..ir.types import Type, is_array
 from .cost import infer_type
 
@@ -49,9 +48,8 @@ def oblivious_reason(exe, verdicts: dict | None = None) -> str | None:
 
     Computed once per :class:`~repro.machine.executor.ExecutableFunction`.
     *verdicts* shares the analysis across executables: it maps what
-    :func:`_reason` reads, the digest of the rendered IR and whether the
-    executable has callees, to the verdict.  Versions whose passes left
-    the IR unchanged are then analysed once.  The caller scopes it (an
+    :func:`_reason` reads, the digest of the rendered IR, to the verdict.
+    Versions whose passes left the IR unchanged are then analysed once.  The caller scopes it (an
     executor holds one), so no verdict outlives the caller.
     """
     memo = exe._oblivious
@@ -59,7 +57,7 @@ def oblivious_reason(exe, verdicts: dict | None = None) -> str | None:
         if verdicts is None:
             memo = (_reason(exe),)
         else:
-            key = (exe.ir_digest(), bool(exe.callees))
+            key = exe.ir_digest()
             memo = verdicts.get(key)
             if memo is None:
                 memo = verdicts[key] = (_reason(exe),)
@@ -69,13 +67,9 @@ def oblivious_reason(exe, verdicts: dict | None = None) -> str | None:
 
 def _reason(exe) -> str | None:
     fn = exe.source
-    if exe.callees:
-        return "calls another function"
     types = fn.all_vars()
     blocks = list(fn.cfg.blocks.values())
     stmts = [s for blk in blocks for s in blk.stmts]
-    if any(isinstance(s, CallStmt) for s in stmts):
-        return "calls another function"
 
     tainted: set[str] = {name for name, t in types.items() if is_array(t) or t is Type.PTR}
 

@@ -1,8 +1,9 @@
 """Workload abstractions: SPEC-analog benchmarks for the tuning system.
 
 A :class:`Workload` packages one benchmark: its IR program (the tuning
-section plus any callees), metadata mirroring the paper's Table 1 row
-(benchmark/TS names, expected rating approach, paper invocation count), and
+section, which calls no other function), metadata mirroring the paper's
+Table 1 row (benchmark/TS names, expected rating approach, paper
+invocation count), and
 two :class:`Dataset`\\ s — ``train`` (used during tuning, per the paper's
 profile-based-optimization methodology) and ``ref`` (used to measure the
 tuned program's performance).

@@ -217,7 +217,7 @@ class TestPreservedAnalyses:
         _warm_all(am)
         for step in effective_steps(OptConfig.o3()):
             before = fn.ir_stamp
-            changed = _apply_step(step, fn, None, am)
+            changed = _apply_step(step, fn, am)
             if changed and fn.ir_stamp == before:
                 traits = _STEP_TRAITS[step]
                 am.commit(traits.mutates, traits.preserves)
@@ -234,7 +234,7 @@ class TestPreservedAnalyses:
         _warm_all(am)
         for step in effective_steps(OptConfig.o3()):
             before = out.ir_stamp
-            changed = _apply_step(step, out, None, am)
+            changed = _apply_step(step, out, am)
             if changed and out.ir_stamp == before:
                 traits = _STEP_TRAITS[step]
                 am.commit(traits.mutates, traits.preserves)
@@ -375,11 +375,6 @@ class TestEffectiveSteps:
         assert "gcse" in steps and "licm" in steps and "dce" in steps
         assert "cse-local" not in steps, "gcse subsumes local CSE"
         assert "cse-rerun:g" in steps
-        assert "inline" not in steps, "no surrounding program"
-
-    def test_inline_requires_a_program(self):
-        steps = effective_steps(OptConfig.o3(), has_program=True)
-        assert steps[0] == "inline"
 
     def test_cse_rerun_variant_tracks_the_cse_family(self):
         no_gcse = OptConfig.o3().without("gcse")

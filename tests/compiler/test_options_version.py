@@ -11,7 +11,9 @@ from repro.compiler import (
 )
 from repro.compiler.pipeline import PASS_ORDER
 from repro.ir import FunctionBuilder, Type
-from repro.machine import SPARC2
+from repro.machine import PENTIUM4, SPARC2
+from repro.machine.jit import code_key
+from repro.workloads import WORKLOAD_NAMES, get_workload
 
 
 class TestFlags:
@@ -36,6 +38,20 @@ class TestFlags:
 
     def test_descriptions_present(self):
         assert all(f.description for f in ALL_FLAGS)
+
+    def test_effect_only_flags_leave_the_ir_alone(self):
+        """Dropping every flag without a pass (``inline-functions`` among
+        them: no tuning section makes a call) changes costs, never the
+        IR: the generated code is shared with -O3 on every workload."""
+        effect_only = [f.name for f in ALL_FLAGS if f.pass_id is None]
+        assert len(effect_only) == 26 and "inline-functions" in effect_only
+        o3, bare = OptConfig.o3(), OptConfig.o3().without(*effect_only)
+        for name in WORKLOAD_NAMES:
+            ts = get_workload(name).ts
+            for machine in (SPARC2, PENTIUM4):
+                assert code_key(compile_version(ts, o3, machine).exe, machine) == (
+                    code_key(compile_version(ts, bare, machine).exe, machine)
+                ), (name, machine.name)
 
 
 class TestOptConfig:

@@ -8,7 +8,6 @@ from repro.compiler.passes import (
     crossjump,
     dead_code_elimination,
     if_conversion,
-    inline_calls,
     loop_invariant_code_motion,
     peephole,
     strength_reduce,
@@ -23,7 +22,6 @@ from repro.ir import (
     Const,
     FunctionBuilder,
     Jump,
-    Program,
     Type,
     Var,
     validate_function,
@@ -547,76 +545,3 @@ class TestUnroll:
         assert not unroll_loops(fn)
 
 
-class TestInline:
-    def _program(self):
-        cal = FunctionBuilder("mac", [("x", Type.FLOAT), ("y", Type.FLOAT)], return_type=Type.FLOAT)
-        cal.ret(cal.var("x") * cal.var("y") + 1.0)
-        callee = cal.build()
-
-        b = FunctionBuilder("main_ts", [("n", Type.INT), ("a", Type.FLOAT_ARRAY)])
-        b.local("t", Type.FLOAT)
-        with b.for_("i", 0, b.var("n")) as i:
-            b.call("mac", [ArrayRef("a", i), 2.0], target="t")
-            b.store("a", i, b.var("t"))
-        b.ret()
-        caller = b.build()
-        prog = Program("p")
-        prog.add(callee)
-        prog.add(caller)
-        return prog, caller
-
-    def test_inline_removes_call(self):
-        from repro.ir import CallStmt
-
-        prog, caller = self._program()
-        assert inline_calls(caller, prog)
-        validate_function(caller)
-        assert not any(
-            isinstance(s, CallStmt)
-            for blk in caller.cfg.blocks.values()
-            for s in blk.stmts
-        )
-
-    def test_inline_preserves_semantics(self):
-        prog, caller = self._program()
-        a1 = np.array([1.0, 2.0, 3.0])
-        a2 = a1.copy()
-        # reference: run with calls
-        plain = caller.copy()
-        callee_exe = compile_function(prog.functions["mac"], SPARC2)
-        exe_plain = compile_function(plain, SPARC2, callees={"mac": callee_exe})
-        Executor(SPARC2).run(exe_plain, {"n": 3, "a": a1})
-        # inlined
-        inline_calls(caller, prog)
-        exe_inl = compile_function(caller, SPARC2)
-        Executor(SPARC2).run(exe_inl, {"n": 3, "a": a2})
-        np.testing.assert_allclose(a1, a2)
-        np.testing.assert_allclose(a2, [3.0, 5.0, 7.0])
-
-    def test_inline_respects_size_limit(self):
-        big = FunctionBuilder("big", [("x", Type.INT)], return_type=Type.INT)
-        big.local("t", Type.INT)
-        big.assign("t", big.var("x"))
-        for _ in range(60):
-            big.assign("t", big.var("t") + 1)
-        big.ret(big.var("t"))
-
-        b = FunctionBuilder("caller", [("x", Type.INT)], return_type=Type.INT)
-        b.local("y", Type.INT)
-        b.call("big", [b.var("x")], target="y")
-        b.ret(b.var("y"))
-        caller = b.build()
-        prog = Program("p")
-        prog.add(big.build())
-        prog.add(caller)
-        assert not inline_calls(caller, prog)
-
-    def test_recursive_not_inlined(self):
-        b = FunctionBuilder("rec", [("x", Type.INT)], return_type=Type.INT)
-        b.local("y", Type.INT)
-        b.call("rec", [b.var("x")], target="y")
-        b.ret(b.var("y"))
-        fn = b.build()
-        prog = Program("p")
-        prog.add(fn)
-        assert not inline_calls(fn, prog)

@@ -16,7 +16,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.compiler import compile_version, version_key
 from repro.compiler.options import OptConfig
-from repro.compiler.pipeline import program_digest
 from repro.core.peak import PeakTuner
 from repro.core.search import IterativeElimination, ParallelEvaluator, resolve_jobs
 from repro.machine import PENTIUM4, SPARC2
@@ -105,13 +104,6 @@ class TestParallelEvaluator:
 # the version cache: compile_version through a Store under version_key
 
 
-def _swim_program():
-    from repro.ir import Program
-
-    fn = get_workload("swim").ts
-    return fn, Program("p", functions={fn.name: fn})
-
-
 class TestVersionCache:
     def test_miss_then_hit(self):
         fn = get_workload("swim").ts
@@ -176,22 +168,6 @@ class TestVersionCache:
         o3 = OptConfig.o3()
         assert version_key(swim, o3, PENTIUM4) != version_key(mgrid, o3, PENTIUM4)
 
-    def test_program_digest_memoized_by_identity(self):
-        from repro.compiler.pipeline import _shared_program_digests
-
-        fn, program = _swim_program()
-        k1 = version_key(fn, OptConfig.o3(), PENTIUM4, program=program)
-        hits = _shared_program_digests.hits
-        k2 = version_key(fn, OptConfig.o3(), PENTIUM4, program=program)
-        assert k1 == k2
-        assert _shared_program_digests.hits == hits + 1
-        # the memo is an optimisation, not part of the key: an equal-content
-        # program yields the same key through a fresh digest
-        _, clone = _swim_program()
-        misses = _shared_program_digests.misses
-        assert version_key(fn, OptConfig.o3(), PENTIUM4, program=clone) == k1
-        assert _shared_program_digests.misses == misses + 1
-
     def test_concurrent_same_key_deduplicates(self, monkeypatch):
         import threading
 
@@ -223,48 +199,6 @@ class TestVersionCache:
         assert built == [1], "only one thread may run the pass pipeline"
         assert len({id(v) for v in results}) == 1 and len(results) == 4
         assert cache.misses == 1 and cache.hits == 3
-
-
-# --------------------------------------------------------------------------- #
-# the program-digest memo shared by version keys and prefix contexts
-
-
-class TestProgramDigestMemo:
-    def test_none_program_is_a_constant(self):
-        from repro.compiler.pipeline import _shared_program_digests
-
-        size = len(_shared_program_digests)
-        assert program_digest(None) == "-"
-        assert len(_shared_program_digests) == size
-
-    def test_stale_id_entry_is_not_served(self):
-        """An entry whose weak referent died must be recomputed, even if a
-        new program lands on the same ``id`` (CPython reuses addresses)."""
-        import weakref
-
-        from repro.compiler.pipeline import _shared_program_digests
-
-        class _Husk:
-            pass
-
-        _, program = _swim_program()
-        husk = _Husk()
-        dead = weakref.ref(husk)
-        del husk
-        assert dead() is None
-        # simulate id reuse: a dead entry squatting on this program's id
-        _shared_program_digests.clear()
-        _shared_program_digests.put((id(program),), (dead, "stale-digest"))
-        assert program_digest(program) != "stale-digest"
-        assert program_digest(program) == program_digest(program)
-
-    def test_bounded(self):
-        from repro.compiler.pipeline import _shared_program_digests
-
-        programs = [_swim_program()[1] for _ in range(300)]
-        for p in programs:
-            program_digest(p)
-        assert len(_shared_program_digests) == 256
 
 
 # --------------------------------------------------------------------------- #

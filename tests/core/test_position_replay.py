@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import OptConfig, compile_version
-from repro.compiler.pipeline import program_digest, version_key
+from repro.compiler.pipeline import version_key
 from repro.core.engine import EngineSpec, _TaskRater, _WorkerContext
 from repro.core.peak import evaluate_speedup, measure_whole_program
 from repro.core.rating import InputReplay, InvocationFeed, RatingSettings, ReExecutionRating
@@ -84,14 +84,14 @@ CONFIGS = (
 )
 
 
-def _rbr_run(fn, program, generator, n_per_run, machine, *, plain, tier=1, replay=True):
+def _rbr_run(fn, generator, n_per_run, machine, *, plain, tier=1, replay=True):
     """Three RBR pair ratings on one rater and feed; their fingerprint, how
     often the plan saved, and the replay store (None: no replay)."""
     plan = SaveRestorePlan(fn, machine)
     saves = []
     save = plan.save
     plan.save = lambda env, ledger=None: saves.append(1) or save(env, ledger)
-    versions = [compile_version(fn, c, machine, program=program) for c in CONFIGS]
+    versions = [compile_version(fn, c, machine) for c in CONFIGS]
     ledger = TuningLedger()
     store = Store(REPLAY_MEMO_MAX) if replay else None
     timed = TimedExecutor(machine, seed=7, ledger=ledger, exec_tier=tier, replay=store)
@@ -117,7 +117,7 @@ def _rbr_run(fn, program, generator, n_per_run, machine, *, plain, tier=1, repla
 def _workload_case(name, machine):
     w = get_workload(name)
     ds = w.dataset("train")
-    return w.ts, w.program, ds.generator, ds.n_invocations, machine
+    return w.ts, ds.generator, ds.n_invocations, machine
 
 
 @pytest.mark.parametrize(
@@ -139,7 +139,7 @@ def test_rbr_handle_path_equals_the_env_path(case, copies, tier):
     name, machine = case.split("/")
     machine = {"pentium4": PENTIUM4, "sparc2": SPARC2}[machine]
     if name == "scatter":
-        args = (_scatter_fn(), None, _scatter_gen, 12, machine)
+        args = (_scatter_fn(), _scatter_gen, 12, machine)
     else:
         args = _workload_case(name, machine)
     handles, handle_saves, store = _rbr_run(*args, plain=False, tier=tier)
@@ -199,7 +199,7 @@ def test_copy_cycles_equal_what_save_and_restore_charge():
 def measure_by_generating(workload, config, machine, dataset="ref", *, runs, seed=1234):
     """The ref evaluation loop that generated each invocation's env afresh
     (frozen)."""
-    version = compile_version(workload.ts, config, machine, program=workload.program)
+    version = compile_version(workload.ts, config, machine)
     ds = workload.dataset(dataset)
     executor = create_executor(machine, 1)
     replay = Store(REPLAY_MEMO_MAX)
@@ -240,7 +240,7 @@ def test_ref_evaluation_equals_generating_every_env(machine):
         # the measurements of replayable versions share one generated
         # program run; any other version generates each of its runs
         simulated = sum(
-            oblivious_reason(compile_version(w.ts, c, machine, program=w.program).exe)
+            oblivious_reason(compile_version(w.ts, c, machine).exe)
             is not None
             for c in configs
         )
@@ -274,7 +274,7 @@ from repro.machine.oblivious import oblivious_reason
 from repro.workloads import get_workload
 w = get_workload("swim")
 ds = w.dataset("train")
-v = compile_version(w.ts, OptConfig.o3().without("gcse"), PENTIUM4, program=w.program)
+v = compile_version(w.ts, OptConfig.o3().without("gcse"), PENTIUM4)
 ex = create_executor(PENTIUM4, 1)
 import numpy as np
 rng = np.random.default_rng(0)
@@ -333,7 +333,7 @@ def test_cached_hashes_follow_the_values():
 # version keys: the prefix hashed once per rating context
 
 
-def reference_version_key(fn, config, machine, *, program, checked) -> str:
+def reference_version_key(fn, config, machine, *, checked) -> str:
     """The version key as one hash over every part (frozen)."""
     h = hashlib.sha256()
     h.update(str(fn).encode())
@@ -341,8 +341,6 @@ def reference_version_key(fn, config, machine, *, program, checked) -> str:
     h.update("\x1f".join(config.key()).encode())
     h.update(b"\x00")
     h.update(repr(machine).encode())
-    h.update(b"\x00")
-    h.update(program_digest(program).encode())
     h.update(b"\x00")
     h.update(b"1" if checked else b"0")
     return h.hexdigest()
@@ -358,21 +356,16 @@ def test_context_version_keys_equal_version_key(name):
         OptConfig.o3(), OptConfig.o0(), *CONFIGS[1:],
         OptConfig.of("inline-functions"),
     )
-    program = ctx.workload.program
     for instrumented in (False, True):
         fn = ctx.plan.instrumented_fn if instrumented else ctx.workload.ts
         for config in configs:
             for checked in (False, True):
                 assert version_key(
-                    fn, config, PENTIUM4, program=program, checked=checked
-                ) == reference_version_key(
-                    fn, config, PENTIUM4, program=program, checked=checked
-                )
+                    fn, config, PENTIUM4, checked=checked
+                ) == reference_version_key(fn, config, PENTIUM4, checked=checked)
             # the rater files each version under the key of its variant
             version = rater.version_for(config.key(), instrumented=instrumented)
-            want = reference_version_key(
-                fn, config, PENTIUM4, program=program, checked=False
-            )
+            want = reference_version_key(fn, config, PENTIUM4, checked=False)
             assert ctx.version_keys[instrumented](config) == want
             assert ctx.cache.get(want) is version
     assert set(ctx.version_keys) == {False, True}

@@ -149,7 +149,7 @@ def _whl_setup(memo: Store | None, runs_per_rating: int = 1):
     rater = WholeProgramRating(
         RatingSettings(), timed, runs_per_rating=runs_per_rating, run_memo=memo
     )
-    version = compile_version(wl.ts, OptConfig.o3(), PENTIUM4, program=wl.program)
+    version = compile_version(wl.ts, OptConfig.o3(), PENTIUM4)
     return feed, timed, rater, version
 
 

@@ -17,7 +17,6 @@ from repro.ir import (
     Type,
     Var,
     validate_function,
-    validate_program,
 )
 from repro.ir.stmt import Assign
 
@@ -150,32 +149,6 @@ class TestValidator:
         fn = Function("f", [Param("x", Type.INT)], cfg, locals={"x": Type.FLOAT})
         with pytest.raises(IRValidationError, match="shadow"):
             validate_function(fn)
-
-    def test_program_validation_resolves_calls(self):
-        b = FunctionBuilder("callee", [("x", Type.INT)], return_type=Type.INT)
-        b.ret(b.var("x") + 1)
-        callee = b.build()
-
-        b2 = FunctionBuilder("caller", [("x", Type.INT)], return_type=Type.INT)
-        b2.local("y", Type.INT)
-        b2.call("callee", [b2.var("x")], target="y")
-        b2.ret(b2.var("y"))
-        caller = b2.build()
-
-        prog = Program("p")
-        prog.add(callee)
-        prog.add(caller)
-        validate_program(prog)
-
-    def test_program_call_to_unknown_function_rejected(self):
-        b2 = FunctionBuilder("caller", [("x", Type.INT)], return_type=Type.INT)
-        b2.local("y", Type.INT)
-        b2.call("missing", [b2.var("x")], target="y")
-        b2.ret(b2.var("y"))
-        prog = Program("p")
-        prog.add(b2.build())
-        with pytest.raises(IRValidationError, match="unknown function"):
-            validate_program(prog)
 
     def test_duplicate_function_rejected(self):
         b = FunctionBuilder("f", [("x", Type.INT)])

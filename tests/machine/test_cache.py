@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.machine import AddressMap, CacheSim
+from repro.compiler import OptConfig, compile_version
+from repro.machine import PENTIUM4, SPARC2, AddressMap, CacheSim
+from repro.machine.jit import create_executor
+from repro.workloads import get_workload
 
 
 def small_cache(assoc=2):
@@ -193,20 +196,35 @@ class TestAddressMap:
         m2 = AddressMap({"y": 7, "x": 5}, line=32)
         assert m1.bases == m2.bases
 
-    def test_for_call_binds_each_argument(self):
-        a, b = np.zeros(16), np.zeros(16)
-        env = {"a": a, "b": b, "n": 3}
-        amap = AddressMap.for_env(env, line=32)
-        before = dict(amap.bases)
-        assert amap.for_call({"v": a}, env).bases == {"v": before["a"]}
-        assert amap.for_call({"v": b}, env).bases == {"v": before["b"]}
-        assert amap.bases == before  # the caller's map is never extended
 
-    def test_for_call_lays_out_temporaries_after_the_map(self):
-        env = {"a": np.zeros(16)}
-        amap = AddressMap.for_env(env, line=32)
-        tmp = np.zeros(4)
-        frame = amap.for_call({"v": tmp, "w": tmp, "x": np.zeros(4)}, env)
-        # deterministic: independent of where the objects live in memory
-        assert frame.bases["v"] == frame.bases["w"] == amap.end
-        assert frame.bases["x"] == amap.end + 2 * 32
+
+class TestResidentLines:
+    #: total cycles of 20 warm gzip invocations at -O3 (train inputs, seed 0)
+    GZIP_CYCLES = {
+        "sparc2": "0x1.06db35345308ap+12",
+        "pentium4": "0x1.900945b1a1169p+13",
+    }
+
+    @pytest.mark.parametrize("tier", (0, 1))
+    @pytest.mark.parametrize("machine", (SPARC2, PENTIUM4), ids=lambda m: m.name)
+    def test_gzip_lines_are_python_ints(self, machine, tier):
+        """gzip subscripts with values read from int arrays, so its line
+        indices are numpy integers; every line a miss or a reordering
+        stores is a Python ``int`` at both tiers."""
+        w = get_workload("gzip")
+        ds = w.dataset("train")
+        v = compile_version(w.ts, OptConfig.o3(), machine)
+        ex = create_executor(machine, tier)
+        rng = np.random.default_rng(0)
+        cycles = sum(
+            ex.run(v.exe, ds.env(rng, i), factors=v.factors).cycles for i in range(20)
+        )
+        assert cycles.hex() == self.GZIP_CYCLES[machine.name]
+        contents = ex.cache.contents()
+        if ex.cache.assoc == 1:
+            lines = [x for x in contents if x is not None]
+        else:
+            lines = [x for ways in contents for x in ways]
+            assert all(type(x) is int for x in ex.cache._mru if x is not None)
+        assert len(lines) > 50
+        assert all(type(x) is int for x in lines)

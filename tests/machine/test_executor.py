@@ -5,9 +5,8 @@ import pytest
 
 import repro.machine.executor as executor_mod
 from repro.ir import ArrayRef, FunctionBuilder, Type, Var, eq
-from repro.ir.stmt import CallStmt, CondBranch
+from repro.ir.stmt import CondBranch
 from repro.machine import (
-    AddressMap,
     CostFactors,
     ExecutionError,
     Executor,
@@ -278,96 +277,18 @@ class TestClosures:
         )
 
     def test_compile_records_dispatch_facts_from_the_ir(self):
-        cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)
-        cal.ret(cal.var("v") + 1.0)
-        callee = compile_function(cal.build(), SPARC2)
         b = FunctionBuilder("f", [("x", Type.FLOAT)], return_type=Type.FLOAT)
         b.local("r", Type.FLOAT)
         with b.if_(Var("x") > 0.0):
-            b.call("g", [Var("x")], target="r")
+            b.assign("r", Var("x") + 1.0)
         b.ret(b.var("r"))
-        exe = compile_function(b.build(), SPARC2, callees={"g": callee})
+        exe = compile_function(b.build(), SPARC2)
         for label, blk in exe.source.cfg.blocks.items():
             cb = exe.blocks[label]
-            assert cb.has_calls == any(isinstance(s, CallStmt) for s in blk.stmts)
+            assert cb.label == label
             assert cb.is_branch == isinstance(blk.terminator, CondBranch)
             assert cb.branch_key == (("f", label) if cb.is_branch else None)
-            assert cb.qual_key == f"f::{label}"
-        assert any(cb.has_calls for cb in exe.blocks.values())
         assert any(cb.is_branch for cb in exe.blocks.values())
         assert Executor(SPARC2).run(exe, {"x": 2.0}).return_value == 3.0
 
 
-class TestCalls:
-    def test_call_dispatch_and_return(self):
-        cal = FunctionBuilder("inc", [("x", Type.INT)], return_type=Type.INT)
-        cal.ret(cal.var("x") + 1)
-        callee_fn = cal.build()
-
-        b = FunctionBuilder("f", [("x", Type.INT)], return_type=Type.INT)
-        b.local("y", Type.INT)
-        b.call("inc", [b.var("x")], target="y")
-        b.ret(b.var("y") * 2)
-        caller_fn = b.build()
-
-        callee = compile_function(callee_fn, SPARC2)
-        caller = compile_function(caller_fn, SPARC2, callees={"inc": callee})
-        res = Executor(SPARC2).run(caller, {"x": 10})
-        assert res.return_value == 22
-
-    def test_callee_mutates_array_argument(self):
-        cal = FunctionBuilder("fill", [("n", Type.INT), ("a", Type.FLOAT_ARRAY)])
-        with cal.for_("i", 0, cal.var("n")) as i:
-            cal.store("a", i, 7.0)
-        cal.ret()
-        callee_fn = cal.build()
-
-        b = FunctionBuilder("f", [("n", Type.INT), ("buf", Type.FLOAT_ARRAY)])
-        b.call("fill", [b.var("n"), b.var("buf")], writes_arrays=("buf",))
-        b.ret()
-        caller_fn = b.build()
-
-        callee = compile_function(callee_fn, SPARC2)
-        caller = compile_function(caller_fn, SPARC2, callees={"fill": callee})
-        buf = np.zeros(5)
-        Executor(SPARC2).run(caller, {"n": 5, "buf": buf})
-        np.testing.assert_array_equal(buf, np.full(5, 7.0))
-
-    def test_each_call_simulates_its_own_argument(self):
-        """``g(n, a); g(n, b)`` touches both arrays' lines: 16 cold misses,
-        not 8 with the second call replaying the first one's addresses."""
-        cal = FunctionBuilder(
-            "g", [("n", Type.INT), ("v", Type.FLOAT_ARRAY)], return_type=Type.FLOAT
-        )
-        cal.local("acc", Type.FLOAT)
-        with cal.for_("i", 0, cal.var("n")) as i:
-            cal.assign("acc", cal.var("acc") + ArrayRef("v", i))
-        cal.ret(cal.var("acc"))
-
-        b = FunctionBuilder(
-            "f", [("n", Type.INT), ("a", Type.FLOAT_ARRAY), ("b", Type.FLOAT_ARRAY)]
-        )
-        b.local("s", Type.FLOAT)
-        b.call("g", [b.var("n"), b.var("a")], target="s")
-        b.call("g", [b.var("n"), b.var("b")], target="s")
-        b.ret()
-        callee = compile_function(cal.build(), SPARC2)
-        caller = compile_function(b.build(), SPARC2, callees={"g": callee})
-        ex = Executor(SPARC2)
-        # 32 floats = 8 SPARC-II lines per array
-        env = {"n": 32, "a": np.zeros(32), "b": np.zeros(32)}
-        ex.run(caller, env)
-        assert ex.cache.misses == 16
-        bases = AddressMap.for_env(env, line=SPARC2.cache_line).bases
-        for name in ("a", "b"):
-            first = bases[name] // SPARC2.cache_line
-            assert ex.cache._direct[first % ex.cache.n_sets] == first
-
-    def test_unresolved_call_raises(self):
-        b = FunctionBuilder("f", [("x", Type.INT)], return_type=Type.INT)
-        b.local("y", Type.INT)
-        b.call("ghost", [b.var("x")], target="y")
-        b.ret(b.var("y"))
-        caller = compile_function(b.build(), SPARC2)
-        with pytest.raises(ExecutionError, match="unresolved call"):
-            Executor(SPARC2).run(caller, {"x": 1})

@@ -66,7 +66,7 @@ def bits(value):
 
 
 def run_differential(
-    fn, env_fn, machine, *, invocations=6, max_steps=None, callees=None,
+    fn, env_fn, machine, *, invocations=6, max_steps=None,
     lists_only=False, twin_scale=None,
 ):
     """Run the same invocation sequence through both tiers and compare.
@@ -85,8 +85,8 @@ def run_differential(
     first executable: ``(error text or None, bits of the return value,
     env)``.
     """
-    exe0 = compile_function(fn, machine, callees=callees)
-    exe1 = compile_function(fn, machine, callees=callees)
+    exe0 = compile_function(fn, machine)
+    exe1 = compile_function(fn, machine)
     pairs = [(exe0, exe1)]
     if twin_scale is not None:
         pairs.append((
@@ -138,7 +138,7 @@ def run_differential(
 
 
 def cost_twin(exe, machine, scale):
-    """An executable of *exe*'s IR and callees whose block costs differ:
+    """An executable of *exe*'s IR whose block costs differ:
     each compute cost scaled by *scale*, plus a spill cost that varies by
     block."""
     return compile_function(
@@ -149,7 +149,6 @@ def cost_twin(exe, machine, scale):
         block_spill_cycles={
             label: 0.125 * (i % 5) + scale for i, label in enumerate(exe.blocks)
         },
-        callees=exe.callees,
     )
 
 
@@ -159,8 +158,8 @@ def fully_compiled(ex1: TieredExecutor) -> bool:
 
 
 def tier0_only(ex1: TieredExecutor) -> bool:
-    """No frame ran compiled code: Tier 1 handed every one to Tier 0 (a
-    function with calls, and every callee frame, declines Tier 1)."""
+    """No frame ran compiled code: Tier 1 handed every one to Tier 0 (the
+    function declines Tier 1)."""
     return ex1.compiled_frames == 0 and ex1.interpreted_blocks > 0
 
 
@@ -290,37 +289,6 @@ def test_step_budget_exhaustion(machine):
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-def test_calls_and_callee_counts(machine):
-    """Calls stay interpreted; callee block counts must still match the
-    pre-seeded ``fn::label`` key set of Tier 0."""
-    cal = FunctionBuilder(
-        "callee", [("v", Type.FLOAT)], return_type=Type.FLOAT
-    )
-    cal.ret(cal.var("v") * cal.var("v"))
-    callee_fn = cal.build()
-
-    b = FunctionBuilder(
-        "caller",
-        [("n", Type.INT), ("x", Type.FLOAT_ARRAY)],
-        return_type=Type.FLOAT,
-    )
-    b.local("acc", Type.FLOAT)
-    b.local("t", Type.FLOAT)
-    with b.for_("i", 0, b.var("n")) as i:
-        b.call("callee", [ArrayRef("x", i)], target="t")
-        b.assign("acc", b.var("acc") + b.var("t"))
-    b.ret(b.var("acc"))
-    fn = b.build()
-
-    def env_fn(i):
-        rng = np.random.default_rng(i)
-        return {"n": 24, "x": rng.normal(size=24)}
-
-    callees = {"callee": compile_function(callee_fn, machine)}
-    run_differential(fn, env_fn, machine, callees=callees)
-
-
-@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
 def test_negative_and_aliased_indexes(machine):
     """Negative indexes (Python wraparound) and scalar-dependent reuse."""
     b = FunctionBuilder(
@@ -423,84 +391,6 @@ def test_error_after_non_mru_hit_keeps_lru_order(machine):
     run_differential(fn, env_fn, machine)
 
 
-@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-def test_callee_arrays_bound_per_call_site(machine):
-    """``g(n, a); g(n, b)``: each call simulates the argument it was given,
-    at every call, on both tiers (at Tier 1 every frame runs at Tier 0)."""
-    cal = FunctionBuilder(
-        "g", [("n", Type.INT), ("v", Type.FLOAT_ARRAY)], return_type=Type.FLOAT
-    )
-    cal.local("acc", Type.FLOAT)
-    with cal.for_("i", 0, cal.var("n")) as i:
-        cal.assign("acc", cal.var("acc") + ArrayRef("v", i))
-    cal.ret(cal.var("acc"))
-    callee_fn = cal.build()
-
-    b = FunctionBuilder(
-        "f",
-        [("n", Type.INT), ("a", Type.FLOAT_ARRAY), ("b", Type.FLOAT_ARRAY)],
-        return_type=Type.FLOAT,
-    )
-    b.local("s", Type.FLOAT)
-    b.local("t", Type.FLOAT)
-    b.call("g", [b.var("n"), b.var("a")], target="s")
-    b.call("g", [b.var("n"), b.var("b")], target="t")
-    b.ret(b.var("s") + b.var("t"))
-    fn = b.build()
-    callees = {"g": compile_function(callee_fn, machine)}
-
-    def env_fn(i):
-        rng = np.random.default_rng(i)
-        return {"n": 32, "a": rng.normal(size=32), "b": rng.normal(size=32)}
-
-    ex1, _ = run_differential(fn, env_fn, machine, invocations=4, callees=callees)
-    assert tier0_only(ex1)
-
-
-@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-def test_recursive_calls_share_predictor_entries(machine):
-    """A function that calls itself: caller and callee frames update the
-    same predictor keys.  It has calls, so Tier 1 runs every frame at
-    Tier 0 and both tiers must agree on those keys."""
-    b = FunctionBuilder(
-        "rec",
-        [("n", Type.INT), ("a", Type.FLOAT_ARRAY)],
-        return_type=Type.FLOAT,
-    )
-    b.local("s", Type.FLOAT)
-    b.local("t", Type.FLOAT)
-    with b.for_("i", 0, b.var("n")) as i:
-        with b.if_(ArrayRef("a", i) > 0.0):
-            b.assign("s", b.var("s") + ArrayRef("a", i))
-    with b.if_(b.var("n") > 0):
-        b.call("rec", [b.var("n") - 1, b.var("a")], target="t")
-        b.assign("s", b.var("s") + b.var("t"))
-    b.ret(b.var("s"))
-    fn = b.build()
-
-    def env_fn(i):
-        rng = np.random.default_rng(i)
-        return {"n": 6 + i, "a": rng.normal(size=16)}
-
-    exe0 = compile_function(fn, machine)
-    exe0.callees["rec"] = exe0
-    exe1 = compile_function(fn, machine)
-    exe1.callees["rec"] = exe1
-    ex0 = Executor(machine)
-    ex1 = TieredExecutor(machine, code_cache=Store())
-    for i in range(4):
-        r0 = ex0.run(exe0, unbox(env_fn(i)), count_blocks=i % 2 == 1)
-        r1 = ex1.run(exe1, unbox(env_fn(i)), count_blocks=i % 2 == 1)
-        assert r0.cycles == r1.cycles
-        assert r0.branch_miss_cycles == r1.branch_miss_cycles
-        assert r0.block_counts == r1.block_counts
-        assert r0.return_value == r1.return_value
-        assert machine_state(ex0) == machine_state(ex1)
-        assert_mru_in_step(ex0)
-        assert_mru_in_step(ex1)
-    assert tier0_only(ex1)
-
-
 def test_swim_shaped_stencil_beyond_the_window():
     """fig7-swim's shape on the Pentium 4: six 48-element float arrays in a
     3-point stencil span 47 cache lines, more than the 32 sets, so the
@@ -534,42 +424,6 @@ def test_swim_shaped_stencil_beyond_the_window():
     ex1, _ = run_differential(fn, env_fn, machine)
     assert fully_compiled(ex1)
     assert windowed_variants(ex1) == {False}
-
-
-def test_call_arguments_and_drain_move_the_mru_line():
-    """A call block reads ``x[i]`` as an argument and ``x[i+8]`` in its
-    drain; the call-free block after it reads ``y[i]`` and ``y[i+8]``,
-    which share those lines' Pentium 4 sets.  The function has calls, so
-    Tier 1 runs it at Tier 0, and both tiers must leave the way lists and
-    the MRU table in the same state."""
-    machine = PENTIUM4
-    cal = FunctionBuilder("g", [("v", Type.FLOAT)], return_type=Type.FLOAT)
-    cal.ret(cal.var("v") * 0.5)
-    callee_fn = cal.build()
-
-    b = FunctionBuilder(
-        "f",
-        [("n", Type.INT), ("x", Type.FLOAT_ARRAY), ("y", Type.FLOAT_ARRAY)],
-        return_type=Type.FLOAT,
-    )
-    b.local("acc", Type.FLOAT)
-    b.local("t", Type.FLOAT)
-    with b.for_("i", 0, b.var("n")) as i:
-        b.call("g", [ArrayRef("x", i)], target="t")
-        b.assign("acc", b.var("acc") + b.var("t") + ArrayRef("x", i + 8))
-        with b.if_(b.var("n") > 0):  # a call-free block: inline checks
-            b.assign("acc", b.var("acc") + ArrayRef("y", i) + ArrayRef("y", i + 8))
-    b.ret(b.var("acc"))
-    fn = b.build()
-    callees = {"g": compile_function(callee_fn, machine)}
-
-    def env_fn(i):
-        # 248 floats: y starts 32 lines after x, so x[j] and y[j] share a set
-        rng = np.random.default_rng(i)
-        return {"n": 40, "x": rng.normal(size=248), "y": rng.normal(size=248)}
-
-    ex1, _ = run_differential(fn, env_fn, machine, callees=callees)
-    assert tier0_only(ex1)
 
 
 # --------------------------------------------------------------------------- #

@@ -231,18 +231,6 @@ def test_the_analysis_runs_once_per_distinct_ir_of_an_executor(monkeypatch):
     assert all(oblivious_reason(e) is None for e in (*twins, other, fresh))
 
 
-def test_a_call_is_rejected():
-    b = FunctionBuilder("g", [("a", Type.FLOAT_ARRAY)])
-    b.store("a", Const(0), Const(1.0))
-    b.ret()
-    callee = compile_function(b.build(), PENTIUM4)
-    b = FunctionBuilder("f", [("a", Type.FLOAT_ARRAY)])
-    b.call("g", [Var("a")])
-    b.ret()
-    exe = compile_function(b.build(), PENTIUM4, callees={"g": callee})
-    assert oblivious_reason(exe) == "calls another function"
-
-
 #: the 14 workloads' tuning sections at -O3: five are data-oblivious; the
 #: others branch on array data, subscript with it, or do int arithmetic on it
 WORKLOAD_TABLE = {
@@ -267,7 +255,7 @@ def test_workload_table():
     reasons = {}
     for name in WORKLOAD_NAMES:
         w = get_workload(name)
-        exe = compile_version(w.ts, OptConfig.o3(), PENTIUM4, program=w.program).exe
+        exe = compile_version(w.ts, OptConfig.o3(), PENTIUM4).exe
         reasons[name] = oblivious_reason(exe)
     assert reasons == WORKLOAD_TABLE
 
@@ -529,26 +517,6 @@ def test_executables_of_equal_content_share_a_record(tier):
     assert run(costly) != first
     assert run(twins[1], CostFactors(mem=1.5)) != first
     assert (store.hits, store.misses) == (1, 3)
-
-
-def test_executables_with_callees_are_keyed_by_identity():
-    b = FunctionBuilder("g", [("a", Type.FLOAT_ARRAY)])
-    with b.if_(ArrayRef("a", Const(0)) > 0.0):
-        b.store("a", Const(0), Const(1.0))
-    b.ret()
-    callee = compile_function(b.build(), PENTIUM4)
-    b = FunctionBuilder("f", [("a", Type.FLOAT_ARRAY)])
-    b.call("g", [Var("a")])
-    b.ret()
-    fn = b.build()
-    # a digest covers no callee, so equal digests do not share a record
-    callers = [compile_function(fn, PENTIUM4, callees={"g": callee}) for _ in range(2)]
-    assert executable_digest(callers[0], PENTIUM4) == executable_digest(callers[1], PENTIUM4)
-    replay = InputReplay(lambda rng, i: {"a": rng.normal(size=4)}, 2, seed=1)
-    store = Store()
-    for exe in (*callers, callers[1]):
-        create_executor(PENTIUM4, 1).run(exe, replay.inputs(0).fresh(), replay=store)
-    assert (store.hits, store.misses) == (1, 2)
 
 
 # --------------------------------------------------------------------------- #

@@ -128,45 +128,6 @@ class TestWholeFunctionCompilation:
         assert ex.compiled_frames == 4
         assert ex.interpreted_blocks == 0
 
-    def test_calls_run_at_tier0(self):
-        """A function with calls declines Tier 1: the caller and every
-        callee frame run at Tier 0, exactly as a plain Executor runs them."""
-
-        def build():
-            cal = FunctionBuilder(
-                "g", [("v", Type.FLOAT_ARRAY), ("i", Type.INT)],
-                return_type=Type.FLOAT,
-            )
-            cal.ret(ArrayRef("v", cal.var("i")) + 1.0)
-            b = FunctionBuilder(
-                "f", [("n", Type.INT), ("x", Type.FLOAT_ARRAY)],
-                return_type=Type.FLOAT,
-            )
-            b.local("acc", Type.FLOAT)
-            b.local("t", Type.FLOAT)
-            with b.for_("i", 0, b.var("n")) as i:
-                b.call("g", [b.var("x"), i], target="t")
-                b.assign("acc", b.var("acc") + b.var("t"))
-            b.ret(b.var("acc"))
-            callees = {"g": compile_function(cal.build(), SPARC2)}
-            return compile_function(b.build(), SPARC2, callees=callees)
-
-        exe0, exe1 = build(), build()
-        ex0 = Executor(SPARC2)
-        ex1 = TieredExecutor(SPARC2, code_cache=Store())
-        for count in (False, True, False):
-            r0 = ex0.run(exe0, {"n": 5, "x": [0.5] * 8}, count_blocks=count)
-            r1 = ex1.run(exe1, {"n": 5, "x": [0.5] * 8}, count_blocks=count)
-            assert (r1.cycles, r1.mem_cycles, r1.branch_miss_cycles) == (
-                r0.cycles, r0.mem_cycles, r0.branch_miss_cycles,
-            )
-            assert r1.return_value == r0.return_value == 7.5
-            assert r1.block_counts == r0.block_counts
-            assert ex1.machine_state() == ex0.machine_state()
-        assert exe1._jit_fn.compiles is False
-        assert ex1.compiled_frames == 0
-        assert ex1.interpreted_blocks == ex0.interpreted_blocks > 0
-
     @pytest.mark.parametrize("machine", (SPARC2, PENTIUM4), ids=lambda m: m.name)
     def test_name_clash_declines(self, machine):
         """An array the IR also reads as a scalar gets no promoted base, so
@@ -190,24 +151,22 @@ class TestWholeFunctionCompilation:
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_paper_kernels_never_interpret(self, name):
-        """Every workload's tuning section compiles at Tier 1, with and
-        without inlining, on both machines: no block goes through the
-        dispatch loop from the first invocation on.  A workload whose
-        tuning section made a call would fail here rather than silently
-        run at Tier 0."""
+        """Every workload's tuning section compiles at Tier 1 on both
+        machines: no block goes through the dispatch loop from the first
+        invocation on.  A workload whose arrays could not all be checked
+        inline would fail here rather than silently run at Tier 0."""
         w = get_workload(name)
         ds = w.dataset("train")
         for machine in (SPARC2, PENTIUM4):
-            for config in (OptConfig.o3(), OptConfig.o3().without("inline-functions")):
-                version = compile_version(w.ts, config, machine, program=w.program)
-                rng = np.random.default_rng(0)
-                ex = TieredExecutor(machine, code_cache=Store())
-                for i in range(8):
-                    ex.run(version.exe, ds.env(rng, i), factors=version.factors,
-                           count_blocks=i % 2 == 1)
-                assert version.exe._jit_fn.compiles
-                assert ex.compiled_frames == 8
-                assert ex.interpreted_blocks == 0
+            version = compile_version(w.ts, OptConfig.o3(), machine)
+            rng = np.random.default_rng(0)
+            ex = TieredExecutor(machine, code_cache=Store())
+            for i in range(8):
+                ex.run(version.exe, ds.env(rng, i), factors=version.factors,
+                       count_blocks=i % 2 == 1)
+            assert version.exe._jit_fn.compiles
+            assert ex.compiled_frames == 8
+            assert ex.interpreted_blocks == 0
 
 
 class TestLayout:

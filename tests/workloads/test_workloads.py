@@ -79,7 +79,7 @@ class TestPrograms:
         envs = list(w.profile_invocations("train", limit=3))
         results = {}
         for config in (OptConfig.o0(), OptConfig.o3()):
-            version = compile_version(w.ts, config, SPARC2, program=w.program)
+            version = compile_version(w.ts, config, SPARC2)
             ex = Executor(SPARC2)
             out = []
             rng = np.random.default_rng(0)
@@ -184,7 +184,7 @@ class TestWorkloadBehaviours:
 
     def test_equake_misses_in_cache(self):
         w = get_workload("equake")
-        v = compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+        v = compile_version(w.ts, OptConfig.o3(), SPARC2)
         ex = Executor(SPARC2)
         rng = np.random.default_rng(0)
         ds = w.dataset("train")
@@ -194,7 +194,7 @@ class TestWorkloadBehaviours:
 
     def test_swim_cache_friendly(self):
         w = get_workload("swim")
-        v = compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+        v = compile_version(w.ts, OptConfig.o3(), SPARC2)
         ex = Executor(SPARC2)
         rng = np.random.default_rng(0)
         ds = w.dataset("train")
@@ -207,7 +207,7 @@ class TestWorkloadBehaviours:
 
     def test_art_returns_winner_index(self):
         w = get_workload("art")
-        v = compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+        v = compile_version(w.ts, OptConfig.o3(), SPARC2)
         ex = Executor(SPARC2)
         rng = np.random.default_rng(0)
         env = w.dataset("train").env(rng, 0)
@@ -219,7 +219,7 @@ class TestWorkloadBehaviours:
 
     def test_mesa_clamps_out_of_range(self):
         w = get_workload("mesa")
-        v = compile_version(w.ts, OptConfig.o3(), SPARC2, program=w.program)
+        v = compile_version(w.ts, OptConfig.o3(), SPARC2)
         ex = Executor(SPARC2)
         env = {
             "u": 1.5,  # beyond the texture: must clamp, not crash
