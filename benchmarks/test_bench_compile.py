@@ -77,6 +77,13 @@ def test_bench_compile_incremental(benchmark):
         assert v_cold.factors == v_warm.factors, v_cold.label
         assert v_cold.code_size == v_warm.code_size, v_cold.label
         assert v_cold.block_spill == v_warm.block_spill, v_cold.label
+        assert [
+            (b.label, b.compute_cycles, b.spill_cycles, b.is_branch)
+            for b in v_cold.exe.blocks.values()
+        ] == [
+            (b.label, b.compute_cycles, b.spill_cycles, b.is_branch)
+            for b in v_warm.exe.blocks.values()
+        ], v_cold.label
 
     per_round = stats.compiles // rounds
     assert per_round == len(BENCHMARKS) * len(SWEEP)

@@ -24,10 +24,20 @@ headline anecdotes:
 * ``schedule-insns`` compresses big blocks a lot on the in-order SPARC II
   but only mildly on the out-of-order Pentium 4, while raising pressure on
   both.
+
+Pricing comes in two parts.  :func:`cost_facts` gathers what depends only
+on the transformed IR and the machine (static block costs, loop depths,
+array counts, loop branchiness, base pressure, the context verdict, the
+statement count); :func:`price` folds a config's flag effects over those
+facts.  Most flags act only here, so most compiles of a tune land on an
+IR already priced: the pass-prefix store keeps each IR's facts in the
+row that owns it (:mod:`.pipeline`), and a compile that lands there pays
+only the fold.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +54,10 @@ from .options import OptConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis.manager import AnalysisManager
 
-__all__ = ["FlagEffect", "VersionCosting", "compute_costing", "EFFECTS"]
+__all__ = [
+    "CostFacts", "FlagEffect", "VersionCosting", "compute_costing", "cost_facts",
+    "price", "EFFECTS",
+]
 
 #: branch-miss factor guess-branch-probability contributes on *irregular*
 #: codes (control driven by data, where static guesses mislead the layout)
@@ -143,10 +156,26 @@ class VersionCosting:
     block_spill: dict[str, float]
     factors: CostFactors
     code_size: float
-    pressure: dict[str, tuple[float, float]]
 
     def total_spill_blocks(self) -> int:
         return sum(1 for v in self.block_spill.values() if v > 0)
+
+
+@dataclass(frozen=True)
+class CostFacts:
+    """What pricing reads of one IR on one machine, whatever the config.
+
+    *blocks* holds one row per block, in block order: its label, its static
+    compute cycles, its compute-factor class (bit 0: at least
+    :data:`BIG_BLOCK` statements; bit 1: inside a loop), its base (int, fp)
+    register pressure, the distinct arrays it touches and the conditional
+    branches of its innermost loop.  *irregular* is the Fig. 1 context
+    verdict and *n_stmts* the code size in statements.
+    """
+
+    blocks: tuple[tuple[str, float, int, float, float, int, int], ...]
+    irregular: bool
+    n_stmts: int
 
 
 def _loop_branchiness(
@@ -233,18 +262,16 @@ def _base_pressure(
     return out
 
 
-def compute_costing(
+def cost_facts(
     fn: Function,
-    config: OptConfig,
     machine: MachineConfig,
-    *,
     am: "AnalysisManager | None" = None,
-) -> VersionCosting:
-    """Price the (already IR-transformed) function under *config*.
+) -> CostFacts:
+    """The :class:`CostFacts` of the (already IR-transformed) *fn*.
 
     With *am* (the analysis manager that accompanied the pass pipeline),
-    loop, liveness, and context analyses are served from its cache when
-    still valid — on a prefix-cache resume they usually are.
+    loop, liveness and context analyses are served from its cache when
+    still valid.
     """
     static = block_static_costs(fn, machine.cost)
     depths = am.get("loop-depths") if am is not None else loop_nest_depths(fn.cfg)
@@ -252,6 +279,52 @@ def compute_costing(
     branchiness = _loop_branchiness(fn, am)
     pressure0 = _base_pressure(fn, am)
 
+    # Static branch-probability guessing helps codes whose branches are
+    # statically predictable, and actively hurts irregular codes — the same
+    # regular/irregular divide the Fig. 1 context analysis draws, so we
+    # reuse it here (the compiler knows at compile time which case it is).
+    from ..analysis.context import analyze_context
+
+    ctx = am.get("context") if am is not None else analyze_context(fn)
+    blocks = fn.cfg.blocks
+    return CostFacts(
+        blocks=tuple(
+            (
+                label,
+                cost.compute_cycles,
+                (len(blocks[label].stmts) >= BIG_BLOCK)
+                + 2 * (depths.get(label, 0) > 0),
+                *pressure0[label],
+                arrays[label],
+                branchiness[label],
+            )
+            for label, cost in static.items()
+        ),
+        irregular=not ctx.applicable,
+        n_stmts=sum(len(b.stmts) + 1 for b in blocks.values()),
+    )
+
+
+@functools.cache
+def _fold_rows(machine_name: str) -> tuple[tuple[int, FlagEffect, int, float | None], ...]:
+    """Every flag with an effect on machine *machine_name*, in the order a
+    config lists its flags: its bit in a config's mask, its effect (the
+    machine's override, else the default), the mask of the flags it
+    requires and, for ``guess-branch-probability``, its branch factor on
+    irregular code."""
+    rows = []
+    for name in sorted(EFFECTS.keys() | {n for m, n in MACHINE_OVERRIDES if m == machine_name}):
+        eff = MACHINE_OVERRIDES.get((machine_name, name), EFFECTS.get(name))
+        irregular = (
+            GBP_IRREGULAR_FACTOR.get(machine_name, 1.25)
+            if name == "guess-branch-probability" else None
+        )
+        rows.append((OptConfig.of(name).mask, eff, OptConfig(eff.requires).mask, irregular))
+    return tuple(rows)
+
+
+def price(facts: CostFacts, config: OptConfig, machine: MachineConfig) -> VersionCosting:
+    """Fold *config*'s flag effects over the *facts* of one IR on *machine*."""
     # accumulate flag effects
     compute_f = 1.0
     big_f = 1.0
@@ -264,23 +337,12 @@ def compute_costing(
     per_branch = 0.0
     size_f = 1.0
 
-    # Static branch-probability guessing helps codes whose branches are
-    # statically predictable, and actively hurts irregular codes — the same
-    # regular/irregular divide the Fig. 1 context analysis draws, so we
-    # reuse it here (the compiler knows at compile time which case it is).
-    from ..analysis.context import analyze_context
-
-    ctx = am.get("context") if am is not None else analyze_context(fn)
-    irregular = not ctx.applicable
-
-    for name in config:
-        eff = MACHINE_OVERRIDES.get((machine.name, name), EFFECTS.get(name))
-        if eff is None:
+    mask = config.mask
+    for bit, eff, requires, irregular in _fold_rows(machine.name):
+        if not mask & bit or mask & requires != requires:
             continue
-        if any(r not in config for r in eff.requires):
-            continue
-        if name == "guess-branch-probability" and irregular:
-            branch_f *= GBP_IRREGULAR_FACTOR.get(machine.name, 1.25)
+        if irregular is not None and facts.irregular:
+            branch_f *= irregular
             continue
         compute_f *= eff.compute
         big_f *= eff.big_block_compute
@@ -294,37 +356,24 @@ def compute_costing(
         size_f *= eff.size
 
     # code size and i-cache penalty
-    n_stmts = sum(len(b.stmts) + 1 for b in fn.cfg.blocks.values())
-    code_size = n_stmts * size_f
+    code_size = facts.n_stmts * size_f
     icache_over = max(0.0, code_size / ICACHE_COMFORT_UNITS - 1.0)
     icache_factor = 1.0 + ICACHE_PENALTY * icache_over
 
+    # the compute factor of each block class, multiplied in the order
+    # compute, big block, loop
+    f = compute_f * icache_factor
+    class_f = (f, f * big_f, f * loop_f, f * big_f * loop_f)
+
     block_compute: dict[str, float] = {}
     block_spill: dict[str, float] = {}
-    pressure: dict[str, tuple[float, float]] = {}
     spill_unit = machine.spill_store_cycles + machine.spill_load_cycles
-
-    for label, cost in static.items():
-        f = compute_f * icache_factor
-        blk = fn.cfg.blocks[label]
-        if len(blk.stmts) >= BIG_BLOCK:
-            f *= big_f
-        if depths.get(label, 0) > 0:
-            f *= loop_f
-        block_compute[label] = cost.compute_cycles * f
-
-        p_int0, p_fp0 = pressure0.get(label, (0.0, 0.0))
-        p_int = (
-            p_int0
-            + dp_int
-            + per_array * arrays.get(label, 0)
-            + per_branch * branchiness.get(label, 0)
-        )
+    int_regs, fp_regs = machine.int_regs, machine.fp_regs
+    for label, cycles, cls, p_int0, p_fp0, n_arrays, n_branches in facts.blocks:
+        block_compute[label] = cycles * class_f[cls]
+        p_int = p_int0 + dp_int + per_array * n_arrays + per_branch * n_branches
         p_fp = p_fp0 + dp_fp
-        pressure[label] = (p_int, p_fp)
-        spills = max(0.0, p_int - machine.int_regs) + max(
-            0.0, p_fp - machine.fp_regs
-        )
+        spills = max(0.0, p_int - int_regs) + max(0.0, p_fp - fp_regs)
         block_spill[label] = spills * spill_unit
 
     return VersionCosting(
@@ -332,5 +381,16 @@ def compute_costing(
         block_spill=block_spill,
         factors=CostFactors(mem=mem_f, branch=branch_f),
         code_size=code_size,
-        pressure=pressure,
     )
+
+
+def compute_costing(
+    fn: Function,
+    config: OptConfig,
+    machine: MachineConfig,
+    *,
+    am: "AnalysisManager | None" = None,
+) -> VersionCosting:
+    """Price the (already IR-transformed) function under *config*:
+    :func:`price` of its :func:`cost_facts`."""
+    return price(cost_facts(fn, machine, am), config, machine)

@@ -120,6 +120,12 @@ class OptConfig:
             return "-O3 " + " ".join(f"-fno-{n}" for n in off)
         return f"-O3 minus {len(off)} flags"
 
+    @property
+    def mask(self) -> int:
+        """The enabled flags as bits: bit ``i`` is the ``i``-th flag name in
+        sorted order, the order in which a config lists its flags."""
+        return self._mask
+
     def key(self) -> tuple[str, ...]:
         """A canonical hashable key (sorted tuple of enabled names)."""
         mask = self._mask

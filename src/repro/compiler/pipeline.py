@@ -24,7 +24,11 @@ incremental:
   prefix (or, after digests re-align, any suffix) with earlier compiles
   resumes from the deepest memoized snapshot and executes only the
   genuinely new steps — the incremental-compilation half of this module
-  (see ``DESIGN.md`` §8).
+  (see ``DESIGN.md`` §8).  The row that owns a compile's final IR (its
+  last changing step, or the pristine section's own row) also holds that
+  IR's cost facts per machine and its validation mark, and its snapshot
+  is the IR of every version compiled to it: a compile that lands on a
+  known IR copies nothing and pays only the flag-effect fold.
 
 A tuning section calls no other function, so a compile reads nothing of
 the workload's program beyond the tuning section itself.
@@ -42,7 +46,7 @@ from ..machine.config import MachineConfig
 from ..machine.executor import compile_function
 from ..obs import Obs, obs_or_null
 from ..store import Store
-from .effects import compute_costing
+from .effects import CostFacts, cost_facts, price
 from .options import OptConfig
 from .passes.base import PassTraits
 from .passes.constprop import constant_propagation
@@ -53,7 +57,7 @@ from .passes.jumpthread import crossjump, thread_jumps
 from .passes.licm import loop_invariant_code_motion
 from .passes.peephole import peephole, strength_reduce
 from .passes.unroll import unroll_loops
-from .prefix import PrefixStats, _StepEntry, cached_ir_digest, ir_digest
+from .prefix import PRISTINE, PrefixStats, _StepEntry, cached_ir_digest, ir_digest
 from .version import Version
 
 __all__ = [
@@ -168,11 +172,14 @@ def _run_pipeline(
 ) -> tuple[Function, AnalysisManager, _StepEntry | None]:
     """Run the pipeline.
 
-    Returns the transformed copy, its analysis manager (warm for whatever
+    Returns the transformed IR, its analysis manager (warm for whatever
     the last steps computed), and — when a prefix cache is in play — the
-    memo entry whose snapshot equals the final IR (the last *changing*
-    step; later no-op steps leave the IR untouched).  ``compile_version``
-    enriches that entry with post-costing analyses and a validation mark.
+    memo row whose snapshot equals the final IR (the last *changing*
+    step, as the store holds it; later no-op steps leave the IR
+    untouched; the pristine section's row when no step changes it).
+    When every step hit, the IR is that snapshot itself, which nothing
+    may mutate.  ``compile_version`` enriches the row with the IR's cost
+    facts and a validation mark.
     """
     obs = obs_or_null(obs)
     steps = effective_steps(config)
@@ -206,14 +213,20 @@ def _run_pipeline(
             enclosing.attrs["steps"] = len(steps)
             enclosing.attrs["resumed"] = hit_depth
 
-    if resume_from is not None:
-        # all steps between the snapshot and hit_depth were no-ops, so the
-        # snapshot *is* the IR state at the resume point
-        out = resume_from.snapshot.copy()
-        am = AnalysisManager.resume(out, resume_from.analyses)
-    else:
+    if resume_from is None and prefix_cache is not None and hit_depth == len(steps):
+        # every step is memoized and none changes the section
+        resume_from = prefix_cache.get((cur, PRISTINE))
+    if resume_from is None:
         out = fn.copy()
         am = AnalysisManager(out)
+    else:
+        # all steps between the snapshot and hit_depth were no-ops, so the
+        # snapshot *is* the IR state at the resume point; with no step left
+        # to run the snapshot is the result itself, shared and never mutated
+        out = resume_from.snapshot
+        if hit_depth < len(steps):
+            out = out.copy()
+        am = AnalysisManager.resume(out, resume_from.analyses)
 
     owner = resume_from
     for step in steps[hit_depth:]:
@@ -235,11 +248,15 @@ def _run_pipeline(
         if changed:
             cur = ir_digest(out)
             entry = _StepEntry(cur, out.copy(), am.export())
-            owner = entry
         else:
             entry = _StepEntry(step_in, None, None)
-        # a concurrent compile may have landed this row first: keep its row
-        prefix_cache.put((step_in, step), entry)
+        # an earlier compile may have landed this row first: keep its row
+        entry = prefix_cache.put((step_in, step), entry)
+        if changed:
+            owner = entry
+    if prefix_cache is not None and owner is None:
+        # no step changed the section: its own row holds this IR
+        owner = prefix_cache.put((cur, PRISTINE), _StepEntry(cur, out, am.export()))
     return out, am, owner
 
 
@@ -258,7 +275,7 @@ def run_passes(
     snapshots instead of re-executed; the result is bit-identical either
     way (enforced by ``tests/compiler/test_incremental_differential.py``).
     """
-    out, _, _ = _run_pipeline(
+    out, _, owner = _run_pipeline(
         fn,
         config,
         checked=checked,
@@ -266,7 +283,8 @@ def run_passes(
         prefix_stats=prefix_stats,
         obs=obs,
     )
-    return out
+    # a memo row's snapshot is shared by the versions of its IR
+    return out.copy() if owner is not None and out is owner.snapshot else out
 
 
 # --------------------------------------------------------------------------- #
@@ -357,6 +375,20 @@ def compile_version(
     )
 
 
+def _row_facts(
+    row: _StepEntry, machine: MachineConfig, fn: Function, am: AnalysisManager
+) -> CostFacts:
+    """The cost facts on *machine* of *row*'s snapshot, whose IR *fn*
+    (served by *am*) equals; the first compile to price it there computes
+    them."""
+    for priced, facts in row.costs:
+        if priced is machine:
+            return facts
+    facts = cost_facts(fn, machine, am)
+    row.costs += ((machine, facts),)
+    return facts
+
+
 def _compile_uncached(
     fn: Function,
     config: OptConfig,
@@ -397,14 +429,15 @@ def _compile_spanned(
         # a marked owner snapshot is bit-identical IR a previous checked
         # compile already validated
         validate_function(transformed)
-    costing = compute_costing(transformed, config, machine, am=am)
-    if owner is not None:
-        # write the analyses costing just computed back into the memo row:
-        # the next compile resuming from this snapshot prices with them warm
-        # (stamps stay consistent — no step after the owner changed the IR)
-        owner.analyses = am.export()
+    if owner is None:
+        facts = cost_facts(transformed, machine, am)
+    else:
+        facts = _row_facts(owner, machine, transformed, am)
         if checked:
             owner.validated = True
+        # the row's snapshot equals this IR: the versions of one row share it
+        transformed = owner.snapshot
+    costing = price(facts, config, machine)
     exe = compile_function(
         transformed,
         machine,

@@ -25,14 +25,18 @@ Steps whose pass reported no change are stored without a snapshot (output
 digest == input digest): skipping them on resume costs nothing and stores
 nothing but the memo row.  Snapshots carry the function's mutation stamp and
 an export of the analysis cache (see :mod:`repro.analysis.manager`), so a
-resumed compile continues with warm analyses.
+resumed compile continues with warm analyses.  The row whose snapshot is a
+compile's final IR — the last changing step, or ``(digest, PRISTINE)``
+when no step changes the section — also carries that IR's cost facts per
+machine object and a validation mark, and its snapshot is shared as the
+IR of every version compiled to it, so it is never mutated.
 
 The memo is a :class:`~repro.store.Store` of :class:`_StepEntry` rows,
 bounded at :data:`PREFIX_CACHE_MAX`.  A pass reads nothing but the IR
 itself (machine and effect-only options never reach the pipeline), so one
 store is safely shared across every configuration, machine and
 worker thread of a tuning run.  The store keeps the first row written
-under a key, because that is the row a compile enriches.
+under a key, because that is the row a compile enriches and shares.
 
 The correctness bar is exact: a resumed compile must produce a bit-identical
 :class:`~repro.compiler.version.Version` to a cold one.  That is why
@@ -50,12 +54,18 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..ir.function import Function
+from ..machine.config import MachineConfig
 from ..store import IdentityMemo
+from .effects import CostFacts
 
 __all__ = ["PREFIX_CACHE_MAX", "PrefixStats", "ir_digest"]
 
 #: bound of a tuning run's pass-prefix store (rows of ``_StepEntry``)
 PREFIX_CACHE_MAX = 4096
+
+#: step token of the pristine section's own row, ``(digest, PRISTINE)``:
+#: the IR of every compile whose steps all leave the section unchanged
+PRISTINE = ""
 
 
 def ir_digest(fn: Function) -> str:
@@ -141,15 +151,18 @@ class PrefixStats:
 
 @dataclass
 class _StepEntry:
-    """Memoized outcome of running one step on one input-IR state."""
+    """Memoized outcome of running one step on one input-IR state (or,
+    under ``PRISTINE``, the pristine section itself)."""
 
     out_digest: str
     #: snapshot of the IR *after* the step, or None when the step was a
     #: no-op on this input (out_digest == input digest; nothing to restore)
     snapshot: Function | None
-    #: analysis-cache export taken beside the snapshot (stamps match it);
-    #: enriched after costing so later resumes price with warm analyses
+    #: analysis-cache export taken beside the snapshot (stamps match it)
     analyses: dict[str, Any] | None
     #: True once a ``checked`` compile has validated this snapshot — later
     #: compiles of the identical IR may skip re-validation
     validated: bool = False
+    #: ``(machine, CostFacts)`` of the snapshot per machine object priced
+    #: so far: every later compile that lands on this IR reuses them
+    costs: tuple[tuple[MachineConfig, CostFacts], ...] = ()

@@ -62,6 +62,7 @@ __all__ = [
     "ExecutableFunction",
     "InputFacts",
     "Inputs",
+    "InputsKey",
     "InvocationResult",
     "Executor",
     "MachineState",
@@ -577,6 +578,26 @@ def _layout_of(names: tuple[str, ...], types: tuple[type, ...]) -> tuple:
     )
 
 
+class InputsKey(tuple):
+    """The env's part of a replay key (:attr:`InputFacts.key`).
+
+    Its hash is computed once, at construction (it keys every replay
+    lookup of its inputs); it covers names, strings whose hashes differ
+    between processes, so a pickled copy computes its own.
+    """
+
+    def __new__(cls, parts: tuple) -> "InputsKey":
+        key = super().__new__(cls, parts)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return InputsKey, (tuple(self),)
+
+
 class InputFacts:
     """What an invocation's inputs decide besides their array data.
 
@@ -585,10 +606,10 @@ class InputFacts:
     * *sig*: the names in order and the value types;
     * *shape*: what the address map depends on: the arrays' sorted names,
       their lengths and which names share one object (None: none do);
-    * *key*: the env's part of the replay key, ``(sig, shape, exact
-      scalars, float scalars as packed bits)`` (floats by their bits, so
-      -0.0 and NaN payloads stay apart), or None when some scalar cannot
-      key a replay;
+    * *key*: the env's part of the replay key, an :class:`InputsKey`
+      ``(sig, shape, exact scalars, float scalars as packed bits)``
+      (floats by their bits, so -0.0 and NaN payloads stay apart), or
+      None when some scalar cannot key a replay;
     * *memo*: what consumers derive from these inputs (CBR's context key),
       None until a consumer adds some.  One object per input position of
       a feed whose replay is not live, so the memo holds per position; a
@@ -646,10 +667,10 @@ def input_facts(
         name_set = intern.setdefault(name_set, name_set)
     key = None
     if exact is not None:
-        key = (
+        key = InputsKey((
             sig, shape, tuple(map(values.__getitem__, exact)),
             pack(*map(values.__getitem__, floats)),
-        )
+        ))
     return InputFacts(name_set, sig, shape, key)
 
 

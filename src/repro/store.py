@@ -8,8 +8,8 @@ and, where the cache is bounded, the bound.
 
 * A hit refreshes recency; a bounded store drops its least recently used
   entries past ``max_entries`` and counts them in ``evictions``.
-* ``put`` keeps the first value stored under a key (the pass-prefix
-  cache enriches the row it stored first).
+* ``put`` keeps the first value stored under a key and returns it (the
+  pass-prefix cache enriches the row it stored first).
 * ``get_or_build`` builds a key once: concurrent callers wait for the
   builder and count as hits, and a build that raises stores nothing.
 
@@ -69,13 +69,16 @@ class Store(Generic[V]):
             self.hits += 1
             return value
 
-    def put(self, key: Hashable, value: V) -> None:
-        """Store *value* under *key* unless a value is already held there."""
+    def put(self, key: Hashable, value: V) -> V:
+        """Store *value* under *key* unless a value is already held there;
+        return the value held."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            else:
+            held = self._entries.get(key, _MISSING)
+            if held is _MISSING:
                 self._insert(key, value)
+                return value
+            self._entries.move_to_end(key)
+            return held
 
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> tuple[V, bool]:
         """Return ``(value, hit)``, running *build* only when *key* is absent.

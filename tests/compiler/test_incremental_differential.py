@@ -31,10 +31,12 @@ from repro.compiler import (
     ir_digest,
 )
 from repro.compiler.pipeline import _STEP_TRAITS, _apply_step
-from repro.compiler.prefix import _ir_digests, cached_ir_digest
+from repro.compiler.prefix import PRISTINE, _ir_digests, cached_ir_digest
+from repro.core.peak import PeakTuner
 from repro.ir import Type
 from repro.machine import Executor, PENTIUM4, SPARC2
 from repro.store import Store
+from repro.workloads import WORKLOAD_NAMES, get_workload
 
 from ..strategies import kernel_inputs, kernels
 from .test_pipeline import KERNELS
@@ -49,14 +51,24 @@ flag_subsets = st.sets(
 )
 
 
+def block_costs(version):
+    """Every executable block's priced costs, in block order."""
+    return [
+        (b.label, b.compute_cycles, b.spill_cycles, b.is_branch)
+        for b in version.exe.blocks.values()
+    ]
+
+
 def assert_versions_identical(cold, warm, context=""):
-    """The full bit-identity bar: IR text, costing, code size, spills."""
+    """The full bit-identity bar: IR text, costing, code size, spills and
+    every block's costs."""
     assert str(cold.ir) == str(warm.ir), context
     assert ir_digest(cold.ir) == ir_digest(warm.ir), context
     assert cold.factors == warm.factors, context
     assert cold.code_size == warm.code_size, context
     assert cold.block_spill == warm.block_spill, context
     assert cold.label == warm.label, context
+    assert block_costs(cold) == block_costs(warm), context
 
 
 def run_version(version, env, machine):
@@ -162,6 +174,70 @@ class TestSweepBitIdentity:
         cold = compile_version(fn, OptConfig.o3(), SPARC2)
         assert_versions_identical(cold, warm)
         assert sparc_stats.full_hits == 1 and sparc_stats.steps_run == 0
+
+
+# --------------------------------------------------------------------------- #
+# memoized cost facts and shared snapshots
+
+
+class _CapturingTuner(PeakTuner):
+    """A tuner that keeps the engine of its last tune."""
+
+    def _search(self, *args):
+        result, self.engine = super()._search(*args)
+        return result, self.engine
+
+
+class TestCostFactsAndSharedSnapshots:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_ie_sweep_equals_cold_on_every_workload(self, name):
+        """The IE sweep of every workload's tuning section on both machines,
+        through one prefix store, in sweep order: each version (block costs
+        included) equals a compile with no store."""
+        fn = get_workload(name).ts
+        cache = Store(PREFIX_CACHE_MAX)
+        for machine in (PENTIUM4, SPARC2):
+            for config in IE_SWEEP:
+                cold = compile_version(fn, config, machine)
+                warm = compile_version(fn, config, machine, prefix_cache=cache)
+                assert_versions_identical(
+                    cold, warm, context=(machine.name, config.describe())
+                )
+        priced = [row for row in cache._entries.values() if row.costs]
+        assert priced and all(len(row.costs) == 2 for row in priced)
+
+    def test_pristine_section_has_its_own_row(self):
+        """A compile no step changes prices the pristine section once and
+        shares one snapshot of it."""
+        fn = KERNELS["regular"][0]()
+        cache = Store(PREFIX_CACHE_MAX)
+        v1 = compile_version(fn, OptConfig.o0(), PENTIUM4, prefix_cache=cache)
+        v2 = compile_version(fn, OptConfig.of("schedule-insns"), PENTIUM4, prefix_cache=cache)
+        row = cache.get((ir_digest(fn), PRISTINE))
+        assert row is not None and row.snapshot is v1.ir is v2.ir is not fn
+        assert [m for m, _ in row.costs] == [PENTIUM4]
+        for v in (v1, v2):
+            assert_versions_identical(compile_version(fn, v.config, PENTIUM4), v)
+
+    @pytest.mark.parametrize("name,method", [("swim", "CBR"), ("gzip", "RBR")])
+    def test_a_tune_shares_snapshots_and_never_mutates_them(self, name, method):
+        """After a full tune every snapshot of the prefix store still has
+        the digest it was stored under, and the versions of one IR share
+        one Function (which is also their executable's source)."""
+        tuner = _CapturingTuner(PENTIUM4, seed=1)
+        tuner.tune(get_workload(name), method=method)
+        ctx = tuner.engine.ctx
+        rows = [row for row in ctx.prefix_cache._entries.values() if row.snapshot is not None]
+        assert rows
+        for row in rows:
+            assert ir_digest(row.snapshot) == row.out_digest
+        by_ir: dict[str, set[int]] = {}
+        versions = list(ctx.cache._entries.values())
+        for v in versions:
+            assert v.exe.source is v.ir
+            by_ir.setdefault(ir_digest(v.ir), set()).add(id(v.ir))
+        assert all(len(ids) == 1 for ids in by_ir.values())
+        assert len(by_ir) < len(versions), "a tune lands on known IRs"
 
 
 # --------------------------------------------------------------------------- #

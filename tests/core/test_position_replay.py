@@ -37,7 +37,9 @@ from repro.core.peak import evaluate_speedup, measure_whole_program
 from repro.core.rating import InputReplay, InvocationFeed, RatingSettings, ReExecutionRating
 from repro.ir import ArrayRef, FunctionBuilder, Type, UnOp, Var
 from repro.machine import PENTIUM4, SPARC2
-from repro.machine.executor import REPLAY_MEMO_MAX, CostFactors, MachineState
+from repro.machine.executor import (
+    REPLAY_MEMO_MAX, CostFactors, InputsKey, MachineState, input_facts,
+)
 from repro.machine.jit import create_executor
 from repro.machine.oblivious import oblivious_reason
 from repro.obs import NULL_OBS
@@ -314,6 +316,44 @@ def _python(code: str, hash_seed: int, stdin: str = "") -> str:
 def test_a_pickled_key_finds_its_entry_under_another_hash_seed():
     pickled = _python(_MAKE_KEY, 1)
     assert _python(_FIND_KEY, 12345, pickled).strip() == "found"
+
+
+_MAKE_INPUTS_KEY = """
+import base64, pickle, sys
+import numpy as np
+from repro.machine.executor import input_facts
+from repro.workloads import get_workload
+ds = get_workload("swim").dataset("train")
+key = input_facts(ds.env(np.random.default_rng(0), 0), {}).key
+sys.stdout.write(base64.b64encode(pickle.dumps(({key: "entry"}, key))).decode())
+"""
+
+_FIND_INPUTS_KEY = """
+import base64, pickle, sys
+from repro.machine.executor import InputsKey
+table, key = pickle.loads(base64.b64decode(sys.stdin.read()))
+assert type(key) is InputsKey
+# an equal value built in this process
+fresh = InputsKey(tuple(key))
+assert hash(fresh) == hash(key) == hash(tuple(key)), "stale hash"
+assert table[fresh] == table[key] == table[tuple(key)] == "entry"
+print("found")
+"""
+
+
+def test_a_pickled_inputs_key_finds_its_entry_under_another_hash_seed():
+    pickled = _python(_MAKE_INPUTS_KEY, 1)
+    assert _python(_FIND_INPUTS_KEY, 12345, pickled).strip() == "found"
+
+
+def test_inputs_key_hashes_once_and_pickles_without_it():
+    ds = get_workload("swim").dataset("train")
+    key = input_facts(ds.env(np.random.default_rng(0), 0), {}).key
+    assert isinstance(key, InputsKey)
+    assert key == tuple(key) and hash(key) == hash(tuple(key))
+    assert key._hash == hash(tuple(key))
+    assert b"_hash" not in pickle.dumps(key)
+    assert pickle.loads(pickle.dumps(key)) == key
 
 
 def test_cached_hashes_follow_the_values():

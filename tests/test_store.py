@@ -67,6 +67,13 @@ class TestStore:
         store.put("k", second)
         assert store.get("k") is first and len(store) == 1
 
+    def test_put_returns_the_held_value(self):
+        store = Store()
+        first, second = object(), object()
+        assert store.put("k", first) is first
+        assert store.put("k", second) is first
+        assert (store.hits, store.misses) == (0, 0), "put counts no lookup"
+
     def test_get_or_build_builds_once(self):
         store = Store()
         built = []
